@@ -25,7 +25,6 @@ from .evaluation import (
     neighborhood_overlap,
     partial_corruption,
     random_orthogonal,
-    synth_dataset,
     transfer_experiment,
 )
 from .filters import WindowBank, bandlimiting_weights, itersine_window
@@ -34,13 +33,10 @@ from .graph import (
     KernelGraph,
     adaptive_bandwidth,
     anisotropic_kernel_graph,
-    diffusion_operator,
     gauss_kernel_graph,
 )
 from .spectral import (
-    DiffusionEmbedding,
     FourierBasis,
-    diffusion_coordinates,
     drop_trivial,
     fourier_basis,
 )

@@ -18,18 +18,19 @@ Pipeline for a pair of datasets sharing a feature space:
 
 The n-dataset generalization computes a pairwise map ``T(i->j)`` for every
 pair (its adjoint serving the reverse direction) and assembles the analogous
-n-by-n block matrix.
+n-by-n block matrix.  Pairwise alignment runs the same code with n = 2.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
 
-from .core import DataMatrix
+from .core import DataMatrix, as_values
 from .filters import bandlimiting_weights
 from .graph import (
     BandwidthSpec,
@@ -81,16 +82,6 @@ class AlignmentParams:
         like N^(-1/2), so datasets of different sizes otherwise sit at
         different radii in the shared space; a per-dataset scalar restores
         comparability without touching the geometry.  Off by default.
-    anisotropy : float, optional
-        Reserved density-normalization exponent; only the default (full
-        normalization) is supported and any other value is rejected.
-    literal_degree_scaling : bool
-        Use ``Phi0 = D^{1/2} Psi`` instead of the default ``D^{-1/2} Psi``.
-    strict_band_sum : bool
-        Exclude the zero-frequency itersine band from the weight sum.
-    standardize_features : bool
-        Center and unit-scale feature columns before the Fourier transform
-        (off by default; intended for features on incomparable scales).
     """
 
     n_bands: int = 8
@@ -100,11 +91,7 @@ class AlignmentParams:
     knn_fraction: float | None = None
     sigma: float | None = None
     rank: int | None = None
-    anisotropy: float | None = None
     normalize_scale: bool = False
-    literal_degree_scaling: bool = False
-    strict_band_sum: bool = False
-    standardize_features: bool = False
 
     def __post_init__(self):
         if self.n_bands < 1:
@@ -113,11 +100,6 @@ class AlignmentParams:
             raise ValueError(f"diffusion time must be a non-negative integer, got {self.t}")
         if self.kernel not in ("adaptive", "fixed", "anisotropic"):
             raise ValueError(f"unknown kernel {self.kernel!r}")
-        if self.anisotropy is not None and self.anisotropy != 1.0:
-            raise NotImplementedError(
-                "partial anisotropic density normalization (anisotropy != 1) is "
-                "not supported; use kernel='anisotropic' (full) or 'adaptive'"
-            )
 
 
 @dataclass(frozen=True)
@@ -164,7 +146,7 @@ class MultiAlignmentResult:
 
 def gft_features(psi: np.ndarray, X) -> np.ndarray:
     """Graph Fourier transform of the feature columns: ``Xh = Psi^T X``."""
-    values = X.values if isinstance(X, DataMatrix) else np.asarray(X, dtype=np.float64)
+    values = as_values(X)
     if psi.shape[0] != values.shape[0]:
         raise ValueError(
             f"basis has {psi.shape[0]} rows but data has {values.shape[0]} points"
@@ -197,27 +179,44 @@ def orthogonalize(C: np.ndarray) -> np.ndarray:
     return U @ Vt
 
 
-def unified_diffusion_map(
-    phi_x0: np.ndarray,
-    phi_y0: np.ndarray,
-    lam_x: np.ndarray,
-    lam_y: np.ndarray,
-    T: np.ndarray,
-    t: int,
-) -> np.ndarray:
-    """Assemble the shared-coordinate block embedding.
+def unified_diffusion_map(bases, maps, t: int) -> np.ndarray:
+    """Assemble the shared-coordinate block embedding of n datasets.
 
-    The left column block lives in the first dataset's spectrum (scaled by
-    ``lam_x**t``), the right block in the second's (scaled by ``lam_y**t``);
-    the first dataset's rows are on top.
+    Block (i, j) is ``Phi0_i T(i->j) Lam_j^t`` with ``Phi0_i = D_i^{-1/2}
+    Psi_i``; diagonal blocks use the identity map.  Dataset i's rows come
+    i-th and the columns in dataset j's spectrum j-th.
+
+    Parameters
+    ----------
+    bases : sequence of FourierBasis
+        One non-trivial basis per dataset, used with the signs it carries.
+    maps : dict
+        ``maps[(i, j)]`` for every i != j, the harmonic map from dataset i to
+        dataset j expressed in those bases.
+    t : int
+        Non-negative diffusion time.
     """
     if t < 0 or t != int(t):
         raise ValueError(f"diffusion time must be a non-negative integer, got {t}")
-    sx = lam_x ** int(t)
-    sy = lam_y ** int(t)
-    top = np.hstack([phi_x0 * sx[None, :], (phi_x0 @ T) * sy[None, :]])
-    bottom = np.hstack([(phi_y0 @ T.T) * sx[None, :], phi_y0 * sy[None, :]])
-    return np.vstack([top, bottom])
+    rows = _ranges(b.psi.shape[0] for b in bases)
+    cols = _ranges(b.rank for b in bases)
+    phi = np.empty((rows[-1][1], cols[-1][1]))
+    for i, (bi, (r0, r1)) in enumerate(zip(bases, rows)):
+        phi0 = bi.degrees[:, None] ** -0.5 * bi.psi
+        for j, (bj, (c0, c1)) in enumerate(zip(bases, cols)):
+            block = phi[r0:r1, c0:c1]
+            if i == j:
+                block[:] = phi0
+            else:
+                np.matmul(phi0, maps[(i, j)], out=block)
+            block *= bj.lam ** int(t)
+    return phi
+
+
+def _ranges(sizes) -> tuple:
+    """Consecutive ``(start, stop)`` index ranges of the given sizes."""
+    offsets = np.cumsum([0, *sizes])
+    return tuple((int(lo), int(hi)) for lo, hi in zip(offsets[:-1], offsets[1:]))
 
 
 def _effective_rank(params: AlignmentParams, n: int) -> int | None:
@@ -251,46 +250,10 @@ def prepare_dataset(X, params: AlignmentParams) -> PreparedDataset:
     return PreparedDataset(data=X, graph=graph, basis=basis)
 
 
-def _phi0(basis: FourierBasis, params: AlignmentParams) -> np.ndarray:
-    power = 0.5 if params.literal_degree_scaling else -0.5
-    return basis.degrees[:, None] ** power * basis.psi
-
-
-def _features(prep: PreparedDataset, psi: np.ndarray, params: AlignmentParams) -> np.ndarray:
-    values = prep.data.values
-    if params.standardize_features:
-        std = values.std(axis=0)
-        std[std == 0] = 1.0
-        values = (values - values.mean(axis=0)) / std
-    return gft_features(psi, values)
-
-
-def _pair_map(
-    px: PreparedDataset, py: PreparedDataset, params: AlignmentParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bandlimited correlation and orthogonal map between two prepared datasets.
-
-    Basis signs are re-canonicalized here, so alignment is invariant to any
-    sign flips applied to eigenvector columns upstream.
-    """
-    psi_x = canonical_signs(px.basis.psi)
-    psi_y = canonical_signs(py.basis.psi)
-    Xh = _features(px, psi_x, params)
-    Yh = _features(py, psi_y, params)
-    w = bandlimiting_weights(
-        px.basis.lam,
-        py.basis.lam,
-        params.n_bands,
-        include_zero_band=not params.strict_band_sum,
-    )
-    C = bandlimited_correlation(Xh, Yh, w)
-    return C, orthogonalize(C)
-
-
-def _pair_diagnostics(preps) -> dict:
+def _diagnostics(bases) -> dict:
     diag = {}
-    for i, prep in enumerate(preps):
-        lam = prep.basis.lam
+    for i, basis in enumerate(bases):
+        lam = basis.lam
         diag[f"spectrum_{i}"] = lam.tolist()
         # ties among eigenvalues clamped to zero are artifacts of the clamp,
         # not genuine degeneracies of the decomposition
@@ -301,7 +264,7 @@ def _pair_diagnostics(preps) -> dict:
                 f"dataset {i}: {len(ties)} near-degenerate eigenvalue gaps; "
                 "the Fourier basis (hence the alignment) is only defined up to "
                 "rotation within those eigenspaces",
-                stacklevel=3,
+                stacklevel=4,
             )
     return diag
 
@@ -315,33 +278,58 @@ def _normalize_block_scale(phi: np.ndarray, ranges) -> np.ndarray:
     return phi
 
 
+def _align(preps, params: AlignmentParams, keep_correlation: bool = False):
+    """The alignment of n >= 2 prepared datasets, shared by every entry point.
+
+    Basis signs are canonicalized once per dataset here, so alignment is
+    invariant to any sign flips applied to eigenvector columns upstream.
+    For every pair i < j the bandlimited correlation ``C`` is orthogonalized
+    into ``T(i->j)``; its transpose serves as ``T(j->i)``.  Each ``C`` is
+    dropped after its SVD unless ``keep_correlation`` asks for the last one.
+
+    Returns the :class:`MultiAlignmentResult` and the kept ``C`` (or None).
+    """
+    bases = [replace(p.basis, psi=canonical_signs(p.basis.psi)) for p in preps]
+    features = [gft_features(b.psi, p.data) for b, p in zip(bases, preps)]
+    maps, kept = {}, None
+    for i, j in itertools.combinations(range(len(preps)), 2):
+        w = bandlimiting_weights(bases[i].lam, bases[j].lam, params.n_bands)
+        C = bandlimited_correlation(features[i], features[j], w)
+        maps[(i, j)] = orthogonalize(C)
+        maps[(j, i)] = maps[(i, j)].T
+        kept = C if keep_correlation else None
+        del C
+    phi = unified_diffusion_map(bases, maps, params.t)
+    row_ranges = _ranges(p.data.n_points for p in preps)
+    if params.normalize_scale:
+        phi = _normalize_block_scale(phi, row_ranges)
+    result = MultiAlignmentResult(
+        maps=maps,
+        phi=phi,
+        row_ranges=row_ranges,
+        col_ranges=_ranges(b.rank for b in bases),
+        diagnostics=_diagnostics(bases),
+    )
+    return result, kept
+
+
+def _check_feature_space(datasets) -> None:
+    dims = [as_values(X).shape[1] for X in datasets]
+    if len(set(dims)) != 1:
+        raise ValueError(f"datasets must share a feature space: d={dims}")
+
+
 def align_prepared(
     px: PreparedDataset, py: PreparedDataset, params: AlignmentParams
 ) -> AlignmentResult:
     """Align two prepared datasets (the tail of :func:`harmonic_alignment`)."""
-    C, T = _pair_map(px, py, params)
-    psi_x = canonical_signs(px.basis.psi)
-    psi_y = canonical_signs(py.basis.psi)
-    phi_x0 = px.basis.degrees[:, None] ** (0.5 if params.literal_degree_scaling else -0.5) * psi_x
-    phi_y0 = py.basis.degrees[:, None] ** (0.5 if params.literal_degree_scaling else -0.5) * psi_y
-    phi = unified_diffusion_map(phi_x0, phi_y0, px.basis.lam, py.basis.lam, T, params.t)
-    n1, n2 = px.data.n_points, py.data.n_points
-    if params.normalize_scale:
-        phi = _normalize_block_scale(phi, ((0, n1), (n1, n1 + n2)))
-    small = min(T.shape)
-    residual = (
-        np.abs(T.T @ T - np.eye(T.shape[1])).max()
-        if T.shape[1] == small
-        else np.abs(T @ T.T - np.eye(T.shape[0])).max()
-    )
-    diagnostics = _pair_diagnostics((px, py))
-    diagnostics["orthogonality_residual"] = float(residual)
+    multi, C = _align([px, py], params, keep_correlation=True)
+    T = multi.maps[(0, 1)]
+    gram = T.T @ T if T.shape[0] >= T.shape[1] else T @ T.T
+    residual = float(np.abs(gram - np.eye(len(gram))).max())
+    diagnostics = dict(multi.diagnostics, orthogonality_residual=residual)
     return AlignmentResult(
-        C=C,
-        T=T,
-        phi=phi,
-        blocks=((0, n1), (n1, n1 + n2)),
-        diagnostics=diagnostics,
+        C=C, T=T, phi=multi.phi, blocks=multi.row_ranges, diagnostics=diagnostics
     )
 
 
@@ -361,15 +349,8 @@ def harmonic_alignment(X, Y, params: AlignmentParams | None = None) -> Alignment
         the orthogonal harmonic map, and diagnostics.
     """
     params = params or AlignmentParams()
-    dx = X.n_features if isinstance(X, DataMatrix) else np.asarray(X).shape[1]
-    dy = Y.n_features if isinstance(Y, DataMatrix) else np.asarray(Y).shape[1]
-    if dx != dy:
-        raise ValueError(
-            f"datasets must share a feature space: d={dx} vs d={dy}"
-        )
-    px = prepare_dataset(X, params)
-    py = prepare_dataset(Y, params)
-    return align_prepared(px, py, params)
+    _check_feature_space([X, Y])
+    return align_prepared(prepare_dataset(X, params), prepare_dataset(Y, params), params)
 
 
 def multi_alignment(datasets, params: AlignmentParams | None = None) -> MultiAlignmentResult:
@@ -383,48 +364,6 @@ def multi_alignment(datasets, params: AlignmentParams | None = None) -> MultiAli
     params = params or AlignmentParams()
     if len(datasets) < 2:
         raise ValueError(f"need at least 2 datasets, got {len(datasets)}")
-    dims = [
-        X.n_features if isinstance(X, DataMatrix) else np.asarray(X).shape[1]
-        for X in datasets
-    ]
-    if len(set(dims)) != 1:
-        raise ValueError(f"datasets must share a feature space: d={dims}")
-    preps = [prepare_dataset(X, params) for X in datasets]
-    n = len(preps)
-    maps = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            _, T = _pair_map(preps[i], preps[j], params)
-            maps[(i, j)] = T
-            maps[(j, i)] = T.T
-    power = 0.5 if params.literal_degree_scaling else -0.5
-    phi0 = [
-        p.basis.degrees[:, None] ** power * canonical_signs(p.basis.psi) for p in preps
-    ]
-    scales = [p.basis.lam ** int(params.t) for p in preps]
-    row_blocks = []
-    for i in range(n):
-        cols = []
-        for j in range(n):
-            if i == j:
-                block = phi0[i] * scales[i][None, :]
-            else:
-                block = (phi0[i] @ maps[(i, j)]) * scales[j][None, :]
-            cols.append(block)
-        row_blocks.append(np.hstack(cols))
-    phi = np.vstack(row_blocks)
-    row_sizes = [p.data.n_points for p in preps]
-    col_sizes = [p.basis.rank for p in preps]
-    row_offsets = np.concatenate([[0], np.cumsum(row_sizes)])
-    col_offsets = np.concatenate([[0], np.cumsum(col_sizes)])
-    row_ranges = tuple((int(row_offsets[i]), int(row_offsets[i + 1])) for i in range(n))
-    col_ranges = tuple((int(col_offsets[i]), int(col_offsets[i + 1])) for i in range(n))
-    if params.normalize_scale:
-        phi = _normalize_block_scale(phi, row_ranges)
-    return MultiAlignmentResult(
-        maps=maps,
-        phi=phi,
-        row_ranges=row_ranges,
-        col_ranges=col_ranges,
-        diagnostics=_pair_diagnostics(preps),
-    )
+    _check_feature_space(datasets)
+    result, _ = _align([prepare_dataset(X, params) for X in datasets], params)
+    return result

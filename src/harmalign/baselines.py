@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import DataMatrix
+from .core import as_values
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,6 @@ class MnnParams:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.sigma is not None and self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-
-
-def _values(X) -> np.ndarray:
-    return X.values if isinstance(X, DataMatrix) else np.asarray(X, dtype=np.float64)
 
 
 def _knn_sets(dist: np.ndarray, k: int) -> np.ndarray:
@@ -73,7 +69,7 @@ def mnn_correct(X, Y, params: MnnParams | None = None) -> np.ndarray:
         a warning is raised and Y is returned unchanged.
     """
     params = params or MnnParams()
-    xv, yv = _values(X), _values(Y)
+    xv, yv = as_values(X), as_values(Y)
     if xv.shape[1] != yv.shape[1]:
         raise ValueError(
             f"datasets must share a feature space: d={xv.shape[1]} vs d={yv.shape[1]}"

@@ -63,7 +63,6 @@ def _add_align_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kernel", choices=sorted(_KERNEL_NAMES), default="alg2",
                         help="kernel: alg2 = symmetric adaptive Gaussian, "
                              "eq1 = anisotropic (default alg2)")
-    parser.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
     parser.add_argument("--out", default=None, help="embedding CSV output path")
     parser.add_argument("--report", default=None, help="report JSON output path")
 
@@ -115,7 +114,6 @@ def _cmd_align(args) -> int:
             "version": __version__,
             "x": args.x,
             "y": args.y,
-            "seed": args.seed,
             "align_params": asdict(params),
         },
         aggregates={
@@ -148,7 +146,6 @@ def _cmd_multi_align(args) -> int:
             "command": "multi-align",
             "version": __version__,
             "inputs": list(args.inputs),
-            "seed": args.seed,
             "align_params": asdict(params),
         },
         aggregates={"seconds": elapsed},

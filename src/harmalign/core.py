@@ -105,6 +105,11 @@ class DataMatrix:
         return self.values.shape[1]
 
 
+def as_values(X) -> np.ndarray:
+    """The float64 point-by-feature array of a DataMatrix or array-like."""
+    return X.values if isinstance(X, DataMatrix) else np.asarray(X, dtype=np.float64)
+
+
 @dataclass
 class Report:
     """Key-value experiment record: parameters, per-trial rows, aggregates.

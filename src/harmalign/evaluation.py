@@ -30,7 +30,7 @@ from scipy.spatial.distance import cdist
 
 from .align import AlignmentParams, harmonic_alignment
 from .baselines import MnnParams, mnn_correct
-from .core import DataMatrix, Report, Rng, load_matrix
+from .core import Report, Rng, load_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -77,35 +77,6 @@ def partial_corruption(O0: np.ndarray, preserved_pct: float, rng: Rng) -> np.nda
 
 # ---------------------------------------------------------------------------
 # synthetic data
-
-
-def synth_dataset(
-    classes: int, n_per_class: int, d: int, spread: float, rng: Rng
-) -> DataMatrix:
-    """Gaussian clusters around orthonormal unit mean directions.
-
-    Mean directions are mutually orthogonal unit vectors (pairwise distance
-    sqrt(2)), so clusters are separated whenever ``2 * spread <= sqrt(2)``.
-    ``spread`` is the expected within-class deviation norm: per-coordinate
-    noise has standard deviation ``spread / sqrt(d)``.
-    """
-    if classes < 2:
-        raise ValueError(f"need >= 2 classes, got {classes}")
-    if d < classes:
-        raise ValueError(f"need d >= classes, got d={d}, classes={classes}")
-    separation = np.sqrt(2.0)
-    if 2.0 * spread > separation:
-        raise ValueError(
-            f"spread {spread} too large: means are {separation:.4f} apart, "
-            f"need 2*spread <= that"
-        )
-    gen = rng.generator
-    means, _ = np.linalg.qr(gen.standard_normal((d, classes)))
-    means = means.T  # (classes, d), orthonormal rows
-    labels = np.repeat(np.arange(classes), n_per_class)
-    noise = gen.standard_normal((classes * n_per_class, d)) * (spread / np.sqrt(d))
-    values = means[labels] + noise
-    return DataMatrix(values=values, labels=labels, name="synthetic-clusters")
 
 
 class ClusterSampler:

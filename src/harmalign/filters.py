@@ -14,9 +14,8 @@ The joint bandlimiting weight between two eigenvalue vectors is
 
 a soft indicator that the two eigenvalues occupy overlapping frequency
 bands: it equals 1 when the eigenvalues coincide and is exactly 0 once they
-differ by 2/n_bands or more.  By default the sum includes the xi = 0 band
-(required for the w = 1 diagonal property at small eigenvalues); a strict
-mode restricts the sum to xi = 1..n_bands.
+differ by 2/n_bands or more.  The sum includes the xi = 0 band, which the
+w = 1 property needs at small eigenvalues.
 """
 
 from __future__ import annotations
@@ -74,22 +73,14 @@ class WindowBank:
         return total
 
 
-def bandlimiting_weights(
-    lam_x: np.ndarray,
-    lam_y: np.ndarray,
-    n_bands: int,
-    include_zero_band: bool = True,
-) -> np.ndarray:
+def bandlimiting_weights(lam_x: np.ndarray, lam_y: np.ndarray, n_bands: int) -> np.ndarray:
     """Joint bandlimiting weight matrix between two eigenvalue vectors.
 
     Parameters
     ----------
     lam_x, lam_y : 1-D arrays of eigenvalues in [0, 1].
     n_bands : int
-        Number of itersine bands.
-    include_zero_band : bool
-        Sum over xi = 0..n_bands when True (default; needed for the unit
-        diagonal property), over xi = 1..n_bands when False (strict mode).
+        Number of itersine bands; the sum runs over xi = 0..n_bands.
 
     Returns
     -------
@@ -97,9 +88,8 @@ def bandlimiting_weights(
     """
     lam_x = np.asarray(lam_x, dtype=np.float64)
     lam_y = np.asarray(lam_y, dtype=np.float64)
-    start = 0 if include_zero_band else 1
     w = np.zeros((lam_x.size, lam_y.size))
-    for xi in range(start, n_bands + 1):
+    for xi in range(n_bands + 1):
         wx = itersine_window(lam_x, xi, n_bands)
         wy = itersine_window(lam_y, xi, n_bands)
         w += np.outer(wx, wy)

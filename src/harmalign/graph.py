@@ -1,8 +1,10 @@
 """Kernel graph construction: adaptive/fixed Gaussian and anisotropic kernels.
 
-Given a dataset this module builds the symmetric kernel matrix ``W``, the
-degree vector, the symmetric normalized Laplacian ``L = I - D^{-1/2} W
-D^{-1/2}``, and the row-stochastic diffusion operator ``P = D^{-1} W``.
+Given a dataset this module builds the symmetric kernel matrix ``W`` and
+keeps what later stages read: the degree vector ``D = diag(sum_j W(i, j))``
+and the normalized affinity ``A = D^{-1/2} W D^{-1/2}``, whose eigenvectors
+form the graph Fourier basis.  ``W`` itself is normalized in place into ``A``
+and not kept.
 
 Two kernel families are provided.  The default is the symmetric adaptive
 Gaussian
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import DataMatrix
+from .core import as_values
 
 
 @dataclass(frozen=True)
@@ -57,24 +59,23 @@ class BandwidthSpec:
 
 @dataclass(frozen=True)
 class KernelGraph:
-    """Kernel matrix W, degree vector, and normalized Laplacian of one dataset.
+    """Normalized affinity ``A = D^{-1/2} W D^{-1/2}`` and degrees of one dataset.
 
-    Invariants: W is symmetric with unit diagonal (Gaussian of self-distance
-    zero), ``degrees[i] = sum_j W[i, j]`` is strictly positive, and
-    ``L = I - D^{-1/2} W D^{-1/2}`` with eigenvalues in [0, 2].
+    Invariants: A is exactly symmetric, ``degrees[i] = sum_j W[i, j]`` is
+    strictly positive, and the eigenvalues of A lie in [-1, 1].
     """
 
-    W: np.ndarray
+    A: np.ndarray
     degrees: np.ndarray
-    L: np.ndarray
 
     @property
     def n_points(self) -> int:
-        return self.W.shape[0]
+        return self.A.shape[0]
 
-
-def _values(X) -> np.ndarray:
-    return X.values if isinstance(X, DataMatrix) else np.asarray(X, dtype=np.float64)
+    @property
+    def L(self) -> np.ndarray:
+        """Symmetric normalized Laplacian ``I - A`` (a new array on each access)."""
+        return np.eye(self.n_points) - self.A
 
 
 def adaptive_bandwidth(X, k: int) -> np.ndarray:
@@ -90,13 +91,14 @@ def adaptive_bandwidth(X, k: int) -> np.ndarray:
     -------
     (N,) ndarray of strictly positive bandwidths.
     """
-    values = _values(X)
+    values = as_values(X)
     n = values.shape[0]
     if not 1 <= k < n:
         raise ValueError(f"adaptive bandwidth needs 1 <= k < N; got k={k}, N={n}")
     dist = cdist(values, values)
-    # column 0 after sorting is the self-distance 0; column k is the k-th neighbor
-    sigma = np.sort(dist, axis=1)[:, k]
+    # column 0 in sorted order is the self-distance 0; column k is the k-th
+    # neighbor.  The copy frees the N x N partitioned array on return.
+    sigma = np.partition(dist, k, axis=1)[:, k].copy()
     if np.any(sigma <= 0):
         i = int(np.flatnonzero(sigma <= 0)[0])
         raise ValueError(
@@ -107,13 +109,15 @@ def adaptive_bandwidth(X, k: int) -> np.ndarray:
 
 
 def _finish_graph(W: np.ndarray) -> KernelGraph:
+    """Normalize a symmetric kernel matrix in place into the graph's affinity."""
     degrees = W.sum(axis=1)
     if np.any(degrees <= 0):
         i = int(np.flatnonzero(degrees <= 0)[0])
         raise ValueError(f"zero degree at point {i} (kernel underflowed)")
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    L = np.eye(W.shape[0]) - inv_sqrt[:, None] * W * inv_sqrt[None, :]
-    return KernelGraph(W=W, degrees=degrees, L=L)
+    # one factor inv_i * inv_j per entry keeps A exactly symmetric
+    W *= np.multiply.outer(inv_sqrt, inv_sqrt)
+    return KernelGraph(A=W, degrees=degrees)
 
 
 def gauss_kernel_graph(X, bw: BandwidthSpec) -> KernelGraph:
@@ -124,16 +128,21 @@ def gauss_kernel_graph(X, bw: BandwidthSpec) -> KernelGraph:
     a fixed bandwidth uses the same formula with all ``sigma_i`` equal, which
     reduces to the plain Gaussian ``exp(-d^2 / (2 sigma^2))``.
     """
-    values = _values(X)
+    values = as_values(X)
     if bw.mode == "adaptive":
         sigma = adaptive_bandwidth(values, bw.k)
     else:
         sigma = np.full(values.shape[0], bw.sigma, dtype=np.float64)
-    eps = sigma**2
+    scale = -2.0 * sigma**2
+    # the squared distances are exactly symmetric, so W is too
     d2 = cdist(values, values, metric="sqeuclidean")
-    W = 0.5 * (np.exp(-d2 / (2.0 * eps[:, None])) + np.exp(-d2 / (2.0 * eps[None, :])))
+    W = d2 / scale[:, None]
+    np.exp(W, out=W)
+    d2 /= scale[None, :]
+    W += np.exp(d2, out=d2)
+    del d2
+    W *= 0.5
     np.fill_diagonal(W, 1.0)
-    W = 0.5 * (W + W.T)  # kill rounding asymmetry
     return _finish_graph(W)
 
 
@@ -142,23 +151,16 @@ def anisotropic_kernel_graph(X, sigma: float) -> KernelGraph:
 
     ``W(i,j) = G(i,j) / (r_i r_j)`` where ``G = exp(-d^2 / sigma)`` and ``r_i``
     is the i-th row sum of G.  The normalization is symmetric in i and j, so
-    W stays symmetric; its diagonal is not 1 (see notes in the graph module
-    docstring), hence the returned graph relaxes that single invariant.
+    W stays exactly symmetric; unlike the Gaussian graphs, its diagonal is
+    not 1.
     """
     if sigma <= 0:
         raise ValueError(f"anisotropic kernel requires sigma > 0, got {sigma}")
-    values = _values(X)
-    d2 = cdist(values, values, metric="sqeuclidean")
-    G = np.exp(-d2 / sigma)
+    values = as_values(X)
+    G = cdist(values, values, metric="sqeuclidean")
+    G /= -sigma
+    np.exp(G, out=G)
     r = G.sum(axis=1)
-    W = G / (r[:, None] * r[None, :])
-    W = 0.5 * (W + W.T)
-    return _finish_graph(W)
+    G /= np.multiply.outer(r, r)
+    return _finish_graph(G)
 
-
-def diffusion_operator(g: KernelGraph) -> np.ndarray:
-    """Row-stochastic diffusion operator ``P = D^{-1} W``."""
-    if np.any(g.degrees <= 0):
-        i = int(np.flatnonzero(g.degrees <= 0)[0])
-        raise ValueError(f"zero degree at point {i}")
-    return g.W / g.degrees[:, None]

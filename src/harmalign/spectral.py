@@ -1,15 +1,16 @@
-"""Graph Fourier basis and diffusion coordinates.
+"""Graph Fourier basis.
 
-The graph Fourier basis is the symmetric eigendecomposition of
-``A = I - L = D^{-1/2} W D^{-1/2}`` with eigenvalues sorted descending.  A
-symmetric solver (not an SVD) is used deliberately: slightly negative
-eigenvalues of A must keep their sign so the clamp into [0, 1] is principled.
-Each eigenvector is sign-normalized so that its largest-magnitude entry is
-positive, making the basis deterministic away from eigenvalue ties.
+The graph Fourier basis is the symmetric eigendecomposition of the
+normalized affinity ``A = I - L = D^{-1/2} W D^{-1/2}`` with eigenvalues
+sorted descending.  A symmetric solver (not an SVD) is used deliberately:
+slightly negative eigenvalues of A must keep their sign so the clamp into
+[0, 1] is principled.  Each eigenvector is sign-normalized so that its
+largest-magnitude entry is positive, making the basis deterministic away
+from eigenvalue ties.
 
-Diffusion coordinates follow ``psi_j = D^{1/2} phi_j``, i.e.
-``Phi_0 = D^{-1/2} Psi`` and ``Phi_t = Phi_0 Lambda^t``.  The opposite
-``D^{1/2}`` scaling is available behind a flag for comparison.
+The basis carries the graph's degrees so that diffusion coordinates
+``Phi_t = D^{-1/2} Psi Lambda^t`` can be formed from it; the alignment module
+assembles them (:func:`harmalign.align.unified_diffusion_map`).
 """
 
 from __future__ import annotations
@@ -40,15 +41,6 @@ class FourierBasis:
         return self.psi.shape[1]
 
 
-@dataclass(frozen=True)
-class DiffusionEmbedding:
-    """Diffusion coordinates Phi (rows = points) with eigenvalues and time t."""
-
-    phi: np.ndarray
-    lam: np.ndarray
-    t: int
-
-
 def canonical_signs(psi: np.ndarray) -> np.ndarray:
     """Flip eigenvector signs so each column's largest-magnitude entry is positive.
 
@@ -62,7 +54,7 @@ def canonical_signs(psi: np.ndarray) -> np.ndarray:
 
 
 def fourier_basis(g: KernelGraph, rank: int | None = None) -> FourierBasis:
-    """Eigendecomposition of I - L, optionally truncated to the top ``rank`` pairs.
+    """Eigendecomposition of A = I - L, optionally truncated to the top ``rank`` pairs.
 
     Parameters
     ----------
@@ -81,15 +73,13 @@ def fourier_basis(g: KernelGraph, rank: int | None = None) -> FourierBasis:
     n = g.n_points
     if rank is not None and rank < 1:
         raise ValueError(f"rank must be positive, got {rank}")
-    A = np.eye(n) - g.L
-    A = 0.5 * (A + A.T)
     if rank is None or rank >= n:
-        lam, psi = scipy.linalg.eigh(A)
+        lam, psi = scipy.linalg.eigh(g.A)
         lam, psi = lam[::-1], psi[:, ::-1]
     else:
         v0 = np.full(n, 1.0 / np.sqrt(n))
         try:
-            lam, psi = scipy.sparse.linalg.eigsh(A, k=rank, which="LA", v0=v0)
+            lam, psi = scipy.sparse.linalg.eigsh(g.A, k=rank, which="LA", v0=v0)
         except scipy.sparse.linalg.ArpackNoConvergence as exc:  # pragma: no cover
             raise RuntimeError(
                 f"eigensolver failed to converge: {len(exc.eigenvalues)} of "
@@ -114,24 +104,3 @@ def degenerate_gaps(lam: np.ndarray, tol: float = 1e-10) -> list[int]:
     gaps = -np.diff(lam)
     return [int(i) for i in np.flatnonzero(gaps < tol)]
 
-
-def diffusion_coordinates(
-    b: FourierBasis, t: int, literal_degree_scaling: bool = False
-) -> DiffusionEmbedding:
-    """Diffusion coordinates ``Phi_t = D^{-1/2} Psi Lambda^t``.
-
-    Parameters
-    ----------
-    b : FourierBasis
-    t : int
-        Non-negative diffusion time.
-    literal_degree_scaling : bool
-        If True use ``Phi_0 = D^{1/2} Psi`` instead of the default
-        ``D^{-1/2} Psi`` (the two degree-scaling conventions in circulation).
-    """
-    if t < 0 or t != int(t):
-        raise ValueError(f"diffusion time must be a non-negative integer, got {t}")
-    power = 0.5 if literal_degree_scaling else -0.5
-    scale = b.degrees**power
-    phi = scale[:, None] * b.psi * b.lam[None, :] ** int(t)
-    return DiffusionEmbedding(phi=phi, lam=b.lam, t=int(t))

@@ -113,11 +113,19 @@ class TestOrthogonalize:
             orthogonalize(C)
 
 
+def basis(phi0, lam, degrees=None):
+    """A FourierBasis whose diffusion coordinates at t = 0 are ``phi0``."""
+    degrees = np.ones(phi0.shape[0]) if degrees is None else degrees
+    return FourierBasis(psi=phi0 * np.sqrt(degrees)[:, None], lam=lam, degrees=degrees)
+
+
 class TestUnifiedDiffusionMap:
     def test_identity_map_identical_blocks(self):
         phi0 = sample_data(11, 10, 4)
         lam = np.linspace(0.9, 0.2, 4)
-        phi = unified_diffusion_map(phi0, phi0, lam, lam, np.eye(4), t=1)
+        b = basis(phi0, lam)
+        maps = {(0, 1): np.eye(4), (1, 0): np.eye(4)}
+        phi = unified_diffusion_map([b, b], maps, t=1)
         assert np.array_equal(phi[:10], phi[10:])
 
     def test_t_zero_is_raw_blocks(self):
@@ -125,17 +133,39 @@ class TestUnifiedDiffusionMap:
         phi_y = sample_data(13, 5, 3)
         T = orthogonalize(sample_data(14, 3, 3))
         lam = np.array([0.5, 0.4, 0.3])
-        phi = unified_diffusion_map(phi_x, phi_y, lam, lam, T, t=0)
-        expected_top = np.hstack([phi_x, phi_x @ T])
-        assert np.array_equal(phi[:6], expected_top)
+        degrees = Rng(15).generator.uniform(1.0, 4.0, 6)
+        bases = [basis(phi_x, lam, degrees), basis(phi_y, lam)]
+        phi = unified_diffusion_map(bases, {(0, 1): T, (1, 0): T.T}, t=0)
+        assert np.allclose(phi[:6], np.hstack([phi_x, phi_x @ T]), rtol=1e-14, atol=0)
+        assert np.allclose(phi[6:], np.hstack([phi_y @ T.T, phi_y]), rtol=1e-14, atol=0)
 
     def test_zero_eigenvalue_zero_column(self):
         phi_x = sample_data(15, 6, 3)
         phi_y = sample_data(16, 6, 3)
         lam = np.array([0.5, 0.0, 0.3])
-        phi = unified_diffusion_map(phi_x, phi_y, lam, lam, np.eye(3), t=1)
+        maps = {(0, 1): np.eye(3), (1, 0): np.eye(3)}
+        phi = unified_diffusion_map([basis(phi_x, lam), basis(phi_y, lam)], maps, t=1)
         assert np.all(phi[:, 1] == 0.0)
         assert np.all(phi[:, 4] == 0.0)
+
+    def test_three_datasets_block_layout(self):
+        sizes, ranks = (4, 5, 6), (2, 3, 2)
+        gen = Rng(42).generator
+        phi0 = [gen.standard_normal((n, r)) for n, r in zip(sizes, ranks)]
+        lam = [gen.uniform(0.1, 0.9, r) for r in ranks]
+        maps = {
+            (i, j): gen.standard_normal((ranks[i], ranks[j]))
+            for i in range(3) for j in range(3) if i != j
+        }
+        bases = [basis(p, spectrum) for p, spectrum in zip(phi0, lam)]
+        phi = unified_diffusion_map(bases, maps, t=2)
+        assert phi.shape == (sum(sizes), sum(ranks))
+        rows, cols = np.cumsum((0,) + sizes), np.cumsum((0,) + ranks)
+        for i in range(3):
+            for j in range(3):
+                T = np.eye(ranks[i]) if i == j else maps[(i, j)]
+                block = phi[rows[i] : rows[i + 1], cols[j] : cols[j + 1]]
+                assert np.allclose(block, phi0[i] @ T * lam[j] ** 2, rtol=1e-13, atol=1e-15)
 
 
 class TestHarmonicAlignment:
@@ -212,17 +242,6 @@ class TestHarmonicAlignment:
         keep = np.arange(8) != 3
         T_reduced = orthogonalize(C[keep])
         assert np.abs(T[keep] - T_reduced).max() <= 1e-8
-
-    def test_anisotropy_knob_unsupported(self):
-        with pytest.raises(NotImplementedError, match="not supported"):
-            AlignmentParams(anisotropy=0.5)
-
-    def test_standardize_features_runs(self):
-        X = sample_data(30, 50, 20) * 100 + 5
-        Y = sample_data(31, 50, 20)
-        params = AlignmentParams(knn=10, standardize_features=True)
-        result = harmonic_alignment(X, Y, params)
-        assert np.all(np.isfinite(result.phi))
 
 
 class TestMultiAlignment:

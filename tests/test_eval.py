@@ -14,7 +14,6 @@ from harmalign.evaluation import (
     neighborhood_overlap,
     partial_corruption,
     random_orthogonal,
-    synth_dataset,
     sweep_csv,
     transfer_experiment,
 )
@@ -60,27 +59,6 @@ class TestPartialCorruption:
         assert len(preserved) == 7
         for j in preserved:
             assert np.array_equal(out[:, j], Y[:, j])
-
-
-class TestSynthDataset:
-    def test_tiny_spread_separable(self):
-        m = synth_dataset(3, 10, 10, 1e-6, Rng(12))
-        _, acc = knn_classify(m.values, m.labels, m.values, 1, m.labels)
-        assert acc == 1.0
-
-    def test_deterministic(self):
-        a = synth_dataset(3, 5, 10, 0.2, Rng(13))
-        b = synth_dataset(3, 5, 10, 0.2, Rng(13))
-        assert np.array_equal(a.values, b.values)
-
-    def test_self_classification_accuracy(self):
-        m = synth_dataset(10, 100, 100, 0.3, Rng(14))
-        _, acc = knn_classify(m.values, m.labels, m.values, 5, m.labels)
-        assert acc >= 0.95
-
-    def test_spread_too_large_rejected(self):
-        with pytest.raises(ValueError, match="spread"):
-            synth_dataset(3, 5, 10, 1.0, Rng(15))
 
 
 class TestKnnClassify:

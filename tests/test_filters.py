@@ -84,13 +84,6 @@ class TestBandlimitingWeights:
         wt = bandlimiting_weights(lam_y, lam_x, 8)
         assert np.array_equal(w, wt.T)
 
-    def test_strict_sum_drops_low_frequencies(self):
-        lam = np.array([0.01])
-        full = bandlimiting_weights(lam, lam, 8, include_zero_band=True)
-        strict = bandlimiting_weights(lam, lam, 8, include_zero_band=False)
-        assert full[0, 0] == pytest.approx(1.0, abs=1e-12)
-        assert strict[0, 0] < full[0, 0]
-
     def test_support_shrinks_with_more_bands(self):
         delta = 0.2
         w_coarse = bandlimiting_weights(np.array([0.4]), np.array([0.4 + delta]), 4)

@@ -7,13 +7,23 @@ from harmalign.graph import (
     BandwidthSpec,
     adaptive_bandwidth,
     anisotropic_kernel_graph,
-    diffusion_operator,
     gauss_kernel_graph,
 )
 
 
 def line_points(*xs):
     return np.array(xs, dtype=float)[:, None]
+
+
+def kernel(g):
+    """The kernel matrix W = D^{1/2} A D^{1/2} the graph was normalized from."""
+    s = np.sqrt(g.degrees)
+    return s[:, None] * g.A * s[None, :]
+
+
+def diffusion_operator(g):
+    """Row-stochastic diffusion operator P = D^{-1} W."""
+    return kernel(g) / g.degrees[:, None]
 
 
 class TestAdaptiveBandwidth:
@@ -40,12 +50,12 @@ class TestGaussKernelGraph:
         sigma = 1.5
         dist = np.sqrt(2.0) * sigma
         g = gauss_kernel_graph(line_points(0, dist), BandwidthSpec.fixed(sigma))
-        assert g.W[0, 1] == pytest.approx(np.exp(-1), abs=1e-12)
+        assert kernel(g)[0, 1] == pytest.approx(np.exp(-1), abs=1e-12)
 
     def test_all_ones_kernel_laplacian(self):
         # distance-0 limit: W = [[1,1],[1,1]] gives L = [[.5,-.5],[-.5,.5]]
         g = gauss_kernel_graph(line_points(0, 1e-9), BandwidthSpec.fixed(1e3))
-        assert np.allclose(g.W, np.ones((2, 2)), atol=1e-12)
+        assert np.allclose(kernel(g), np.ones((2, 2)), atol=1e-12)
         assert np.allclose(g.L, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-9)
         eigs = np.sort(scipy.linalg.eigvalsh(g.L))
         assert np.allclose(eigs, [0.0, 1.0], atol=1e-9)
@@ -53,12 +63,16 @@ class TestGaussKernelGraph:
     def test_invariants(self):
         X = Rng(0).generator.standard_normal((40, 5))
         g = gauss_kernel_graph(X, BandwidthSpec.adaptive(5))
-        assert np.abs(g.W - g.W.T).max() <= 1e-12
-        assert np.allclose(np.diag(g.W), 1.0)
-        assert np.allclose(g.degrees, g.W.sum(axis=1), rtol=1e-10)
-        inv_sqrt = 1 / np.sqrt(g.degrees)
-        L_ref = np.eye(40) - inv_sqrt[:, None] * g.W * inv_sqrt[None, :]
-        assert np.abs(g.L - L_ref).max() <= 1e-12
+        assert np.array_equal(g.A, g.A.T)
+        W = kernel(g)
+        assert np.allclose(np.diag(W), 1.0)
+        assert np.allclose(g.degrees, W.sum(axis=1), rtol=1e-10)
+        # W entries from the formula, with the bandwidths of adaptive_bandwidth
+        eps = adaptive_bandwidth(X, 5) ** 2
+        d2 = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=-1)
+        W_ref = 0.5 * (np.exp(-d2 / (2 * eps[:, None])) + np.exp(-d2 / (2 * eps[None, :])))
+        assert np.abs(W - W_ref).max() <= 1e-12
+        assert np.abs(g.L - (np.eye(40) - g.A)).max() == 0.0
         eigs = scipy.linalg.eigvalsh(g.L)
         assert eigs.min() >= -1e-10 and eigs.max() <= 2 + 1e-10
 
@@ -68,15 +82,16 @@ class TestGaussKernelGraph:
         perm = rng.permutation(20)
         g = gauss_kernel_graph(X, BandwidthSpec.adaptive(4))
         gp = gauss_kernel_graph(X[perm], BandwidthSpec.adaptive(4))
-        assert np.array_equal(gp.W, g.W[np.ix_(perm, perm)])
+        # degrees sum the permuted rows in another order: equal up to rounding
+        np.testing.assert_allclose(gp.degrees, g.degrees[perm], rtol=1e-14)
+        np.testing.assert_allclose(gp.A, g.A[np.ix_(perm, perm)], rtol=1e-14, atol=0)
 
     def test_bandwidth_scaling_keeps_structure(self):
         X = Rng(2).generator.standard_normal((15, 3))
         for scale in (0.5, 2.0):
             g = gauss_kernel_graph(X, BandwidthSpec.fixed(scale))
-            assert np.abs(g.W - g.W.T).max() <= 1e-12
-            P = diffusion_operator(g)
-            assert np.abs(P.sum(axis=1) - 1).max() <= 1e-12
+            assert np.array_equal(g.A, g.A.T)
+            np.testing.assert_allclose(kernel(g).sum(axis=1), g.degrees, rtol=1e-12)
 
 
 class TestAnisotropicKernelGraph:
@@ -94,20 +109,21 @@ class TestAnisotropicKernelGraph:
             for j in range(3):
                 expected[i, j] = G[i, j] / (r[i] * r[j])
         g = anisotropic_kernel_graph(X, sigma)
-        assert np.allclose(g.W, expected, atol=1e-14)
+        assert np.allclose(kernel(g), expected, atol=1e-14)
 
     def test_pair_formula(self):
         X = line_points(0, 2)
         g = anisotropic_kernel_graph(X, 3.0)
         G01 = np.exp(-4 / 3.0)
         r = 1 + G01
-        assert g.W[0, 1] == pytest.approx(G01 / r**2, abs=1e-14)
+        assert kernel(g)[0, 1] == pytest.approx(G01 / r**2, abs=1e-14)
 
     def test_equidistant_points_constant_kernel(self):
         # vertices of a regular simplex: all pairwise distances equal
         X = np.eye(4)
         g = anisotropic_kernel_graph(X, 1.0)
-        off = g.W[~np.eye(4, dtype=bool)]
+        assert np.array_equal(g.A, g.A.T)
+        off = kernel(g)[~np.eye(4, dtype=bool)]
         assert np.ptp(off) <= 1e-14
 
     def test_sigma_must_be_positive(self):
@@ -121,26 +137,11 @@ class TestDiffusionOperator:
         P = diffusion_operator(g)
         assert np.allclose(P, 0.5, atol=1e-9)
 
-    def test_row_stochastic(self):
-        X = Rng(3).generator.standard_normal((30, 4))
-        P = diffusion_operator(gauss_kernel_graph(X, BandwidthSpec.adaptive(5)))
-        assert np.abs(P.sum(axis=1) - 1).max() <= 1e-12
-
-    def test_stationary_eigenvector_is_constant(self):
-        X = Rng(4).generator.standard_normal((12, 3))
-        P = diffusion_operator(gauss_kernel_graph(X, BandwidthSpec.adaptive(3)))
-        vals, vecs = np.linalg.eig(P)
-        top = np.argmax(vals.real)
-        assert vals[top].real == pytest.approx(1.0, abs=1e-10)
-        v = vecs[:, top].real
-        assert np.ptp(v / v[0]) <= 1e-8
-
     def test_spectrum_matches_symmetric_form(self):
         # eigenvalues of P equal those of D^{-1/2} W D^{-1/2}
         X = Rng(5).generator.standard_normal((18, 3))
         g = gauss_kernel_graph(X, BandwidthSpec.adaptive(4))
         P = diffusion_operator(g)
-        sym = np.eye(18) - g.L
         ev_p = np.sort(np.linalg.eigvals(P).real)
-        ev_s = np.sort(scipy.linalg.eigvalsh(sym))
+        ev_s = np.sort(scipy.linalg.eigvalsh(g.A))
         assert np.abs(ev_p - ev_s).max() <= 1e-8

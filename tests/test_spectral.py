@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from harmalign.align import orthogonalize, unified_diffusion_map
 from harmalign.core import Rng
-from harmalign.graph import BandwidthSpec, diffusion_operator, gauss_kernel_graph
+from harmalign.graph import BandwidthSpec, gauss_kernel_graph
 from harmalign.spectral import (
     canonical_signs,
     degenerate_gaps,
-    diffusion_coordinates,
     drop_trivial,
     fourier_basis,
 )
@@ -42,11 +42,10 @@ class TestFourierBasis:
     def test_eigen_residual(self):
         g = random_graph(n=60, seed=3)
         b = fourier_basis(g)
-        A = np.eye(60) - g.L
         # residual check only where the clamp did not move eigenvalues
-        raw = np.sort(np.linalg.eigvalsh(A))[::-1]
+        raw = np.sort(np.linalg.eigvalsh(g.A))[::-1]
         live = (raw >= 0) & (raw <= 1)
-        resid = np.abs(A @ b.psi[:, live] - b.psi[:, live] * b.lam[live][None, :])
+        resid = np.abs(g.A @ b.psi[:, live] - b.psi[:, live] * b.lam[live][None, :])
         assert resid.max() <= 1e-8
 
     def test_sign_convention(self):
@@ -103,42 +102,48 @@ class TestDropTrivial:
             drop_trivial(once)
 
 
+def aligned_pair(seed, t, n=30, k=5):
+    """Two graphs, their bases and their unified embedding under a random map."""
+    graphs = [random_graph(n=n, seed=seed, k=k), random_graph(n=n + 5, seed=seed + 100, k=k)]
+    bases = [fourier_basis(g) for g in graphs]
+    T = orthogonalize(Rng(seed).generator.standard_normal((bases[0].rank, bases[1].rank)))
+    return graphs, bases, unified_diffusion_map(bases, {(0, 1): T, (1, 0): T.T}, t)
+
+
+def diagonal_blocks(graphs, bases, phi):
+    """Each dataset's graph and basis with its own block of the embedding."""
+    n, r = graphs[0].n_points, bases[0].rank
+    yield graphs[0], bases[0], phi[:n, :r]
+    yield graphs[1], bases[1], phi[n:, r:]
+
+
 class TestDiffusionCoordinates:
+    """Each dataset's diagonal block of the unified embedding holds its
+    diffusion coordinates ``Phi_t = D^{-1/2} Psi Lambda^t``."""
+
     def test_t_zero_is_scaled_basis(self):
-        g = random_graph(seed=13)
-        b = fourier_basis(g)
-        emb = diffusion_coordinates(b, t=0)
-        expected = b.psi / np.sqrt(g.degrees)[:, None]
-        assert np.allclose(emb.phi, expected, rtol=1e-15, atol=0)
+        for g, b, phi0 in diagonal_blocks(*aligned_pair(13, t=0)):
+            expected = b.psi / np.sqrt(g.degrees)[:, None]
+            assert np.allclose(phi0, expected, rtol=1e-15, atol=0)
 
     def test_zero_eigenvalue_column_vanishes(self):
-        g = random_graph(seed=14)
-        b = fourier_basis(g)
-        emb = diffusion_coordinates(b, t=1)
-        zero_cols = b.lam == 0.0
+        _, bases, phi = aligned_pair(14, t=1)
+        zero_cols = np.concatenate([b.lam == 0.0 for b in bases])
         if zero_cols.any():
-            assert np.abs(emb.phi[:, zero_cols]).max() == 0.0
+            assert np.abs(phi[:, zero_cols]).max() == 0.0
 
     def test_columns_are_right_eigenvectors_of_p(self):
-        g = random_graph(n=15, seed=15, k=4)
-        b = fourier_basis(g)
-        P = diffusion_operator(g)
-        phi0 = diffusion_coordinates(b, t=0).phi
-        raw = np.sort(np.linalg.eigvalsh(np.eye(15) - g.L))[::-1]
-        live = (raw >= 0) & (raw <= 1)
-        resid = np.abs(P @ phi0[:, live] - phi0[:, live] * b.lam[live][None, :])
-        assert resid.max() <= 1e-8
-
-    def test_literal_scaling_flag(self):
-        g = random_graph(seed=16)
-        b = fourier_basis(g)
-        emb = diffusion_coordinates(b, t=0, literal_degree_scaling=True)
-        assert np.array_equal(emb.phi, np.sqrt(g.degrees)[:, None] * b.psi)
+        for g, b, phi0 in diagonal_blocks(*aligned_pair(15, t=0, n=15, k=4)):
+            s = np.sqrt(g.degrees)
+            P = (s[:, None] * g.A * s[None, :]) / g.degrees[:, None]  # D^-1 W
+            raw = np.sort(np.linalg.eigvalsh(g.A))[::-1]
+            live = (raw >= 0) & (raw <= 1)
+            resid = np.abs(P @ phi0[:, live] - phi0[:, live] * b.lam[live][None, :])
+            assert resid.max() <= 1e-8
 
     def test_negative_time_rejected(self):
-        b = fourier_basis(random_graph(seed=17))
         with pytest.raises(ValueError, match="non-negative"):
-            diffusion_coordinates(b, t=-1)
+            aligned_pair(17, t=-1)
 
 
 class TestDegenerateGaps:
