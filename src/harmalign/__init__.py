@@ -17,7 +17,6 @@ from .align import (
 from .baselines import MnnParams, mnn_correct
 from .core import DataMatrix, Report, Rng, load_matrix, write_output
 from .evaluation import (
-    CorruptionSpec,
     ExperimentConfig,
     class_average_reconstruction,
     corruption_experiment,

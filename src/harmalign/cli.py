@@ -7,7 +7,8 @@ multi-align  Align n >= 2 datasets into one block embedding.
 experiment   Run the corruption sweep or transfer protocol from a config file.
 
 Exit codes: 0 success, 1 runtime error, 2 usage error.  Config files are
-flat ``key=value`` text mirroring the flag names; command-line flags
+flat ``key=value`` text mirroring the flag names; an unknown key is an
+error, a key left out takes its dataclass default, and command-line flags
 override file values.  Every report embeds the complete effective
 configuration and the library version.
 """
@@ -16,15 +17,22 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
+import typing
+from dataclasses import asdict, fields
 from time import perf_counter
 
 import numpy as np
 
 from . import __version__
-from .align import AlignmentParams, harmonic_alignment, multi_alignment
+from .align import (
+    FULL_DECOMPOSITION_LIMIT,
+    RANK_AUTO,
+    AlignmentParams,
+    harmonic_alignment,
+    multi_alignment,
+)
 from .baselines import MnnParams
-from .core import Report, atomic_write_text, load_matrix
+from .core import Report, atomic_write_text, csv_lines, load_matrix, write_output
 from .evaluation import (
     ExperimentConfig,
     corruption_experiment,
@@ -33,6 +41,23 @@ from .evaluation import (
 )
 
 _KERNEL_NAMES = {"alg2": "adaptive", "eq1": "anisotropic"}
+_ALIGN_DEFAULTS = AlignmentParams()
+
+#: config key -> (dataclass, field).  The field's type converts the value, a
+#: key left out takes the field's default, and a command-line flag is named
+#: like its key (``--knn-bandwidth`` sets ``knn-bandwidth``).
+_CONFIG_KEYS = {
+    **{f.name.replace("_", "-"): (ExperimentConfig, f.name)
+       for f in fields(ExperimentConfig) if f.name not in ("align_params", "mnn_params")},
+    "bands": (AlignmentParams, "n_bands"),
+    "t": (AlignmentParams, "t"),
+    "kernel": (AlignmentParams, "kernel"),
+    "knn-bandwidth": (AlignmentParams, "knn"),
+    "sigma": (AlignmentParams, "sigma"),
+    "rank": (AlignmentParams, "rank"),
+    "mnn-k": (MnnParams, "k"),
+    "mnn-sigma": (MnnParams, "sigma"),
+}
 
 
 def _positive_int(text: str) -> int:
@@ -50,44 +75,59 @@ def _non_negative_int(text: str) -> int:
 
 
 def _add_align_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--bands", type=_positive_int, default=8,
-                        help="itersine band count (default 8)")
-    parser.add_argument("--t", type=_non_negative_int, default=1,
-                        help="diffusion time (default 1)")
-    parser.add_argument("--knn-bandwidth", type=_positive_int, default=20,
-                        help="adaptive kernel: k-th neighbor distance (default 20)")
-    parser.add_argument("--sigma", type=float, default=None,
+    # every default is None so that only the flags given reach AlignmentParams
+    kernel = {name: flag for flag, name in _KERNEL_NAMES.items()}[_ALIGN_DEFAULTS.kernel]
+    parser.add_argument("--bands", type=_positive_int,
+                        help=f"itersine band count (default {_ALIGN_DEFAULTS.n_bands})")
+    parser.add_argument("--t", type=_non_negative_int,
+                        help=f"diffusion time (default {_ALIGN_DEFAULTS.t})")
+    parser.add_argument("--knn-bandwidth", type=_positive_int,
+                        help="adaptive kernel: k-th neighbor distance "
+                             f"(default {_ALIGN_DEFAULTS.knn})")
+    parser.add_argument("--sigma", type=float,
                         help="bandwidth for fixed/anisotropic kernels")
-    parser.add_argument("--rank", type=_positive_int, default=None,
-                        help="spectral truncation (default: full up to N=2000, else 100)")
-    parser.add_argument("--kernel", choices=sorted(_KERNEL_NAMES), default="alg2",
+    parser.add_argument("--rank", type=_positive_int,
+                        help=f"spectral truncation (default: full up to "
+                             f"N={FULL_DECOMPOSITION_LIMIT}, else {RANK_AUTO})")
+    parser.add_argument("--kernel", choices=sorted(_KERNEL_NAMES),
                         help="kernel: alg2 = symmetric adaptive Gaussian, "
-                             "eq1 = anisotropic (default alg2)")
+                             f"eq1 = anisotropic (default {kernel})")
     parser.add_argument("--out", default=None, help="embedding CSV output path")
     parser.add_argument("--report", default=None, help="report JSON output path")
 
 
-def _params_from_args(args) -> AlignmentParams:
-    return AlignmentParams(
-        n_bands=args.bands,
-        t=args.t,
-        kernel=_KERNEL_NAMES[args.kernel],
-        knn=args.knn_bandwidth,
-        sigma=args.sigma,
-        rank=args.rank,
-    )
+def _convert(hint, value):
+    """A config value (text, or an already parsed flag) as field type ``hint``."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:  # tuple[X, ...] from "a,b,c"
+        return tuple(args[0](v.strip()) for v in str(value).split(",") if v.strip())
+    return (args[0] if args else hint)(value)  # X | None converts as X
 
 
-def _embedding_csv(phi: np.ndarray, ranges) -> str:
+def _field_values(file_values: dict, args) -> dict:
+    """Keyword arguments, one dict per dataclass, from the config file's
+    values overridden by the flags given.  A key given nowhere, or with an
+    empty value, is left out and so takes its field's default."""
+    values = {key: value for key, value in file_values.items() if value != ""}
+    for key in _CONFIG_KEYS:
+        flag = getattr(args, key.replace("-", "_"), None)
+        if flag is not None:
+            values[key] = flag
+    given = {ExperimentConfig: {}, AlignmentParams: {}, MnnParams: {}}
+    for key, value in values.items():
+        cls, name = _CONFIG_KEYS[key]
+        given[cls][name] = _convert(typing.get_type_hints(cls)[name], value)
+    kernel = given[AlignmentParams].get("kernel")
+    if kernel is not None:
+        given[AlignmentParams]["kernel"] = _KERNEL_NAMES.get(kernel, kernel)
+    return given
+
+
+def _write_embedding(path, phi: np.ndarray, ranges) -> None:
     """Embedding rows tagged with dataset id and original row index."""
-    width = phi.shape[1]
-    header = ["dataset", "row"] + [f"c{j + 1}" for j in range(width)]
-    lines = [",".join(header)]
-    for ds, (lo, hi) in enumerate(ranges):
-        for i in range(lo, hi):
-            cells = [str(ds), str(i - lo)] + [format(v, ".17g") for v in phi[i]]
-            lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    ids = [(ds, i) for ds, (lo, hi) in enumerate(ranges) for i in range(hi - lo)]
+    header = ["dataset", "row"] + [f"c{j + 1}" for j in range(phi.shape[1])]
+    atomic_write_text(path, csv_lines(phi, header, ids=ids))
 
 
 def _self_match_rate(phi: np.ndarray, lo1, hi1, lo2, hi2) -> float | None:
@@ -101,7 +141,7 @@ def _self_match_rate(phi: np.ndarray, lo1, hi1, lo2, hi2) -> float | None:
 
 
 def _cmd_align(args) -> int:
-    params = _params_from_args(args)
+    params = AlignmentParams(**_field_values({}, args)[AlignmentParams])
     x = load_matrix(args.x)
     y = load_matrix(args.y)
     start = perf_counter()
@@ -127,16 +167,16 @@ def _cmd_align(args) -> int:
     if rate is not None:
         report.aggregates["self_match_rate"] = rate
     if args.out:
-        atomic_write_text(args.out, _embedding_csv(result.phi, result.blocks))
+        _write_embedding(args.out, result.phi, result.blocks)
     if args.report:
-        atomic_write_text(args.report, report.to_json() + "\n")
+        write_output(report, args.report)
     print(f"aligned {x.n_points}+{y.n_points} points in {elapsed:.2f}s; "
           f"orthogonality residual {report.aggregates['orthogonality_residual']:.2e}")
     return 0
 
 
 def _cmd_multi_align(args) -> int:
-    params = _params_from_args(args)
+    params = AlignmentParams(**_field_values({}, args)[AlignmentParams])
     datasets = [load_matrix(path) for path in args.inputs]
     start = perf_counter()
     result = multi_alignment(datasets, params)
@@ -157,9 +197,9 @@ def _cmd_multi_align(args) -> int:
                 if rate is not None:
                     report.aggregates[f"self_match_rate_{i}_{j}"] = rate
     if args.out:
-        atomic_write_text(args.out, _embedding_csv(result.phi, result.row_ranges))
+        _write_embedding(args.out, result.phi, result.row_ranges)
     if args.report:
-        atomic_write_text(args.report, report.to_json() + "\n")
+        write_output(report, args.report)
     print(f"aligned {len(datasets)} datasets in {elapsed:.2f}s")
     return 0
 
@@ -173,80 +213,11 @@ def _read_config(path) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            values[key] = value
     return values
-
-
-_INT_KEYS = {"n1", "n2", "classes", "dim", "trials", "knn-k", "seed",
-             "bands", "t", "knn-bandwidth", "rank", "mnn-k"}
-_FLOAT_KEYS = {"spread", "preserved-pct", "sigma", "mnn-sigma"}
-
-
-def _experiment_config(file_values: dict, args) -> ExperimentConfig:
-    merged = dict(file_values)
-    overrides = {
-        "seed": args.seed,
-        "trials": args.trials,
-        "n1": args.n1,
-        "n2": args.n2,
-        "preserved-pct": args.preserved_pct,
-        "methods": args.methods,
-        "knn-k": args.knn_k,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            merged[key] = value
-
-    def get(key, default=None):
-        value = merged.get(key, default)
-        if value is None or value == "":
-            return default
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        return value
-
-    align_params = AlignmentParams(
-        n_bands=get("bands", 8),
-        t=get("t", 1),
-        kernel=_KERNEL_NAMES.get(get("kernel", "alg2"), get("kernel", "adaptive")),
-        knn=get("knn-bandwidth", 20),
-        sigma=get("sigma"),
-        rank=get("rank"),
-    )
-    mnn_params = MnnParams(k=get("mnn-k", 20), sigma=get("mnn-sigma"))
-    methods = get("methods", "none,harmonic")
-    if isinstance(methods, str):
-        methods = tuple(m.strip() for m in methods.split(",") if m.strip())
-    sweep = merged.get("preserved-sweep")
-    if sweep:
-        sweep = tuple(float(p) for p in str(sweep).split(","))
-    else:
-        sweep = tuple(range(0, 101, 5))
-    ratios = merged.get("ratios")
-    if ratios:
-        ratios = tuple(int(r) for r in str(ratios).split(","))
-    else:
-        ratios = (1, 2, 4)
-    return ExperimentConfig(
-        source=get("source", "synthetic-manifold"),
-        n1=get("n1", 1000),
-        n2=get("n2", 1000),
-        classes=get("classes", 10),
-        dim=get("dim", 100),
-        spread=get("spread", 0.3),
-        methods=methods,
-        align_params=align_params,
-        mnn_params=mnn_params,
-        trials=get("trials", 3),
-        knn_k=get("knn-k", 5),
-        seed=get("seed", 42),
-        preserved_sweep=sweep,
-        preserved_pct=get("preserved-pct", 35.0),
-        ratios=ratios,
-    )
 
 
 def _cmd_experiment(args, parser) -> int:
@@ -254,12 +225,17 @@ def _cmd_experiment(args, parser) -> int:
         file_values = _read_config(args.config)
     except FileNotFoundError:
         parser.error(f"config file not found: {args.config}")
-    cfg = _experiment_config(file_values, args)
+    given = _field_values(file_values, args)
+    cfg = ExperimentConfig(
+        align_params=AlignmentParams(**given[AlignmentParams]),
+        mnn_params=MnnParams(**given[MnnParams]),
+        **given[ExperimentConfig],
+    )
     run = corruption_experiment if args.mode == "corruption" else transfer_experiment
     report = run(cfg)
     report.params["version"] = __version__
     if args.report:
-        atomic_write_text(args.report, report.to_json() + "\n")
+        write_output(report, args.report)
     if args.csv:
         atomic_write_text(args.csv, sweep_csv(report))
     for key in sorted(report.aggregates):

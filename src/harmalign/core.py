@@ -1,8 +1,9 @@
 """Shared containers, matrix file I/O, seeded randomness, and report handling.
 
-All numeric data is dense 64-bit real.  CSV is the interchange format
-(optional single header line, optional trailing ``label`` column); a packed
-little-endian binary format (``raw-f64``) is offered for large matrices.
+All numeric data is dense 64-bit real.  CSV is the only matrix file format
+(optional single header line, optional trailing ``label`` column), and this
+module alone reads and writes it.  Writes stream line by line into a temp
+file that is renamed into place, so no output is ever held whole in memory.
 Randomness is counter-based (Philox) so a seed fully determines every
 experiment on every platform.  All containers are immutable by convention
 after construction and safe to share across threads.
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-import struct
 import tempfile
 from dataclasses import dataclass, field
 
@@ -140,60 +140,29 @@ class Report:
         )
 
 
-def _parse_cell(token: str, row: int, col: int, path) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise ValueError(
-            f"{path}: non-numeric cell {token!r} at row {row}, column {col}"
-        ) from None
-    if not np.isfinite(value):
-        raise ValueError(f"{path}: non-finite entry at row {row}, column {col}")
-    return value
-
-
-def _is_header(tokens) -> bool:
-    for token in tokens:
-        try:
-            float(token)
-        except ValueError:
-            return True
-    return False
-
-
-def load_matrix(path, fmt: str = "csv", name: str | None = None) -> DataMatrix:
-    """Load a DataMatrix from disk.
+def load_matrix(path, name: str | None = None) -> DataMatrix:
+    """Load a DataMatrix from a CSV file.
 
     Parameters
     ----------
     path : path-like
-        Input file.
-    fmt : {"csv", "raw-f64"}
-        ``csv``: comma separated, '.' decimal, optional single header line;
-        a final header field named ``label`` (case-insensitive) marks a label
-        column.  ``raw-f64``: 16-byte header of two little-endian uint64
-        (N, d) followed by N*d little-endian float64, row-major.
+        Comma separated, '.' decimal, optional single header line; a final
+        header field named ``label`` (case-insensitive) marks a label column.
+        Blank lines are skipped.
     name : str, optional
         Name for the resulting matrix; defaults to the file stem.
 
     Returns
     -------
     DataMatrix
-        Rows in file order.
+        Rows in file order.  Errors name the row (counting non-blank lines
+        from 0, header included) and column of the first bad cell.
     """
     path = os.fspath(path)
     if not os.path.exists(path):
         raise FileNotFoundError(f"no such file: {path}")
     if name is None:
         name = os.path.splitext(os.path.basename(path))[0]
-    if fmt == "csv":
-        return _load_csv(path, name)
-    if fmt == "raw-f64":
-        return _load_raw(path, name)
-    raise ValueError(f"unknown format {fmt!r} (expected 'csv' or 'raw-f64')")
-
-
-def _load_csv(path, name) -> DataMatrix:
     with open(path, "r", encoding="utf-8") as handle:
         lines = [line.strip() for line in handle]
     lines = [line for line in lines if line]
@@ -202,61 +171,69 @@ def _load_csv(path, name) -> DataMatrix:
     first = [tok.strip() for tok in lines[0].split(",")]
     has_labels = False
     start = 0
-    if _is_header(first):
+    try:
+        # numpy parses str cells with Python's float(), whitespace included
+        np.array(first, dtype=np.float64)
+    except ValueError:  # a header
         start = 1
         has_labels = first[-1].lower() == "label"
     rows = lines[start:]
     if not rows:
         raise ValueError(f"{path}: no rows")
-    width = len(rows[0].split(","))
-    values = np.empty((len(rows), width), dtype=np.float64)
-    for i, line in enumerate(rows):
-        tokens = [tok.strip() for tok in line.split(",")]
-        if len(tokens) != width:
-            raise ValueError(
-                f"{path}: ragged row {i + start}: expected {width} cells, got {len(tokens)}"
-            )
-        for j, token in enumerate(tokens):
-            values[i, j] = _parse_cell(token, i + start, j, path)
+    # 2048-row blocks bound the cells held as Python strings at a time
+    blocks = [rows[lo : lo + 2048] for lo in range(0, len(rows), 2048)]
+    try:
+        values = np.concatenate(
+            [np.array([row.split(",") for row in block], dtype=np.float64) for block in blocks]
+        )
+    except ValueError:
+        values = None
+    if values is None or not np.all(np.isfinite(values)):
+        raise _first_bad_cell(rows, start, path)
     labels = None
     if has_labels:
         labels = values[:, -1]
         if np.any(labels != np.rint(labels)):
-            bad = int(np.argwhere(labels != np.rint(labels))[0])
+            bad = np.flatnonzero(labels != np.rint(labels))[0]
             raise ValueError(f"{path}: non-integer label at row {bad + start}")
         labels = labels.astype(np.int64)
         values = values[:, :-1]
     return DataMatrix(values=values, labels=labels, name=name)
 
 
-def _load_raw(path, name) -> DataMatrix:
-    with open(path, "rb") as handle:
-        blob = handle.read()
-    if len(blob) < 16:
-        raise ValueError(f"{path}: no rows")
-    n, d = struct.unpack("<QQ", blob[:16])
-    expected = 16 + 8 * n * d
-    if len(blob) != expected:
-        raise ValueError(
-            f"{path}: size mismatch: header says {n}x{d} ({expected} bytes), file has {len(blob)}"
-        )
-    values = np.frombuffer(blob, dtype="<f8", offset=16).reshape(n, d).copy()
-    if not np.all(np.isfinite(values)):
-        i, j = np.argwhere(~np.isfinite(values))[0]
-        raise ValueError(f"{path}: non-finite entry at row {i}, column {j}")
-    return DataMatrix(values=values, name=name)
+def _first_bad_cell(rows, start: int, path) -> ValueError:
+    """The error for the first ragged row, non-numeric cell or non-finite
+    entry of ``rows`` (CSV lines), which must hold one."""
+    width = len(rows[0].split(","))
+    for i, cells in enumerate((row.split(",") for row in rows), start):
+        if len(cells) != width:
+            return ValueError(f"{path}: ragged row {i}: expected {width} cells, got {len(cells)}")
+        for j, cell in enumerate(cells):
+            try:
+                value = float(cell)
+            except ValueError:
+                return ValueError(
+                    f"{path}: non-numeric cell {cell.strip()!r} at row {i}, column {j}"
+                )
+            if not np.isfinite(value):
+                return ValueError(f"{path}: non-finite entry at row {i}, column {j}")
+    raise AssertionError(f"{path}: no bad cell among the rows")
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` atomically (temp file + rename)."""
+def atomic_write_text(path, text) -> None:
+    """Write ``text`` (a string or an iterable of strings, written as they
+    come) to ``path`` atomically: into a temp file, then renamed.  If writing
+    fails, neither the temp file nor ``path`` is left behind."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
         raise OSError(f"cannot write {path}: directory does not exist")
+    if isinstance(text, str):
+        text = (text,)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -264,31 +241,40 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def _matrix_csv(values: np.ndarray, labels=None) -> str:
+def csv_lines(values, header=None, ids=None, labels=None):
+    """Yield a matrix as CSV lines: ``header`` (a list of names) if given,
+    then one line per row of ``values``.
+
+    Each row is preceded by its row of integer ``ids`` and followed by its
+    integer ``label``, when these are given.  Values are written with 17
+    significant digits, so a write/load round trip preserves every float64.
+    """
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    lines = []
-    if labels is not None:
-        header = [f"f{j + 1}" for j in range(values.shape[1])] + ["label"]
-        lines.append(",".join(header))
-    for i in range(values.shape[0]):
-        cells = [format(v, ".17g") for v in values[i]]
-        if labels is not None:
-            cells.append(str(int(labels[i])))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    ids = np.empty((len(values), 0), int) if ids is None else np.asarray(ids)
+    tail = np.empty((len(values), 0), int) if labels is None else np.asarray(labels)[:, None]
+    fmt = ["%d"] * ids.shape[1] + ["%.17g"] * values.shape[1] + ["%d"] * tail.shape[1]
+    fmt = ",".join(fmt) + "\n"
+    if header is not None:
+        yield ",".join(header) + "\n"
+    for lead, row, label in zip(ids.tolist(), values, tail.tolist()):
+        yield fmt % (*lead, *row.tolist(), *label)
 
 
 def write_output(obj, path) -> None:
-    """Write a Report (JSON) or matrix (CSV) to ``path`` atomically.
+    """Write a Report (JSON) or matrix (CSV, see :func:`csv_lines`) to
+    ``path`` atomically.
 
-    Matrices are written with 17 significant digits so that a write/load
-    round trip preserves every float64 exactly.
+    A DataMatrix with labels gets a ``f1,...,fd,label`` header; a matrix
+    without labels is written without a header.
     """
     if isinstance(obj, Report):
         atomic_write_text(path, obj.to_json() + "\n")
     elif isinstance(obj, DataMatrix):
-        atomic_write_text(path, _matrix_csv(obj.values, obj.labels))
+        header = None
+        if obj.labels is not None:
+            header = [f"f{j + 1}" for j in range(obj.n_features)] + ["label"]
+        atomic_write_text(path, csv_lines(obj.values, header, labels=obj.labels))
     elif isinstance(obj, np.ndarray):
-        atomic_write_text(path, _matrix_csv(obj))
+        atomic_write_text(path, csv_lines(obj))
     else:
         raise TypeError(f"cannot write object of type {type(obj).__name__}")

@@ -28,26 +28,13 @@ from time import perf_counter
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .align import AlignmentParams, harmonic_alignment
+from .align import AlignmentParams, PreparedDataset, align_prepared, prepare_dataset
 from .baselines import MnnParams, mnn_correct
 from .core import Report, Rng, load_matrix
 
 
 # ---------------------------------------------------------------------------
 # corruption matrices
-
-
-@dataclass(frozen=True)
-class CorruptionSpec:
-    """Dimension, percent of preserved (identity) columns, and seed."""
-
-    d: int
-    preserved_pct: float
-    seed: int
-
-    def __post_init__(self):
-        if not 0 <= self.preserved_pct <= 100:
-            raise ValueError(f"preserved_pct must be in [0, 100], got {self.preserved_pct}")
 
 
 def random_orthogonal(d: int, rng: Rng) -> np.ndarray:
@@ -166,24 +153,37 @@ class FileSampler:
 # metrics
 
 
-def _neighbor_indices(dist_row: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k smallest entries, ordered by (distance, index)."""
-    idx = np.argpartition(dist_row, k - 1)[:k]
-    order = np.lexsort((idx, dist_row[idx]))
-    return idx[order]
+#: query rows per distance block: bounds each block at _CHUNK x N_train
+_CHUNK = 512
 
 
-def _vote(labels_k: np.ndarray, dist_k: np.ndarray) -> int:
-    """Majority label; ties broken by nearer total distance, then lower label."""
-    candidates = np.unique(labels_k)
-    counts = np.array([(labels_k == c).sum() for c in candidates])
-    best = counts == counts.max()
-    winners = candidates[best]
-    if winners.size == 1:
-        return int(winners[0])
-    totals = np.array([dist_k[labels_k == c].sum() for c in winners])
-    nearest = totals == totals.min()
-    return int(winners[nearest].min())
+def _knn_vote(train, train_labels, test, k: int):
+    """The k nearest training rows of each test row, ordered by (distance,
+    index), and their vote: the majority label, ties broken by the smaller
+    summed distance, then by the lower label.
+
+    Returns ``(idx, pred)``: (N_test, k) neighbor indices and (N_test,) labels.
+    """
+    classes, codes = np.unique(train_labels, return_inverse=True)
+    idx = np.empty((test.shape[0], k), dtype=np.intp)
+    pred = np.empty(test.shape[0], dtype=np.int64)
+    for lo in range(0, test.shape[0], _CHUNK):
+        dist = cdist(test[lo : lo + _CHUNK], train)
+        near_idx = np.argpartition(dist, k - 1, axis=1)[:, :k]
+        near = np.take_along_axis(dist, near_idx, axis=1)
+        order = np.lexsort((near_idx, near))
+        near_idx = np.take_along_axis(near_idx, order, axis=1)
+        near = np.take_along_axis(near, order, axis=1)
+        member = codes[near_idx][:, :, None] == np.arange(classes.size)
+        counts = member.sum(axis=1)
+        # summed over neighbors in (distance, index) order, as a per-class sum would
+        totals = np.where(member, near[:, :, None], 0.0).sum(axis=1)
+        best = counts == counts.max(axis=1, keepdims=True)
+        totals[~best] = np.inf
+        winners = totals == totals.min(axis=1, keepdims=True)
+        idx[lo : lo + _CHUNK] = near_idx
+        pred[lo : lo + _CHUNK] = classes[winners.argmax(axis=1)]  # lowest label
+    return idx, pred
 
 
 def knn_classify(
@@ -210,11 +210,7 @@ def knn_classify(
         )
     if not 1 <= k <= train.shape[0]:
         raise ValueError(f"need 1 <= k <= N_train, got k={k}, N_train={train.shape[0]}")
-    dist = cdist(test, train)
-    pred = np.empty(test.shape[0], dtype=np.int64)
-    for i in range(test.shape[0]):
-        idx = _neighbor_indices(dist[i], k)
-        pred[i] = _vote(train_labels[idx], dist[i, idx])
+    _, pred = _knn_vote(train, train_labels, test, k)
     accuracy = None
     if test_labels is not None:
         accuracy = float((pred == np.asarray(test_labels)).mean())
@@ -235,15 +231,18 @@ def neighborhood_overlap(a_embed: np.ndarray, b_embed: np.ndarray, k: int) -> fl
     n = a.shape[0]
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < N, got k={k}, N={n}")
-    overlap = 0.0
-    da = cdist(a, a)
-    db = cdist(b, b)
-    np.fill_diagonal(da, np.inf)
-    np.fill_diagonal(db, np.inf)
-    na = np.argpartition(da, k - 1, axis=1)[:, :k]
-    nb = np.argpartition(db, k - 1, axis=1)[:, :k]
-    for i in range(n):
-        overlap += np.intersect1d(na[i], nb[i]).size
+    overlap = 0
+    for lo in range(0, n, _CHUNK):
+        rows = np.arange(lo, min(lo + _CHUNK, n))
+        local = np.arange(rows.size)[:, None]
+        sets = []
+        for embed in (a, b):
+            dist = cdist(embed[rows], embed)
+            dist[local[:, 0], rows] = np.inf  # self excluded
+            sets.append(np.argpartition(dist, k - 1, axis=1)[:, :k])
+        in_a = np.zeros((rows.size, n), dtype=bool)
+        in_a[local, sets[0]] = True
+        overlap += int(in_a[local, sets[1]].sum())
     return overlap / (n * k)
 
 
@@ -266,14 +265,10 @@ def class_average_reconstruction(
     train_labels = np.asarray(train_labels)
     if not 1 <= k <= train_aligned.shape[0]:
         raise ValueError(f"need 1 <= k <= N_train, got k={k}")
-    dist = cdist(test_aligned, train_aligned)
-    out = np.empty((test_aligned.shape[0], train_data.shape[1]))
-    for i in range(test_aligned.shape[0]):
-        idx = _neighbor_indices(dist[i], k)
-        labels_k = train_labels[idx]
-        winner = _vote(labels_k, dist[i, idx])
-        out[i] = train_data[idx[labels_k == winner]].mean(axis=0)
-    return out
+    idx, pred = _knn_vote(train_aligned, train_labels, test_aligned, k)
+    member = train_labels[idx] == pred[:, None]
+    total = np.where(member[:, :, None], train_data[idx], 0.0).sum(axis=1)
+    return total / member.sum(axis=1)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -297,15 +292,15 @@ class ExperimentConfig:
     classes: int = 10
     dim: int = 100
     spread: float = 0.3
-    methods: tuple = ("none", "harmonic")
+    methods: tuple[str, ...] = ("none", "harmonic")
     align_params: AlignmentParams = field(default_factory=AlignmentParams)
     mnn_params: MnnParams = field(default_factory=MnnParams)
     trials: int = 3
     knn_k: int = 5
     seed: int = 42
-    preserved_sweep: tuple = tuple(range(0, 101, 5))
+    preserved_sweep: tuple[float, ...] = tuple(range(0, 101, 5))
     preserved_pct: float = 35.0
-    ratios: tuple = (1, 2, 4)
+    ratios: tuple[int, ...] = (1, 2, 4)
 
     def __post_init__(self):
         if self.trials < 1:
@@ -325,30 +320,42 @@ def _make_sampler(cfg: ExperimentConfig, rng: Rng):
     return FileSampler(cfg.source, rng)
 
 
-def _run_method(
-    method: str,
-    cfg: ExperimentConfig,
-    x_values: np.ndarray,
-    x_labels: np.ndarray,
-    y_values: np.ndarray,
-    y_labels: np.ndarray,
-    align_params: AlignmentParams | None = None,
-) -> float:
-    """Accuracy of label transfer from (x, labels) to corrupted y under one method."""
-    if method == "none":
-        _, acc = knn_classify(x_values, x_labels, y_values, cfg.knn_k, y_labels)
-    elif method == "mnn":
-        corrected = mnn_correct(x_values, y_values, cfg.mnn_params)
-        _, acc = knn_classify(x_values, x_labels, corrected, cfg.knn_k, y_labels)
-    else:
-        result = harmonic_alignment(
-            x_values, y_values, align_params or cfg.align_params
+def _run_methods(report, cfg, row: dict, x_values, x_labels, y_values, y_labels,
+                 params: AlignmentParams, x_prep: PreparedDataset | None = None):
+    """Append to ``report.trials`` one copy of ``row`` per method, with the
+    method's accuracy of label transfer from (x, labels) to corrupted y.
+
+    ``x_prep``, if given, is x already prepared with ``params``.  Returns x
+    prepared, if a method needed it, for the next call with the same x.
+    """
+    for method in cfg.methods:
+        start = perf_counter()
+        if method == "none":
+            _, acc = knn_classify(x_values, x_labels, y_values, cfg.knn_k, y_labels)
+        elif method == "mnn":
+            corrected = mnn_correct(x_values, y_values, cfg.mnn_params)
+            _, acc = knn_classify(x_values, x_labels, corrected, cfg.knn_k, y_labels)
+            del corrected  # freed before the next method runs
+        else:
+            if x_prep is None:
+                x_prep = prepare_dataset(x_values, params)
+            phi = align_prepared(x_prep, prepare_dataset(y_values, params), params).phi
+            n1 = x_values.shape[0]
+            _, acc = knn_classify(phi[:n1], x_labels, phi[n1:], cfg.knn_k, y_labels)
+            del phi  # freed before the next method runs
+        report.trials.append(
+            dict(row, method=method, accuracy=acc, seconds=perf_counter() - start)
         )
-        n1 = x_values.shape[0]
-        _, acc = knn_classify(
-            result.phi[:n1], x_labels, result.phi[n1:], cfg.knn_k, y_labels
-        )
-    return acc
+    return x_prep
+
+
+def _aggregate(report, key: str, name: str) -> None:
+    """Mean accuracy per (``key`` level, method), stored under ``name``."""
+    groups = {}
+    for row in report.trials:
+        groups.setdefault((row[key], row["method"]), []).append(row["accuracy"])
+    for (level, method), accs in groups.items():
+        report.aggregates[name.format(method=method, level=level)] = float(np.mean(accs))
 
 
 def _effective_params(cfg: ExperimentConfig) -> dict:
@@ -382,27 +389,10 @@ def corruption_experiment(cfg: ExperimentConfig) -> Report:
             y_values, y_labels = sampler.draw(cfg.n2, rng.spawn("draw-y"))
             O0 = random_orthogonal(sampler.dim, rng.spawn("orthogonal"))
             Op = partial_corruption(O0, float(p), rng.spawn("columns"))
-            y_corrupt = y_values @ Op
-            for method in cfg.methods:
-                start = perf_counter()
-                acc = _run_method(method, cfg, x_values, x_labels, y_corrupt, y_labels)
-                report.trials.append(
-                    {
-                        "p": float(p),
-                        "method": method,
-                        "trial": trial,
-                        "accuracy": acc,
-                        "seconds": perf_counter() - start,
-                    }
-                )
-    for p in cfg.preserved_sweep:
-        for method in cfg.methods:
-            accs = [
-                row["accuracy"]
-                for row in report.trials
-                if row["p"] == float(p) and row["method"] == method
-            ]
-            report.aggregates[f"{method}@p{p}"] = float(np.mean(accs))
+            row = {"p": float(p), "trial": trial}
+            _run_methods(report, cfg, row, x_values, x_labels, y_values @ Op, y_labels,
+                         cfg.align_params)
+    _aggregate(report, "p", "{method}@p{level:g}")
     return report
 
 
@@ -435,39 +425,15 @@ def transfer_experiment(cfg: ExperimentConfig) -> Report:
         dim = x_values.shape[1]
         O0 = random_orthogonal(dim, rng.spawn("orthogonal"))
         Op = partial_corruption(O0, cfg.preserved_pct, rng.spawn("columns"))
+        x_prep = None  # the reference is fixed per trial: prepared once for every ratio
         for ratio in cfg.ratios:
             y_values, y_labels = sampler.draw(
                 int(cfg.n1 * ratio), rng.spawn("draw-y", ratio)
             )
-            y_corrupt = y_values @ Op
-            for method in cfg.methods:
-                start = perf_counter()
-                acc = _run_method(
-                    method,
-                    cfg,
-                    x_values,
-                    x_labels,
-                    y_corrupt,
-                    y_labels,
-                    align_params=align_params,
-                )
-                report.trials.append(
-                    {
-                        "ratio": ratio,
-                        "method": method,
-                        "trial": trial,
-                        "accuracy": acc,
-                        "seconds": perf_counter() - start,
-                    }
-                )
-    for ratio in cfg.ratios:
-        for method in cfg.methods:
-            accs = [
-                row["accuracy"]
-                for row in report.trials
-                if row["ratio"] == ratio and row["method"] == method
-            ]
-            report.aggregates[f"{method}@ratio{ratio}"] = float(np.mean(accs))
+            row = {"ratio": ratio, "trial": trial}
+            x_prep = _run_methods(report, cfg, row, x_values, x_labels, y_values @ Op,
+                                  y_labels, align_params, x_prep)
+    _aggregate(report, "ratio", "{method}@ratio{level}")
     return report
 
 

@@ -1,10 +1,15 @@
+import argparse
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from harmalign import cli
+from harmalign.align import AlignmentParams, harmonic_alignment, multi_alignment
 from harmalign.cli import main
-from harmalign.core import DataMatrix, Rng, write_output
+from harmalign.core import DataMatrix, Report, Rng, load_matrix, write_output
+from harmalign.evaluation import ExperimentConfig
 
 
 @pytest.fixture
@@ -14,6 +19,16 @@ def dataset_csv(tmp_path):
     path = tmp_path / "x.csv"
     write_output(DataMatrix(values=values), path)
     return str(path)
+
+
+def embedding_bytes(phi, ranges) -> bytes:
+    """The embedding CSV, formatted cell by cell."""
+    lines = ["dataset,row," + ",".join(f"c{j + 1}" for j in range(phi.shape[1]))]
+    for ds, (lo, hi) in enumerate(ranges):
+        for i in range(lo, hi):
+            cells = [str(ds), str(i - lo)] + [format(v, ".17g") for v in phi[i]]
+            lines.append(",".join(cells))
+    return ("\n".join(lines) + "\n").encode()
 
 
 def run(argv):
@@ -38,6 +53,18 @@ class TestAlign:
         assert report["params"]["align_params"]["t"] == 1
         header = out_path.read_text().splitlines()[0]
         assert header.startswith("dataset,row,")
+
+    def test_out_bytes_and_defaults(self, dataset_csv, tmp_path):
+        # no align flag given: every parameter is the dataclass default
+        other = tmp_path / "y.csv"
+        write_output(DataMatrix(values=Rng(1).generator.standard_normal((60, 40))), other)
+        out_path, report_path = tmp_path / "embed.csv", tmp_path / "report.json"
+        assert run(["align", "--x", dataset_csv, "--y", str(other),
+                    "--out", str(out_path), "--report", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert report["params"]["align_params"] == asdict(AlignmentParams())
+        result = harmonic_alignment(load_matrix(dataset_csv), load_matrix(other))
+        assert out_path.read_bytes() == embedding_bytes(result.phi, result.blocks)
 
     def test_zero_bands_usage_error(self, dataset_csv):
         code = run(["align", "--x", dataset_csv, "--y", dataset_csv, "--bands", "0"])
@@ -70,6 +97,20 @@ class TestMultiAlign:
         report = json.loads(report_path.read_text())
         for key in ("self_match_rate_0_1", "self_match_rate_0_2", "self_match_rate_1_2"):
             assert report["aggregates"][key] >= 0.95
+
+    def test_out_bytes_match_per_cell_format(self, dataset_csv, tmp_path):
+        others = []
+        for seed, n in ((2, 50), (3, 70)):
+            path = tmp_path / f"in{seed}.csv"
+            values = Rng(seed).generator.standard_normal((n, 40))
+            write_output(DataMatrix(values=values, labels=np.arange(n) % 3), path)
+            others.append(str(path))
+        out_path = tmp_path / "multi.csv"
+        assert run(["multi-align", "--inputs", dataset_csv, *others, "--knn-bandwidth", "10",
+                    "--kernel", "alg2", "--bands", "4", "--t", "2", "--out", str(out_path)]) == 0
+        params = AlignmentParams(knn=10, n_bands=4, t=2)
+        result = multi_alignment([load_matrix(p) for p in (dataset_csv, *others)], params)
+        assert out_path.read_bytes() == embedding_bytes(result.phi, result.row_ranges)
 
     def test_single_input_usage_error(self, dataset_csv):
         assert run(["multi-align", "--inputs", dataset_csv]) == 2
@@ -120,6 +161,39 @@ class TestExperiment:
         report = json.loads(report_path.read_text())
         assert report["params"]["trials"] == 1
 
+    def test_sweep_from_config_aggregate_keys(self, tmp_path):
+        cfg = self.write_config(tmp_path)
+        report_path = tmp_path / "report.json"
+        assert run(["experiment", "--mode", "corruption", "--config", cfg,
+                    "--report", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert sorted(report["aggregates"]) == ["none@p100", "none@p35"]
+        assert report["params"]["preserved_sweep"] == [35.0, 100.0]
+
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, trails=7)
+        code = run(["experiment", "--mode", "corruption", "--config", cfg])
+        assert code == 1
+        assert f"{cfg}:10: unknown key 'trails'" in capsys.readouterr().err
+
+    def test_omitted_keys_take_dataclass_defaults(self, tmp_path, monkeypatch):
+        def record(cfg):
+            report = Report(params=asdict(cfg))
+            report.params["align_params"] = asdict(cfg.align_params)
+            report.params["mnn_params"] = asdict(cfg.mnn_params)
+            return report
+
+        monkeypatch.setattr(cli, "corruption_experiment", record)
+        path = tmp_path / "empty.cfg"
+        path.write_text("# every key omitted\nseed =\n")
+        report_path = tmp_path / "report.json"
+        assert run(["experiment", "--mode", "corruption", "--config", str(path),
+                    "--report", str(report_path)]) == 0
+        params = json.loads(report_path.read_text())["params"]
+        assert params.pop("version")
+        assert params["align_params"] == asdict(AlignmentParams())
+        assert params == json.loads(json.dumps(asdict(ExperimentConfig())))
+
     def test_missing_config_usage_error(self, tmp_path):
         code = run(["experiment", "--mode", "corruption",
                     "--config", str(tmp_path / "nope.cfg")])
@@ -134,3 +208,24 @@ class TestExperiment:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "ratio,method,trial,accuracy"
         assert len(lines) == 1 + 2 * 2  # 2 ratios x 2 trials x 1 method
+
+
+def test_flags_and_config_keys_unchanged():
+    subcommands = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    flags = {name: {o for a in p._actions for o in a.option_strings}
+             for name, p in subcommands.items()}
+    align = {"-h", "--help", "--bands", "--t", "--knn-bandwidth", "--sigma", "--rank",
+             "--kernel", "--out", "--report"}
+    assert flags == {
+        "align": align | {"--x", "--y"},
+        "multi-align": align | {"--inputs"},
+        "experiment": {"-h", "--help", "--mode", "--config", "--report", "--csv", "--seed",
+                       "--trials", "--n1", "--n2", "--preserved-pct", "--methods", "--knn-k"},
+    }
+    assert set(cli._CONFIG_KEYS) == {
+        "source", "n1", "n2", "classes", "dim", "spread", "methods", "trials", "knn-k",
+        "seed", "preserved-sweep", "preserved-pct", "ratios", "bands", "t", "kernel",
+        "knn-bandwidth", "sigma", "rank", "mnn-k", "mnn-sigma",
+    }

@@ -1,6 +1,6 @@
 import json
 import os
-import struct
+import re
 
 import numpy as np
 import pytest
@@ -95,20 +95,35 @@ class TestLoadMatrix:
         with pytest.raises(ValueError, match="row 1, column 1"):
             load_matrix(path)
 
-    def test_raw_f64_round_trip(self, tmp_path):
-        rng = Rng(0).generator
-        values = rng.standard_normal((5, 3))
-        path = tmp_path / "m.bin"
-        blob = struct.pack("<QQ", 5, 3) + values.astype("<f8").tobytes()
-        path.write_bytes(blob)
-        m = load_matrix(path, fmt="raw-f64")
-        assert np.array_equal(m.values, values)
+    @pytest.mark.parametrize("bad_rows, message", [
+        ("4,5\n6,7,0", "ragged row 3: expected 3 cells, got 2"),
+        ("4, oops ,1\n6,7", "non-numeric cell 'oops' at row 3, column 1"),
+        ("4,-inf,1\n6,7", "non-finite entry at row 3, column 1"),
+        ("4,5,1.5\n6,7,0", "non-integer label at row 3"),
+    ])
+    def test_error_row_counts_header_and_skips_blank_lines(self, tmp_path, bad_rows, message):
+        # rows count non-blank lines from 0, the header being row 0; a bad
+        # cell is reported before a ragged row that follows it
+        path = tmp_path / "m.csv"
+        path.write_text(f"f1,f2,label\n\n0,1,0\n  \n2,3,1\n\n{bad_rows}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_matrix(path)
 
-    def test_raw_f64_size_mismatch(self, tmp_path):
-        path = tmp_path / "m.bin"
-        path.write_bytes(struct.pack("<QQ", 5, 3) + b"\x00" * 8)
-        with pytest.raises(ValueError, match="size mismatch"):
-            load_matrix(path, fmt="raw-f64")
+    def test_rows_narrower_from_a_later_block_are_ragged(self, tmp_path):
+        # rows are parsed in blocks of 2048; each block here is rectangular
+        # on its own, so the width must also be checked across blocks
+        path = tmp_path / "m.csv"
+        path.write_text("0,1,2\n" * 2048 + "3,4\n" * 1000)
+        with pytest.raises(ValueError, match="ragged row 2048: expected 3 cells, got 2"):
+            load_matrix(path)
+        path.write_text("0,1,2\n" * 2048 + "3,4,5\n" * 1000)
+        assert load_matrix(path).values.shape == (3048, 3)
+
+    def test_whitespace_and_python_float_syntax(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(" 1.5 ,\t+2\n1_0,-3e-2\n")
+        m = load_matrix(path)
+        assert np.array_equal(m.values, [[1.5, 2.0], [10.0, -0.03]])
 
 
 class TestWriteOutput:
@@ -150,6 +165,30 @@ class TestWriteOutput:
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(OSError):
             atomic_write_text(tmp_path / "missing_dir" / "f.txt", "x")
+
+    def test_matrix_bytes_match_per_cell_format(self, tmp_path):
+        values = Rng(8).generator.standard_normal((6, 3)) * [1e-300, 1.0, 1e300]
+        values[0, 0] = -0.0
+        labels = np.array([3, 0, 12, 1, 1, 5])
+        write_output(DataMatrix(values=values, labels=labels), tmp_path / "l.csv")
+        write_output(values, tmp_path / "a.csv")
+        rows = [",".join(format(v, ".17g") for v in row) for row in values]
+        plain = "".join(row + "\n" for row in rows)
+        labelled = "f1,f2,f3,label\n" + "".join(
+            f"{row},{label}\n" for row, label in zip(rows, labels)
+        )
+        assert (tmp_path / "a.csv").read_bytes() == plain.encode()
+        assert (tmp_path / "l.csv").read_bytes() == labelled.encode()
+
+    def test_failing_line_source_leaves_nothing(self, tmp_path):
+        def lines():
+            yield "a,b\n"
+            raise RuntimeError("source failed")
+
+        path = tmp_path / "out.csv"
+        with pytest.raises(RuntimeError, match="source failed"):
+            atomic_write_text(path, lines())
+        assert os.listdir(tmp_path) == []
 
     def test_atomic_no_partial_file(self, tmp_path):
         path = tmp_path / "out.csv"

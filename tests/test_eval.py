@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -109,6 +111,54 @@ class TestKnnClassify:
     def test_k_too_large(self):
         with pytest.raises(ValueError, match="N_train"):
             knn_classify(np.zeros((3, 2)), [0, 1, 2], np.zeros((1, 2)), 4)
+
+
+def _loop_knn(train, labels, test, k):
+    """Per-row reference: the k nearest by (distance, index); majority vote,
+    ties broken by the smaller summed distance, then by the lower label."""
+    dist = cdist(test, train)
+    neighbors, pred = [], []
+    for row in dist:
+        idx = np.argpartition(row, k - 1)[:k]
+        idx = idx[np.lexsort((idx, row[idx]))]
+        labels_k, dist_k = labels[idx], row[idx]
+        candidates = np.unique(labels_k)
+        counts = np.array([(labels_k == c).sum() for c in candidates])
+        winners = candidates[counts == counts.max()]
+        totals = np.array([dist_k[labels_k == c].sum() for c in winners])
+        neighbors.append(idx)
+        pred.append(int(winners[totals == totals.min()].min()))
+    return np.array(neighbors), np.array(pred)
+
+
+class TestVectorizedVote:
+    @pytest.mark.parametrize("k", [1, 2, 4, 5, 7])
+    def test_matches_per_row_loop_on_tied_grid(self, k):
+        # integer grid points: many equal distances, count ties and total ties
+        gen = Rng(40 + k).generator
+        train = gen.integers(0, 4, (700, 2)).astype(float)
+        test = gen.integers(0, 4, (1100, 2)).astype(float)
+        labels = gen.choice([11, 3, 7], 700)
+        idx, expected = _loop_knn(train, labels, test, k)
+        pred, _ = knn_classify(train, labels, test, k)
+        assert np.array_equal(pred, expected)
+        data = gen.standard_normal((700, 3))
+        recon = class_average_reconstruction(test, train, data, labels, k)
+        member = labels[idx] == expected[:, None]
+        want = np.array([data[i[m]].mean(axis=0) for i, m in zip(idx, member)])
+        np.testing.assert_allclose(recon, want, rtol=1e-13, atol=1e-15)
+
+    def test_overlap_matches_per_row_intersection(self):
+        gen = Rng(47).generator
+        a = gen.integers(0, 5, (600, 2)).astype(float)
+        b = a + gen.standard_normal(a.shape)
+        da, db = cdist(a, a), cdist(b, b)
+        np.fill_diagonal(da, np.inf)
+        np.fill_diagonal(db, np.inf)
+        na = np.argpartition(da, 5, axis=1)[:, :6]
+        nb = np.argpartition(db, 5, axis=1)[:, :6]
+        expected = sum(np.intersect1d(x, y).size for x, y in zip(na, nb)) / (600 * 6)
+        assert neighborhood_overlap(a, b, 6) == expected
 
 
 class TestNeighborhoodOverlap:
@@ -240,6 +290,29 @@ class TestExperiments:
         assert len(rows) == 1
         assert 0.0 <= rows[0]["accuracy"] <= 1.0
         assert "none@ratio2" in report.aggregates
+
+    def test_transfer_prepared_reference_matches_pairwise_alignment(self):
+        # the reference is prepared once per trial; every ratio must still
+        # give exactly what a fresh harmonic_alignment of the pair gives
+        cfg = self.small_config(n1=60, ratios=(1, 2), methods=("harmonic",),
+                                align_params=AlignmentParams(), preserved_pct=35.0)
+        report = transfer_experiment(cfg)
+        params = replace(cfg.align_params, knn_fraction=20 / 60, normalize_scale=True)
+        for trial in range(cfg.trials):
+            rng = Rng(cfg.seed).spawn("transfer", trial)
+            sampler = ManifoldSampler(rng.spawn("source"), classes=10, dim=30)
+            X, xl = sampler.draw(60, rng.spawn("draw-x"))
+            O0 = random_orthogonal(30, rng.spawn("orthogonal"))
+            Op = partial_corruption(O0, 35.0, rng.spawn("columns"))
+            for ratio in cfg.ratios:
+                Y, yl = sampler.draw(60 * ratio, rng.spawn("draw-y", ratio))
+                phi = harmonic_alignment(X, Y @ Op, params).phi
+                _, acc = knn_classify(phi[:60], xl, phi[60:], 5, yl)
+                [row] = [r for r in report.trials if (r["trial"], r["ratio"]) == (trial, ratio)]
+                assert row["accuracy"] == acc
+        for ratio in cfg.ratios:
+            accs = [r["accuracy"] for r in report.trials if r["ratio"] == ratio]
+            assert report.aggregates[f"harmonic@ratio{ratio}"] == float(np.mean(accs))
 
     def test_cluster_source(self):
         cfg = self.small_config(source="synthetic-clusters", trials=1)
