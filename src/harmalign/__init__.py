@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .align import (
     AlignmentParams,
     AlignmentResult,
-    MultiAlignmentResult,
     bandlimited_correlation,
     gft_features,
     harmonic_alignment,

@@ -16,9 +16,13 @@ Pipeline for a pair of datasets sharing a feature space:
        Phi_t = [[Phi0_x,        Phi0_x T ],    * blockdiag(Lam_x, Lam_y)^t
                 [Phi0_y T^T,    Phi0_y   ]]
 
-The n-dataset generalization computes a pairwise map ``T(i->j)`` for every
-pair (its adjoint serving the reverse direction) and assembles the analogous
-n-by-n block matrix.  Pairwise alignment runs the same code with n = 2.
+With n datasets a map ``T(i->j)`` is computed for every pair i < j (its
+transpose serving ``T(j->i)``) and the analogous n-by-n block matrix is
+assembled.  Pairwise alignment is this with n = 2: :func:`harmonic_alignment`
+calls :func:`multi_alignment` on ``[X, Y]``, and every entry point returns one
+:class:`AlignmentResult`, whose ``T`` is the map from dataset 0 to dataset 1.
+A prepared dataset keeps only its data and Fourier basis; the N x N kernel
+graph is dropped once its eigendecomposition is done.
 """
 
 from __future__ import annotations
@@ -104,32 +108,16 @@ class AlignmentParams:
 
 @dataclass(frozen=True)
 class PreparedDataset:
-    """Per-dataset intermediates: kernel graph and non-trivial Fourier basis."""
+    """Per-dataset intermediates: the data and its non-trivial Fourier basis
+    (which carries the graph's degrees)."""
 
     data: DataMatrix
-    graph: KernelGraph
     basis: FourierBasis
 
 
 @dataclass(frozen=True)
 class AlignmentResult:
-    """Output of pairwise alignment.
-
-    ``phi`` stacks the two datasets: rows ``blocks[0]`` belong to the first
-    dataset, rows ``blocks[1]`` to the second.  ``T`` maps the first
-    dataset's harmonics onto the second's.
-    """
-
-    C: np.ndarray
-    T: np.ndarray
-    phi: np.ndarray
-    blocks: tuple  # ((0, N1), (N1, N1 + N2))
-    diagnostics: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class MultiAlignmentResult:
-    """Output of n-dataset alignment.
+    """Output of the alignment of n >= 2 datasets.
 
     ``maps[(i, j)]`` carries the harmonic map from dataset i to dataset j;
     ``maps[(j, i)]`` is exactly its transpose.  ``phi`` is the n-by-n block
@@ -142,6 +130,11 @@ class MultiAlignmentResult:
     row_ranges: tuple
     col_ranges: tuple
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def T(self) -> np.ndarray:
+        """The harmonic map from dataset 0 to dataset 1."""
+        return self.maps[(0, 1)]
 
 
 def gft_features(psi: np.ndarray, X) -> np.ndarray:
@@ -171,7 +164,11 @@ def orthogonalize(C: np.ndarray) -> np.ndarray:
     """Nearest orthogonal map to C: ``T = U V^T`` from the SVD ``C = U S V^T``.
 
     For rectangular C the result has orthonormal rows or columns on the
-    smaller side; it maximizes ``trace(T^T C)`` over all such maps.
+    smaller side; it maximizes ``trace(T^T C)`` over all such maps.  When C
+    is rank-deficient (at full rank with fewer features than points, C has
+    rank at most the feature count) only T's action on C's range is
+    determined: on C's null directions T is an arbitrary orthogonal
+    completion chosen by the SVD, which rounding-level changes in C can move.
     """
     if not np.all(np.isfinite(C)):
         raise ValueError("correlation matrix contains non-finite entries")
@@ -241,23 +238,26 @@ def _build_graph(values: np.ndarray, params: AlignmentParams) -> KernelGraph:
 
 
 def prepare_dataset(X, params: AlignmentParams) -> PreparedDataset:
-    """Run the per-dataset pipeline: graph, Fourier basis, trivial removal."""
+    """Run the per-dataset pipeline: graph, Fourier basis, trivial removal.
+
+    The kernel graph is not kept: the basis carries its degrees.
+    """
     if not isinstance(X, DataMatrix):
         X = DataMatrix(values=np.asarray(X, dtype=np.float64))
     graph = _build_graph(X.values, params)
     basis = fourier_basis(graph, rank=_effective_rank(params, X.n_points))
-    basis = drop_trivial(basis)
-    return PreparedDataset(data=X, graph=graph, basis=basis)
+    return PreparedDataset(data=X, basis=drop_trivial(basis))
 
 
-def _diagnostics(bases) -> dict:
+def _diagnostics(bases, t: int) -> dict:
     diag = {}
     for i, basis in enumerate(bases):
         lam = basis.lam
         diag[f"spectrum_{i}"] = lam.tolist()
-        # ties among eigenvalues clamped to zero are artifacts of the clamp,
-        # not genuine degeneracies of the decomposition
-        ties = degenerate_gaps(lam[lam > 0])
+        # only ties among eigenvalues the embedding weights make the basis
+        # ambiguous where it matters: ties among clamped zeros are artifacts
+        # of the clamp, and lam**t scales columns below 1e-6 to nothing
+        ties = degenerate_gaps(lam[(lam > 0) & (lam ** int(t) >= 1e-6)])
         if ties:
             diag[f"degenerate_gaps_{i}"] = ties
             warnings.warn(
@@ -278,63 +278,43 @@ def _normalize_block_scale(phi: np.ndarray, ranges) -> np.ndarray:
     return phi
 
 
-def _align(preps, params: AlignmentParams, keep_correlation: bool = False):
+def _align(preps, params: AlignmentParams) -> AlignmentResult:
     """The alignment of n >= 2 prepared datasets, shared by every entry point.
 
     Basis signs are canonicalized once per dataset here, so alignment is
     invariant to any sign flips applied to eigenvector columns upstream.
     For every pair i < j the bandlimited correlation ``C`` is orthogonalized
-    into ``T(i->j)``; its transpose serves as ``T(j->i)``.  Each ``C`` is
-    dropped after its SVD unless ``keep_correlation`` asks for the last one.
-
-    Returns the :class:`MultiAlignmentResult` and the kept ``C`` (or None).
+    into ``T(i->j)`` and dropped; its transpose serves as ``T(j->i)``.
     """
     bases = [replace(p.basis, psi=canonical_signs(p.basis.psi)) for p in preps]
     features = [gft_features(b.psi, p.data) for b, p in zip(bases, preps)]
-    maps, kept = {}, None
+    maps = {}
     for i, j in itertools.combinations(range(len(preps)), 2):
         w = bandlimiting_weights(bases[i].lam, bases[j].lam, params.n_bands)
-        C = bandlimited_correlation(features[i], features[j], w)
-        maps[(i, j)] = orthogonalize(C)
+        maps[(i, j)] = orthogonalize(bandlimited_correlation(features[i], features[j], w))
         maps[(j, i)] = maps[(i, j)].T
-        kept = C if keep_correlation else None
-        del C
     phi = unified_diffusion_map(bases, maps, params.t)
     row_ranges = _ranges(p.data.n_points for p in preps)
     if params.normalize_scale:
         phi = _normalize_block_scale(phi, row_ranges)
-    result = MultiAlignmentResult(
+    return AlignmentResult(
         maps=maps,
         phi=phi,
         row_ranges=row_ranges,
         col_ranges=_ranges(b.rank for b in bases),
-        diagnostics=_diagnostics(bases),
+        diagnostics=_diagnostics(bases, params.t),
     )
-    return result, kept
-
-
-def _check_feature_space(datasets) -> None:
-    dims = [as_values(X).shape[1] for X in datasets]
-    if len(set(dims)) != 1:
-        raise ValueError(f"datasets must share a feature space: d={dims}")
 
 
 def align_prepared(
     px: PreparedDataset, py: PreparedDataset, params: AlignmentParams
 ) -> AlignmentResult:
-    """Align two prepared datasets (the tail of :func:`harmonic_alignment`)."""
-    multi, C = _align([px, py], params, keep_correlation=True)
-    T = multi.maps[(0, 1)]
-    gram = T.T @ T if T.shape[0] >= T.shape[1] else T @ T.T
-    residual = float(np.abs(gram - np.eye(len(gram))).max())
-    diagnostics = dict(multi.diagnostics, orthogonality_residual=residual)
-    return AlignmentResult(
-        C=C, T=T, phi=multi.phi, blocks=multi.row_ranges, diagnostics=diagnostics
-    )
+    """Align two prepared datasets, as :func:`multi_alignment` aligns n."""
+    return _align([px, py], params)
 
 
 def harmonic_alignment(X, Y, params: AlignmentParams | None = None) -> AlignmentResult:
-    """End-to-end pairwise alignment of two datasets sharing a feature space.
+    """End-to-end pairwise alignment: :func:`multi_alignment` of ``[X, Y]``.
 
     Parameters
     ----------
@@ -345,25 +325,23 @@ def harmonic_alignment(X, Y, params: AlignmentParams | None = None) -> Alignment
     Returns
     -------
     AlignmentResult
-        Unified embedding with X's rows on top, plus the correlation matrix,
-        the orthogonal harmonic map, and diagnostics.
+        Unified embedding with X's rows on top; ``T`` maps X's harmonics
+        onto Y's.
     """
-    params = params or AlignmentParams()
-    _check_feature_space([X, Y])
-    return align_prepared(prepare_dataset(X, params), prepare_dataset(Y, params), params)
+    return multi_alignment([X, Y], params)
 
 
-def multi_alignment(datasets, params: AlignmentParams | None = None) -> MultiAlignmentResult:
+def multi_alignment(datasets, params: AlignmentParams | None = None) -> AlignmentResult:
     """Align n >= 2 datasets into one block embedding.
 
     For every pair i < j the pairwise orthogonal map ``T(i->j)`` is computed
     once; its transpose serves as ``T(j->i)``.  Block (i, j) of the output is
-    ``Phi0_i T(i->j) Lam_j^t`` (diagonal blocks use the identity map), so with
-    n = 2 the result coincides with :func:`harmonic_alignment`.
+    ``Phi0_i T(i->j) Lam_j^t`` (diagonal blocks use the identity map).
     """
     params = params or AlignmentParams()
     if len(datasets) < 2:
         raise ValueError(f"need at least 2 datasets, got {len(datasets)}")
-    _check_feature_space(datasets)
-    result, _ = _align([prepare_dataset(X, params) for X in datasets], params)
-    return result
+    dims = [as_values(X).shape[1] for X in datasets]
+    if len(set(dims)) != 1:
+        raise ValueError(f"datasets must share a feature space: d={dims}")
+    return _align([prepare_dataset(X, params) for X in datasets], params)

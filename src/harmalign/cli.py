@@ -1,8 +1,9 @@
-"""Command-line front end: pairwise/multi alignment and the experiment harness.
+"""Command-line front end: alignment and the experiment harness.
 
 Subcommands
 -----------
-align        Align two CSV datasets and write the unified embedding + report.
+align        Align two CSV datasets (``--x``, ``--y``); the n = 2 case of
+             multi-align, writing the same embedding and report.
 multi-align  Align n >= 2 datasets into one block embedding.
 experiment   Run the corruption sweep or transfer protocol from a config file.
 
@@ -28,7 +29,6 @@ from .align import (
     FULL_DECOMPOSITION_LIMIT,
     RANK_AUTO,
     AlignmentParams,
-    harmonic_alignment,
     multi_alignment,
 )
 from .baselines import MnnParams
@@ -140,55 +140,21 @@ def _self_match_rate(phi: np.ndarray, lo1, hi1, lo2, hi2) -> float | None:
     return float((dist.argmin(axis=1) == np.arange(hi1 - lo1)).mean())
 
 
-def _cmd_align(args) -> int:
+def _cmd_align(args, paths) -> int:
+    """``align`` (``paths = [x, y]``) and ``multi-align`` (``paths = inputs``)."""
     params = AlignmentParams(**_field_values({}, args)[AlignmentParams])
-    x = load_matrix(args.x)
-    y = load_matrix(args.y)
-    start = perf_counter()
-    result = harmonic_alignment(x, y, params)
-    elapsed = perf_counter() - start
-    (lo1, hi1), (lo2, hi2) = result.blocks
-    report = Report(
-        params={
-            "command": "align",
-            "version": __version__,
-            "x": args.x,
-            "y": args.y,
-            "align_params": asdict(params),
-        },
-        aggregates={
-            "seconds": elapsed,
-            "orthogonality_residual": result.diagnostics["orthogonality_residual"],
-            "spectrum_0": result.diagnostics["spectrum_0"],
-            "spectrum_1": result.diagnostics["spectrum_1"],
-        },
-    )
-    rate = _self_match_rate(result.phi, lo1, hi1, lo2, hi2)
-    if rate is not None:
-        report.aggregates["self_match_rate"] = rate
-    if args.out:
-        _write_embedding(args.out, result.phi, result.blocks)
-    if args.report:
-        write_output(report, args.report)
-    print(f"aligned {x.n_points}+{y.n_points} points in {elapsed:.2f}s; "
-          f"orthogonality residual {report.aggregates['orthogonality_residual']:.2e}")
-    return 0
-
-
-def _cmd_multi_align(args) -> int:
-    params = AlignmentParams(**_field_values({}, args)[AlignmentParams])
-    datasets = [load_matrix(path) for path in args.inputs]
+    datasets = [load_matrix(path) for path in paths]
     start = perf_counter()
     result = multi_alignment(datasets, params)
     elapsed = perf_counter() - start
     report = Report(
         params={
-            "command": "multi-align",
+            "command": args.command,
             "version": __version__,
-            "inputs": list(args.inputs),
+            "inputs": list(paths),
             "align_params": asdict(params),
         },
-        aggregates={"seconds": elapsed},
+        aggregates={"seconds": elapsed, **result.diagnostics},
     )
     for i, (lo1, hi1) in enumerate(result.row_ranges):
         for j, (lo2, hi2) in enumerate(result.row_ranges):
@@ -283,11 +249,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "align":
-            return _cmd_align(args)
+            return _cmd_align(args, [args.x, args.y])
         if args.command == "multi-align":
             if len(args.inputs) < 2:
                 parser.error("multi-align needs at least 2 inputs")
-            return _cmd_multi_align(args)
+            return _cmd_align(args, args.inputs)
         return _cmd_experiment(args, parser)
     except SystemExit:
         raise

@@ -146,9 +146,9 @@ def load_matrix(path, name: str | None = None) -> DataMatrix:
     Parameters
     ----------
     path : path-like
-        Comma separated, '.' decimal, optional single header line; a final
-        header field named ``label`` (case-insensitive) marks a label column.
-        Blank lines are skipped.
+        Comma separated, '.' decimal, optional single header line with one
+        field per column; a final header field named ``label``
+        (case-insensitive) marks a label column.  Blank lines are skipped.
     name : str, optional
         Name for the resulting matrix; defaults to the file stem.
 
@@ -190,6 +190,10 @@ def load_matrix(path, name: str | None = None) -> DataMatrix:
         values = None
     if values is None or not np.all(np.isfinite(values)):
         raise _first_bad_cell(rows, start, path)
+    if start and len(first) != values.shape[1]:
+        raise ValueError(
+            f"{path}: header has {len(first)} fields but rows have {values.shape[1]}"
+        )
     labels = None
     if has_labels:
         labels = values[:, -1]

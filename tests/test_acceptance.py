@@ -138,7 +138,6 @@ class TestSignEquivariance:
         flip[cols] = -1.0
         flipped = PreparedDataset(
             data=px.data,
-            graph=px.graph,
             basis=FourierBasis(
                 psi=px.basis.psi * flip, lam=px.basis.lam, degrees=px.basis.degrees
             ),

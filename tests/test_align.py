@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -16,7 +19,8 @@ from harmalign.align import (
     unified_diffusion_map,
 )
 from harmalign.core import DataMatrix, Rng
-from harmalign.spectral import FourierBasis
+from harmalign.evaluation import ManifoldSampler
+from harmalign.spectral import FourierBasis, degenerate_gaps
 
 PARAMS = AlignmentParams(knn=10)
 
@@ -184,7 +188,7 @@ class TestHarmonicAlignment:
     def test_blocks_and_orthogonality(self):
         X, Y = sample_data(19, 50, 40), sample_data(20, 60, 40)
         result = harmonic_alignment(X, Y, PARAMS)
-        assert result.blocks == ((0, 50), (50, 110))
+        assert result.row_ranges == ((0, 50), (50, 110))
         assert result.phi.shape == (110, 49 + 59)
         T = result.T
         small = min(T.shape)
@@ -221,13 +225,34 @@ class TestHarmonicAlignment:
         flip[[2, 11, 30, 55, 80]] = -1.0
         flipped = PreparedDataset(
             data=px.data,
-            graph=px.graph,
             basis=FourierBasis(
                 psi=px.basis.psi * flip, lam=px.basis.lam, degrees=px.basis.degrees
             ),
         )
         alt = align_prepared(flipped, py, PARAMS)
         assert np.abs(base.phi - alt.phi).max() <= 1e-8
+
+    def test_t_is_the_map_from_dataset_0_to_1(self):
+        X, Y = sample_data(30, 40, 30), sample_data(31, 50, 30)
+        result = harmonic_alignment(X, Y, PARAMS)
+        assert result.T is result.maps[(0, 1)]
+        assert np.array_equal(result.maps[(1, 0)], result.T.T)
+        with pytest.raises(AttributeError):
+            result.T = np.eye(2)
+
+    def test_prepared_dataset_keeps_no_graph(self):
+        # the basis (1000 x 49 floats, 0.4 MB) and the data are all that is
+        # left; a kept kernel graph would hold an 8 MB N x N affinity
+        X = sample_data(42, 1000, 10)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            prepared = prepare_dataset(X, AlignmentParams(rank=50))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert prepared.basis.rank == 49
+        assert held < 1_000_000
 
     def test_zero_weight_harmonic_removal(self):
         # a harmonic whose weight row is all zero contributes a zero row to C;
@@ -277,3 +302,53 @@ class TestMultiAlignment:
     def test_single_dataset_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             multi_alignment([sample_data(41, 30, 10)], PARAMS)
+
+
+def hand_prepared(seed, lam, n=20, d=30):
+    """A prepared dataset whose basis has the given spectrum."""
+    gen = Rng(seed).generator
+    psi = np.linalg.qr(gen.standard_normal((n, len(lam))))[0]
+    basis = FourierBasis(psi=psi, lam=np.asarray(lam, dtype=float), degrees=np.ones(n))
+    return PreparedDataset(data=DataMatrix(values=gen.standard_normal((n, d))), basis=basis)
+
+
+class TestDegenerateGapWarning:
+    def test_ties_the_embedding_does_not_weight_are_quiet(self):
+        rng = Rng(1)
+        sampler = ManifoldSampler(rng.spawn("src"))
+        X, _ = sampler.draw(1000, rng.spawn("x"))
+        Y, _ = sampler.draw(1000, rng.spawn("y"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            result = harmonic_alignment(X, Y, AlignmentParams(knn=20))
+        for i in range(2):
+            # each spectrum holds one tie among positive eigenvalues, at
+            # lam ~ 1.2e-10, which lam**t scales to nothing
+            lam = np.array(result.diagnostics[f"spectrum_{i}"])
+            ties = degenerate_gaps(lam[lam > 0])
+            assert len(ties) == 1 and lam[ties[0]] < 1e-9
+            assert f"degenerate_gaps_{i}" not in result.diagnostics
+
+    @pytest.mark.parametrize("tie, t, warns", [
+        (0.5, 1, True),
+        (1e-4, 0, True),
+        (1e-4, 1, True),
+        (1e-4, 2, False),
+    ])
+    def test_ties_the_embedding_weights_warn(self, tie, t, warns):
+        px = hand_prepared(43, [0.9, tie, tie * (1 - 1e-12), tie / 2, 0.0, 0.0])
+        py = hand_prepared(44, [0.8, 0.6, 0.4, 0.2, 0.1])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = align_prepared(px, py, AlignmentParams(t=t))
+        messages = [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
+        if warns:
+            assert messages == [
+                "dataset 0: 1 near-degenerate eigenvalue gaps; the Fourier basis "
+                "(hence the alignment) is only defined up to rotation within those "
+                "eigenspaces"
+            ]
+            assert result.diagnostics["degenerate_gaps_0"] == [1]
+        else:
+            assert messages == []
+            assert "degenerate_gaps_0" not in result.diagnostics

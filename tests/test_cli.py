@@ -49,7 +49,7 @@ class TestAlign:
         ])
         assert code == 0
         report = json.loads(report_path.read_text())
-        assert report["aggregates"]["self_match_rate"] >= 0.95
+        assert report["aggregates"]["self_match_rate_0_1"] >= 0.95
         assert report["params"]["align_params"]["t"] == 1
         header = out_path.read_text().splitlines()[0]
         assert header.startswith("dataset,row,")
@@ -64,7 +64,7 @@ class TestAlign:
         report = json.loads(report_path.read_text())
         assert report["params"]["align_params"] == asdict(AlignmentParams())
         result = harmonic_alignment(load_matrix(dataset_csv), load_matrix(other))
-        assert out_path.read_bytes() == embedding_bytes(result.phi, result.blocks)
+        assert out_path.read_bytes() == embedding_bytes(result.phi, result.row_ranges)
 
     def test_zero_bands_usage_error(self, dataset_csv):
         code = run(["align", "--x", dataset_csv, "--y", dataset_csv, "--bands", "0"])
@@ -114,6 +114,32 @@ class TestMultiAlign:
 
     def test_single_input_usage_error(self, dataset_csv):
         assert run(["multi-align", "--inputs", dataset_csv]) == 2
+
+
+class TestAlignReport:
+    def test_align_is_two_input_multi_align(self, dataset_csv, tmp_path):
+        other = tmp_path / "y.csv"
+        write_output(DataMatrix(values=Rng(4).generator.standard_normal((80, 40))), other)
+        runs = {}
+        for command, inputs in (("align", ["--x", dataset_csv, "--y", str(other)]),
+                                ("multi-align", ["--inputs", dataset_csv, str(other)])):
+            out_path, report_path = tmp_path / f"{command}.csv", tmp_path / f"{command}.json"
+            assert run([command, *inputs, "--knn-bandwidth", "10",
+                        "--out", str(out_path), "--report", str(report_path)]) == 0
+            runs[command] = out_path.read_bytes(), json.loads(report_path.read_text())
+        (pair_out, pair), (multi_out, multi) = runs["align"], runs["multi-align"]
+        assert pair_out == multi_out
+        assert pair["params"].pop("command") == "align"
+        assert multi["params"].pop("command") == "multi-align"
+        assert pair["params"] == multi["params"]
+        assert pair["params"]["inputs"] == [dataset_csv, str(other)]
+        assert sorted(pair["params"]) == ["align_params", "inputs", "version"]
+        result = multi_alignment([load_matrix(dataset_csv), load_matrix(other)],
+                                 AlignmentParams(knn=10))
+        keys = {"seconds", "self_match_rate_0_1", *result.diagnostics}
+        assert set(pair["aggregates"]) == set(multi["aggregates"]) == keys
+        assert pair["aggregates"]["spectrum_1"] == result.diagnostics["spectrum_1"]
+        assert pair["trials"] == multi["trials"] == []
 
 
 class TestExperiment:

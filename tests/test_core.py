@@ -109,6 +109,15 @@ class TestLoadMatrix:
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_matrix(path)
 
+    @pytest.mark.parametrize("header, fields", [("f1,label", 2), ("f1,f2,f3,label", 4)])
+    def test_header_width_must_match_rows(self, tmp_path, header, fields):
+        # a short header would silently make the last feature the label
+        path = tmp_path / "m.csv"
+        path.write_text(f"{header}\n1,2,3\n4,5,6\n")
+        message = f"{path}: header has {fields} fields but rows have 3"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_matrix(path)
+
     def test_rows_narrower_from_a_later_block_are_ragged(self, tmp_path):
         # rows are parsed in blocks of 2048; each block here is rectangular
         # on its own, so the width must also be checked across blocks

@@ -52,8 +52,8 @@ def test_pair_swap(seed, n1, n2):
     yx = quiet(harmonic_alignment, Y, X, PARAMS)
     assert_close(yx.T, xy.T.T)
     r1, r2 = n1 - 1, n2 - 1  # non-trivial harmonics per dataset
-    b_xy = blocks(xy.phi, xy.blocks, ((0, r1), (r1, r1 + r2)))
-    b_yx = blocks(yx.phi, yx.blocks, ((0, r2), (r2, r1 + r2)))
+    b_xy = blocks(xy.phi, xy.row_ranges, ((0, r1), (r1, r1 + r2)))
+    b_yx = blocks(yx.phi, yx.row_ranges, ((0, r2), (r2, r1 + r2)))
     for i in range(2):
         for j in range(2):
             assert_close(b_yx[1 - i][1 - j], b_xy[i][j])
@@ -69,7 +69,7 @@ def test_pair_row_permutation(seed, n1, n2, which):
     base = quiet(harmonic_alignment, *data, PARAMS)
     alt = quiet(harmonic_alignment, *permuted, PARAMS)
     assert_close(alt.T, base.T)
-    lo, hi = base.blocks[which]
+    lo, hi = base.row_ranges[which]
     expected = base.phi.copy()
     expected[lo:hi] = base.phi[lo:hi][perm]
     assert_close(alt.phi, expected)

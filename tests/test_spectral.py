@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from harmalign.align import orthogonalize, unified_diffusion_map
 from harmalign.core import Rng
@@ -77,6 +78,26 @@ class TestFourierBasis:
         trunc = fourier_basis(g, rank=10)
         assert np.abs(trunc.lam - full.lam[:10]).max() <= 1e-8
         assert np.abs(trunc.psi - full.psi[:, :10]).max() <= 1e-6
+
+    def test_lanczos_below_an_eighth_of_n(self, monkeypatch):
+        g = random_graph(n=200, seed=13, k=10)
+        full = fourier_basis(g)
+        calls = []
+        eigsh = scipy.sparse.linalg.eigsh
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
+                            lambda *a, **kw: calls.append(kw["k"]) or eigsh(*a, **kw))
+        trunc = fourier_basis(g, rank=24)  # 8 * 24 < 200
+        assert calls == [24]
+        assert np.abs(trunc.lam - full.lam[:24]).max() <= 1e-8
+        assert np.abs(trunc.psi - full.psi[:, :24]).max() <= 1e-6
+
+    def test_dense_slice_from_an_eighth_of_n(self, monkeypatch):
+        g = random_graph(n=200, seed=13, k=10)
+        full = fourier_basis(g)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", None)
+        trunc = fourier_basis(g, rank=25)  # 8 * 25 == 200
+        assert np.array_equal(trunc.lam, full.lam[:25])
+        assert np.array_equal(trunc.psi, full.psi[:, :25])
 
     def test_parseval(self):
         g = random_graph(seed=9)
