@@ -28,6 +28,7 @@ graph is dropped once its eigendecomposition is done.
 from __future__ import annotations
 
 import itertools
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -48,6 +49,7 @@ from .spectral import (
     degenerate_gaps,
     drop_trivial,
     fourier_basis,
+    uses_dense_solver,
 )
 
 #: datasets larger than this use iterative rank-RANK_AUTO truncation by default
@@ -237,15 +239,48 @@ def _build_graph(values: np.ndarray, params: AlignmentParams) -> KernelGraph:
     return anisotropic_kernel_graph(values, params.sigma)
 
 
+def _available_memory() -> int | None:
+    """Bytes the operating system reports available for new allocations, or None."""
+    try:
+        with open("/proc/meminfo") as meminfo:
+            for line in meminfo:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024  # reported in kB
+    except (OSError, ValueError):
+        pass
+    return None
+
+
+def _check_memory(n: int, rank: int | None) -> None:
+    """Refuse a dataset whose N x N arrays would not fit in available memory.
+
+    The kernel graph is one N x N array; on the dense route ``eigh`` holds a
+    copy of it and its eigenvector matrix as well.  The check is skipped when
+    available memory cannot be read.
+    """
+    need = 8 * n * n * (3 if uses_dense_solver(n, rank) else 1)
+    available = _available_memory()
+    if available is not None and need > available:
+        raise MemoryError(
+            f"preparing {n} points at rank {rank or 'full'} needs about "
+            f"{need / 2**20:.0f} MiB for its N x N arrays, but only "
+            f"{available / 2**20:.0f} MiB is available"
+        )
+
+
 def prepare_dataset(X, params: AlignmentParams) -> PreparedDataset:
     """Run the per-dataset pipeline: graph, Fourier basis, trivial removal.
 
-    The kernel graph is not kept: the basis carries its degrees.
+    Raises MemoryError before building anything when the dataset's N x N
+    arrays would exceed available memory.  The kernel graph is not kept: the
+    basis carries its degrees.
     """
     if not isinstance(X, DataMatrix):
         X = DataMatrix(values=np.asarray(X, dtype=np.float64))
+    rank = _effective_rank(params, X.n_points)
+    _check_memory(X.n_points, rank)
     graph = _build_graph(X.values, params)
-    basis = fourier_basis(graph, rank=_effective_rank(params, X.n_points))
+    basis = fourier_basis(graph, rank=rank)
     return PreparedDataset(data=X, basis=drop_trivial(basis))
 
 
@@ -264,9 +299,21 @@ def _diagnostics(bases, t: int) -> dict:
                 f"dataset {i}: {len(ties)} near-degenerate eigenvalue gaps; "
                 "the Fourier basis (hence the alignment) is only defined up to "
                 "rotation within those eigenspaces",
-                stacklevel=4,
+                stacklevel=_caller_stacklevel(),
             )
     return diag
+
+
+def _caller_stacklevel() -> int:
+    """The ``stacklevel`` that attributes a warning raised by this function's
+    caller to the first frame outside the harmalign package."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None:
+        package = frame.f_globals.get("__package__") or ""
+        if package.partition(".")[0] != __package__:
+            break
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def _normalize_block_scale(phi: np.ndarray, ranges) -> np.ndarray:

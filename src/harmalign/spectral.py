@@ -15,6 +15,7 @@ assembles them (:func:`harmalign.align.unified_diffusion_map`).
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,8 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .graph import KernelGraph
+
+_log = logging.getLogger("harmalign")
 
 
 @dataclass(frozen=True)
@@ -53,6 +56,24 @@ def canonical_signs(psi: np.ndarray) -> np.ndarray:
     return psi * signs
 
 
+def uses_dense_solver(n: int, rank: int | None) -> bool:
+    """Whether :func:`fourier_basis` slices a full ``eigh`` for this size and rank."""
+    # Lanczos time grows faster than linearly in rank: with one BLAS thread
+    # it matched dense eigh at ranks of about N/6 (N = 1000), N/7 (N = 2000)
+    # and N/10 (N = 4000); N/8 keeps either choice within 2x of the faster
+    return rank is None or 8 * rank >= n
+
+
+def _dense_top(A: np.ndarray, rank: int | None):
+    """The top ``rank`` eigenpairs of A from a full ``eigh``, descending.
+
+    ``eigh`` holds a copy of A and the N x N eigenvector matrix; the kept
+    columns are copied out so that matrix is freed on return.
+    """
+    lam, psi = scipy.linalg.eigh(A)
+    return lam[::-1][:rank], np.ascontiguousarray(psi[:, ::-1][:, :rank])
+
+
 def fourier_basis(g: KernelGraph, rank: int | None = None) -> FourierBasis:
     """Eigendecomposition of A = I - L, optionally truncated to the top ``rank`` pairs.
 
@@ -63,6 +84,8 @@ def fourier_basis(g: KernelGraph, rank: int | None = None) -> FourierBasis:
         Number of leading eigenpairs to keep; ``None`` keeps all N.  Ranks of
         at least N/8 slice the full dense decomposition; smaller ranks use an
         iterative Lanczos solver with a fixed starting vector for determinism.
+        If Lanczos does not converge, the dense decomposition is sliced
+        instead and the fallback is logged to the ``harmalign`` logger.
 
     Returns
     -------
@@ -73,23 +96,21 @@ def fourier_basis(g: KernelGraph, rank: int | None = None) -> FourierBasis:
     n = g.n_points
     if rank is not None and rank < 1:
         raise ValueError(f"rank must be positive, got {rank}")
-    # Lanczos time grows faster than linearly in rank: with one BLAS thread
-    # it matched dense eigh at ranks of about N/6 (N = 1000), N/7 (N = 2000)
-    # and N/10 (N = 4000); N/8 keeps either choice within 2x of the faster
-    if rank is None or 8 * rank >= n:
-        lam, psi = scipy.linalg.eigh(g.A)
-        lam, psi = lam[::-1][:rank], psi[:, ::-1][:, :rank]
+    if uses_dense_solver(n, rank):
+        lam, psi = _dense_top(g.A, rank)
     else:
         v0 = np.full(n, 1.0 / np.sqrt(n))
         try:
             lam, psi = scipy.sparse.linalg.eigsh(g.A, k=rank, which="LA", v0=v0)
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:  # pragma: no cover
-            raise RuntimeError(
-                f"eigensolver failed to converge: {len(exc.eigenvalues)} of "
-                f"{rank} eigenpairs found"
-            ) from exc
-        order = np.argsort(lam)[::-1]
-        lam, psi = lam[order], psi[:, order]
+        except scipy.sparse.linalg.ArpackNoConvergence as exc:
+            _log.warning(
+                "Lanczos found %d of %d eigenpairs of a %d-point graph; "
+                "falling back to the dense solver", len(exc.eigenvalues), rank, n
+            )
+            lam, psi = _dense_top(g.A, rank)
+        else:
+            order = np.argsort(lam)[::-1]
+            lam, psi = lam[order], psi[:, order]
     psi = canonical_signs(np.ascontiguousarray(psi))
     lam = np.clip(lam, 0.0, 1.0)
     return FourierBasis(psi=psi, lam=lam, degrees=g.degrees)

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 from scipy.spatial.distance import cdist
 
+from harmalign import align
 from harmalign.align import (
     AlignmentParams,
     PreparedDataset,
@@ -352,3 +353,46 @@ class TestDegenerateGapWarning:
         else:
             assert messages == []
             assert "degenerate_gaps_0" not in result.diagnostics
+
+    @pytest.mark.parametrize("entry", ["harmonic_alignment", "multi_alignment", "align_prepared"])
+    def test_warning_points_at_the_caller(self, entry):
+        # evenly spaced points on a circle have exactly paired eigenvalues
+        theta = 2 * np.pi * np.arange(24) / 24
+        X = np.column_stack([np.cos(theta), np.sin(theta)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if entry == "harmonic_alignment":
+                harmonic_alignment(X, X)
+            elif entry == "multi_alignment":
+                multi_alignment([X, X, X])
+            else:
+                p = AlignmentParams()
+                align_prepared(prepare_dataset(X, p), prepare_dataset(X, p), p)
+        files = {w.filename for w in caught if issubclass(w.category, UserWarning)}
+        assert files == {__file__}
+
+
+class TestMemoryPreCheck:
+    @pytest.mark.parametrize("rank, arrays", [(40000, 3), (5000, 3), (4999, 1)])
+    def test_refuses_before_building_the_graph(self, monkeypatch, rank, arrays):
+        n = 40000  # 8 * 5000 >= n takes the dense route, 8 * 4999 < n Lanczos
+        need = 8 * n * n * arrays
+        monkeypatch.setattr(align, "_available_memory", lambda: need // 2)
+        monkeypatch.setattr(align, "gauss_kernel_graph", None)  # never reached
+        with pytest.raises(MemoryError) as exc:
+            prepare_dataset(sample_data(50, n, 2), AlignmentParams(rank=rank))
+        assert str(exc.value) == (
+            f"preparing {n} points at rank {rank or 'full'} needs about "
+            f"{need / 2**20:.0f} MiB for its N x N arrays, but only "
+            f"{need / 2**21:.0f} MiB is available"
+        )
+
+    @pytest.mark.parametrize("available", [8 * 90 * 90 * 3, None])
+    def test_runs_when_memory_suffices_or_is_unknown(self, monkeypatch, available):
+        monkeypatch.setattr(align, "_available_memory", lambda: available)
+        prep = prepare_dataset(sample_data(50, 90, 5), AlignmentParams())
+        assert prep.basis.rank == 89
+
+    def test_probe_reads_available_memory(self):
+        available = align._available_memory()
+        assert available is None or available > 0

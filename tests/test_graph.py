@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.spatial.distance import cdist
 
 from harmalign.core import Rng
 from harmalign.graph import (
+    _BLOCK_ROWS,
     BandwidthSpec,
     adaptive_bandwidth,
     anisotropic_kernel_graph,
@@ -92,6 +96,82 @@ class TestGaussKernelGraph:
             g = gauss_kernel_graph(X, BandwidthSpec.fixed(scale))
             assert np.array_equal(g.A, g.A.T)
             np.testing.assert_allclose(kernel(g).sum(axis=1), g.degrees, rtol=1e-12)
+
+
+def full_matrix_gauss(X, sigma):
+    """Reference: the Gaussian graph built with whole N x N temporaries."""
+    scale = -2.0 * sigma**2
+    d2 = cdist(X, X, metric="sqeuclidean")
+    W = d2 / scale[:, None]
+    np.exp(W, out=W)
+    d2 /= scale[None, :]
+    W += np.exp(d2, out=d2)
+    W *= 0.5
+    np.fill_diagonal(W, 1.0)
+    return full_matrix_finish(W)
+
+
+def full_matrix_anisotropic(X, sigma):
+    G = cdist(X, X, metric="sqeuclidean")
+    G /= -sigma
+    np.exp(G, out=G)
+    r = G.sum(axis=1)
+    G /= np.multiply.outer(r, r)
+    return full_matrix_finish(G)
+
+
+def full_matrix_finish(W):
+    degrees = W.sum(axis=1)
+    inv_sqrt = 1.0 / np.sqrt(degrees)
+    return W * np.multiply.outer(inv_sqrt, inv_sqrt), degrees
+
+
+class TestBlockedBuild:
+    """The row-block passes give the full-matrix results bit for bit."""
+
+    N = 2 * _BLOCK_ROWS + 89  # three blocks, the last one partial
+    K = 7
+
+    @pytest.fixture(scope="class")
+    def X(self):
+        return Rng(6).generator.standard_normal((self.N, 12))
+
+    def test_adaptive_bandwidth_is_the_kth_distance(self, X):
+        expected = np.partition(cdist(X, X), self.K, axis=1)[:, self.K]
+        assert np.array_equal(adaptive_bandwidth(X, self.K), expected)
+
+    @pytest.mark.parametrize("kind", ["adaptive", "fixed", "anisotropic"])
+    def test_graph_matches_full_matrix_reference(self, X, kind):
+        if kind == "adaptive":
+            g = gauss_kernel_graph(X, BandwidthSpec.adaptive(self.K))
+            A, degrees = full_matrix_gauss(X, np.partition(cdist(X, X), self.K, axis=1)[:, self.K])
+        elif kind == "fixed":
+            g = gauss_kernel_graph(X, BandwidthSpec.fixed(2.5))
+            A, degrees = full_matrix_gauss(X, np.full(self.N, 2.5))
+        else:
+            g = anisotropic_kernel_graph(X, 20.0)
+            A, degrees = full_matrix_anisotropic(X, 20.0)
+        assert np.array_equal(g.A, A)
+        assert np.array_equal(g.degrees, degrees)
+
+    def test_duplicate_in_a_later_block_is_reported_by_index(self, X):
+        Y = X.copy()
+        Y[2 * _BLOCK_ROWS + 5] = Y[_BLOCK_ROWS + 3]
+        with pytest.raises(ValueError, match=f"point {_BLOCK_ROWS + 3} "):
+            gauss_kernel_graph(Y, BandwidthSpec.adaptive(1))
+
+    def test_one_n_by_n_array(self):
+        n = 2000
+        X = Rng(7).generator.standard_normal((n, 10))
+        tracemalloc.start()
+        try:
+            g = gauss_kernel_graph(X, BandwidthSpec.adaptive(20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n_points == n
+        # A itself is 8 N^2 bytes; whole-matrix temporaries would double it
+        assert peak < 1.25 * 8 * n * n
 
 
 class TestAnisotropicKernelGraph:

@@ -99,6 +99,27 @@ class TestFourierBasis:
         assert np.array_equal(trunc.lam, full.lam[:25])
         assert np.array_equal(trunc.psi, full.psi[:, :25])
 
+    def test_lanczos_non_convergence_falls_back_to_dense(self, monkeypatch, caplog):
+        g = random_graph(n=200, seed=13, k=10)
+        full = fourier_basis(g)
+
+        def no_convergence(A, k, **kw):
+            raise scipy.sparse.linalg.ArpackNoConvergence(
+                "ARPACK error -1: No convergence", np.zeros(3), np.zeros((200, 3))
+            )
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        with caplog.at_level("WARNING", logger="harmalign"):
+            trunc = fourier_basis(g, rank=10)  # 8 * 10 < 200: Lanczos first
+        assert np.array_equal(trunc.lam, full.lam[:10])
+        assert np.array_equal(trunc.psi, full.psi[:, :10])
+        [record] = caplog.records
+        assert record.name == "harmalign" and record.levelname == "WARNING"
+        assert record.getMessage() == (
+            "Lanczos found 3 of 10 eigenpairs of a 200-point graph; "
+            "falling back to the dense solver"
+        )
+
     def test_parseval(self):
         g = random_graph(seed=9)
         b = fourier_basis(g)
