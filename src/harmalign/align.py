@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 
-from .core import DataMatrix, as_values
+from .core import DataMatrix, _available_memory, as_values
 from .filters import bandlimiting_weights
 from .graph import (
     BandwidthSpec,
@@ -237,18 +237,6 @@ def _build_graph(values: np.ndarray, params: AlignmentParams) -> KernelGraph:
     if params.sigma is None:
         raise ValueError("anisotropic kernel requires sigma")
     return anisotropic_kernel_graph(values, params.sigma)
-
-
-def _available_memory() -> int | None:
-    """Bytes the operating system reports available for new allocations, or None."""
-    try:
-        with open("/proc/meminfo") as meminfo:
-            for line in meminfo:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024  # reported in kB
-    except (OSError, ValueError):
-        pass
-    return None
 
 
 def _check_memory(n: int, rank: int | None) -> None:

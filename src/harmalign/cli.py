@@ -35,6 +35,7 @@ from .baselines import MnnParams
 from .core import Report, atomic_write_text, csv_lines, load_matrix, write_output
 from .evaluation import (
     ExperimentConfig,
+    _nearest,
     corruption_experiment,
     sweep_csv,
     transfer_experiment,
@@ -131,13 +132,12 @@ def _write_embedding(path, phi: np.ndarray, ranges) -> None:
 
 
 def _self_match_rate(phi: np.ndarray, lo1, hi1, lo2, hi2) -> float | None:
-    """Fraction of first-block rows whose nearest second-block row is row-matched."""
+    """Fraction of first-block rows whose nearest second-block row, by
+    (distance, index), is row-matched."""
     if hi1 - lo1 != hi2 - lo2:
         return None
-    from scipy.spatial.distance import cdist
-
-    dist = cdist(phi[lo1:hi1], phi[lo2:hi2])
-    return float((dist.argmin(axis=1) == np.arange(hi1 - lo1)).mean())
+    idx, _ = _nearest(phi[lo1:hi1], phi[lo2:hi2], 1)
+    return float((idx[:, 0] == np.arange(hi1 - lo1)).mean())
 
 
 def _cmd_align(args, paths) -> int:

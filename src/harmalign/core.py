@@ -1,4 +1,5 @@
-"""Shared containers, matrix file I/O, seeded randomness, and report handling.
+"""Shared containers, matrix file I/O, seeded randomness, report handling,
+and the probe of memory available for new allocations.
 
 All numeric data is dense 64-bit real.  CSV is the only matrix file format
 (optional single header line, optional trailing ``label`` column), and this
@@ -282,3 +283,53 @@ def write_output(obj, path) -> None:
         atomic_write_text(path, csv_lines(obj))
     else:
         raise TypeError(f"cannot write object of type {type(obj).__name__}")
+
+
+#: where :func:`_available_memory` reads the kernel's and the cgroup's figures
+_MEMINFO = "/proc/meminfo"
+_CGROUP = "/sys/fs/cgroup"
+
+
+def _read_first(path) -> str:
+    with open(path, encoding="ascii") as handle:
+        return handle.readline().strip()
+
+
+def _available_memory() -> int | None:
+    """Bytes available for new allocations, or None when unknown.
+
+    The smaller of the kernel's ``MemAvailable`` and, under a cgroup v2
+    memory limit, ``memory.max`` minus the working set: ``memory.current``
+    less the reclaimable ``inactive_file`` page cache of ``memory.stat``
+    (none counted when that file cannot be read).  Either figure is left out
+    when it cannot be read or the limit is ``max``.
+    """
+    found = []
+    try:
+        with open(_MEMINFO, encoding="ascii") as meminfo:
+            for line in meminfo:
+                if line.startswith("MemAvailable:"):
+                    found.append(int(line.split()[1]) * 1024)  # reported in kB
+                    break
+    except (OSError, ValueError):
+        pass
+    try:
+        limit = _read_first(os.path.join(_CGROUP, "memory.max"))
+        if limit != "max":
+            used = int(_read_first(os.path.join(_CGROUP, "memory.current")))
+            found.append(max(int(limit) - used + _inactive_file(used), 0))
+    except (OSError, ValueError):
+        pass
+    return min(found) if found else None
+
+
+def _inactive_file(used: int) -> int:
+    """The cgroup's ``inactive_file`` bytes, at most ``used``; 0 if unreadable."""
+    try:
+        with open(os.path.join(_CGROUP, "memory.stat"), encoding="ascii") as stat:
+            for line in stat:
+                if line.startswith("inactive_file "):
+                    return min(int(line.split()[1]), used)
+    except (OSError, ValueError):
+        pass
+    return 0

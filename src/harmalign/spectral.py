@@ -22,6 +22,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
+from .core import _available_memory
 from .graph import KernelGraph
 
 _log = logging.getLogger("harmalign")
@@ -85,7 +86,9 @@ def fourier_basis(g: KernelGraph, rank: int | None = None) -> FourierBasis:
         at least N/8 slice the full dense decomposition; smaller ranks use an
         iterative Lanczos solver with a fixed starting vector for determinism.
         If Lanczos does not converge, the dense decomposition is sliced
-        instead and the fallback is logged to the ``harmalign`` logger.
+        instead and the fallback is logged to the ``harmalign`` logger; when
+        the dense route's two further N x N arrays would exceed available
+        memory, a MemoryError naming the Lanczos failure is raised instead.
 
     Returns
     -------
@@ -103,10 +106,17 @@ def fourier_basis(g: KernelGraph, rank: int | None = None) -> FourierBasis:
         try:
             lam, psi = scipy.sparse.linalg.eigsh(g.A, k=rank, which="LA", v0=v0)
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            _log.warning(
-                "Lanczos found %d of %d eigenpairs of a %d-point graph; "
-                "falling back to the dense solver", len(exc.eigenvalues), rank, n
-            )
+            found = (f"Lanczos found {len(exc.eigenvalues)} of {rank} eigenpairs "
+                     f"of a {n}-point graph")
+            # the dense route holds three N x N arrays; A is one of them already
+            need = 2 * g.A.nbytes
+            available = _available_memory()
+            if available is not None and need > available:
+                raise MemoryError(
+                    f"{found}, and the dense solver needs about {need / 2**20:.0f} MiB "
+                    f"more, but only {available / 2**20:.0f} MiB is available"
+                ) from exc
+            _log.warning("%s; falling back to the dense solver", found)
             lam, psi = _dense_top(g.A, rank)
         else:
             order = np.argsort(lam)[::-1]

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 from scipy.spatial.distance import cdist
 
-from harmalign import align
+from harmalign import align, core
 from harmalign.align import (
     AlignmentParams,
     PreparedDataset,
@@ -396,3 +396,35 @@ class TestMemoryPreCheck:
     def test_probe_reads_available_memory(self):
         available = align._available_memory()
         assert available is None or available > 0
+
+    @pytest.mark.parametrize("limit, current, inactive, meminfo, expected", [
+        ("4096", "1024", 0, 8, 3072),  # the cgroup's headroom is the smaller
+        ("104857600", "1024", 0, 8, 8192),  # MemAvailable is the smaller
+        ("max", "1024", 0, 8, 8192),  # no cgroup limit
+        ("1024", "4096", 0, 8, 0),  # usage above the limit
+        ("4096", None, 0, 8, 8192),  # memory.current unreadable
+        ("4096", "1024", 0, None, 3072),  # no MemAvailable
+        (None, None, 0, None, None),  # neither figure readable
+        # near the limit, but mostly page cache the kernel can reclaim
+        ("1048576", "1044480", 1040384, 2048, 1044480),
+        ("1048576", "1044480", None, None, 4096),  # memory.stat unreadable
+        ("4096", "1024", 8192, None, 4096),  # inactive_file counted up to usage
+    ])
+    def test_probe_takes_the_smaller_of_meminfo_and_cgroup(
+        self, monkeypatch, tmp_path, limit, current, inactive, meminfo, expected
+    ):
+        cgroup = tmp_path / "cgroup"
+        cgroup.mkdir()
+        for name, value in (("memory.max", limit), ("memory.current", current)):
+            if value is not None:
+                (cgroup / name).write_text(value + "\n")
+        if inactive is not None:
+            (cgroup / "memory.stat").write_text(
+                f"anon 4096\nfile 9999999\nactive_file 12\ninactive_file {inactive}\n"
+            )
+        info = tmp_path / "meminfo"
+        if meminfo is not None:
+            info.write_text(f"MemTotal: 64 kB\nMemAvailable: {meminfo} kB\n")
+        monkeypatch.setattr(core, "_MEMINFO", str(info))
+        monkeypatch.setattr(core, "_CGROUP", str(cgroup))
+        assert align._available_memory() == expected

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from harmalign import evaluation
 from harmalign.align import AlignmentParams, harmonic_alignment
 from harmalign.core import Rng
 from harmalign.evaluation import (
+    _CHUNK,
+    _nearest,
     ClusterSampler,
     ExperimentConfig,
     ManifoldSampler,
@@ -113,14 +116,83 @@ class TestKnnClassify:
             knn_classify(np.zeros((3, 2)), [0, 1, 2], np.zeros((1, 2)), 4)
 
 
+def _point_sets(name, seed):
+    """(train, test) of 300 and 1100 rows: 1100 is not a multiple of _CHUNK."""
+    gen = Rng(seed).generator
+    if name == "gaussian":
+        return gen.standard_normal((300, 7)), gen.standard_normal((1100, 7))
+    if name == "grid":  # integer points: most distances tie
+        return (gen.integers(0, 4, (300, 2)).astype(float),
+                gen.integers(0, 4, (1100, 2)).astype(float))
+    if name == "duplicates":  # every reference row twice: ties the screen keeps
+        train = gen.standard_normal((150, 5))
+        return np.repeat(train, 2, axis=0)[gen.permutation(300)], gen.standard_normal((1100, 5))
+    if name == "tiny":  # products underflow: the margin's subnormal term
+        return 1e-160 * gen.standard_normal((300, 6)), 1e-160 * gen.standard_normal((1100, 6))
+    # a 1e4 offset: the screen's margin grows with the squared norms
+    offset = np.full(4, 1e4)
+    return offset + gen.standard_normal((300, 4)), offset + gen.standard_normal((1100, 4))
+
+
+class TestNearest:
+    @pytest.mark.parametrize("name", ["gaussian", "grid", "duplicates", "tiny", "offset"])
+    @pytest.mark.parametrize("k", [1, 5, 300])
+    def test_equals_full_cdist_sorted_by_distance_then_index(self, name, k):
+        train, test = _point_sets(name, 50 + k)
+        assert test.shape[0] % _CHUNK != 0
+        full = cdist(test, train)
+        want = np.argsort(full, axis=1, kind="stable")[:, :k]
+        idx, dist = _nearest(test, train, k)
+        assert np.array_equal(idx, want)
+        assert np.array_equal(dist, np.take_along_axis(full, want, axis=1))
+
+    def test_screen_scores_only_candidates_on_separable_data(self, monkeypatch):
+        train, test = _point_sets("gaussian", 56)
+        rows = []
+
+        def counting_cdist(a, b):
+            rows.append(a.shape[0])
+            return cdist(a, b)
+
+        monkeypatch.setattr(evaluation, "cdist", counting_cdist)
+        _nearest(test, train, 5)
+        assert rows == [1] * test.shape[0]  # one query row per call, never a full block
+
+    @pytest.mark.parametrize("where", ["train", "test"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_rejects_non_finite_or_overflowing_values(self, where, bad):
+        train, test = _point_sets("gaussian", 58)
+        (train if where == "train" else test)[7, 1] = bad
+        labels = np.arange(300) % 3
+        for call in (
+            lambda: _nearest(test, train, 5),
+            lambda: knn_classify(train, labels, test, 5),
+            lambda: neighborhood_overlap(train if where == "train" else test[:300],
+                                         np.zeros((300, 7)), 5),
+        ):
+            with pytest.raises(ValueError, match="finite values"):
+                call()
+
+    def test_cdist_scores_each_pair_apart_from_the_other_rows(self):
+        # the re-scoring relies on it: one row against a subset of columns
+        # gives the full cdist's values bit for bit
+        gen = Rng(57).generator
+        for width in (1, 2, 3, 7, 100, 2497):
+            a = gen.standard_normal((9, width))
+            b = gen.standard_normal((40, width)) + 3.0
+            full = cdist(a, b)
+            for r in range(a.shape[0]):
+                cols = gen.permutation(40)[: gen.integers(1, 41)]
+                assert np.array_equal(cdist(a[r : r + 1], b[cols])[0], full[r, cols])
+
+
 def _loop_knn(train, labels, test, k):
     """Per-row reference: the k nearest by (distance, index); majority vote,
     ties broken by the smaller summed distance, then by the lower label."""
     dist = cdist(test, train)
     neighbors, pred = [], []
     for row in dist:
-        idx = np.argpartition(row, k - 1)[:k]
-        idx = idx[np.lexsort((idx, row[idx]))]
+        idx = np.lexsort((np.arange(row.size), row))[:k]
         labels_k, dist_k = labels[idx], row[idx]
         candidates = np.unique(labels_k)
         counts = np.array([(labels_k == c).sum() for c in candidates])
@@ -155,8 +227,8 @@ class TestVectorizedVote:
         da, db = cdist(a, a), cdist(b, b)
         np.fill_diagonal(da, np.inf)
         np.fill_diagonal(db, np.inf)
-        na = np.argpartition(da, 5, axis=1)[:, :6]
-        nb = np.argpartition(db, 5, axis=1)[:, :6]
+        na = np.argsort(da, axis=1, kind="stable")[:, :6]  # by (distance, index)
+        nb = np.argsort(db, axis=1, kind="stable")[:, :6]
         expected = sum(np.intersect1d(x, y).size for x, y in zip(na, nb)) / (600 * 6)
         assert neighborhood_overlap(a, b, 6) == expected
 

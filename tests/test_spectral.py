@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+from harmalign import spectral
 from harmalign.align import orthogonalize, unified_diffusion_map
 from harmalign.core import Rng
 from harmalign.graph import BandwidthSpec, gauss_kernel_graph
@@ -119,6 +120,39 @@ class TestFourierBasis:
             "Lanczos found 3 of 10 eigenpairs of a 200-point graph; "
             "falling back to the dense solver"
         )
+
+    @pytest.mark.parametrize("spare", [None, 2 * 8 * 200 * 200])
+    def test_lanczos_fallback_runs_when_memory_suffices_or_is_unknown(self, monkeypatch, spare):
+        g = random_graph(n=200, seed=13, k=10)
+        full = fourier_basis(g)
+
+        def no_convergence(A, k, **kw):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        monkeypatch.setattr(spectral, "_available_memory", lambda: spare)
+        assert np.array_equal(fourier_basis(g, rank=10).psi, full.psi[:, :10])
+
+    def test_lanczos_fallback_refuses_when_dense_route_does_not_fit(self, monkeypatch):
+        g = random_graph(n=200, seed=13, k=10)
+        need = 2 * 8 * 200 * 200  # eigh's copy of A and its eigenvectors
+
+        def no_convergence(A, k, **kw):
+            raise scipy.sparse.linalg.ArpackNoConvergence(
+                "ARPACK error -1: No convergence", np.zeros(3), np.zeros((200, 3))
+            )
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        monkeypatch.setattr(spectral, "_available_memory", lambda: need - 1)
+        monkeypatch.setattr(spectral, "_dense_top", None)  # never reached
+        with pytest.raises(MemoryError) as exc:
+            fourier_basis(g, rank=10)
+        assert str(exc.value) == (
+            "Lanczos found 3 of 10 eigenpairs of a 200-point graph, and the dense "
+            f"solver needs about {need / 2**20:.0f} MiB more, but only "
+            f"{(need - 1) / 2**20:.0f} MiB is available"
+        )
+        assert isinstance(exc.value.__cause__, scipy.sparse.linalg.ArpackNoConvergence)
 
     def test_parseval(self):
         g = random_graph(seed=9)
