@@ -29,7 +29,6 @@ from .filters import WindowBank, bandlimiting_weights, itersine_window
 from .graph import (
     BandwidthSpec,
     KernelGraph,
-    adaptive_bandwidth,
     anisotropic_kernel_graph,
     gauss_kernel_graph,
 )

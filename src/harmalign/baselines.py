@@ -6,6 +6,11 @@ correction vector (the mean difference to its mutual partners, zero without
 partners), and the corrections are smoothed by a row-normalized Gaussian
 kernel over the second dataset before being added.
 
+Neighbours come from :func:`harmalign.graph.nearest`: an exact tie goes to
+the lower row index, so a mutual pair always exists (the lowest (y, x) pair
+at the smallest cross distance is each other's first neighbour), and
+non-finite values raise ``ValueError``.
+
 This is a compact reimplementation of the textbook method for benchmarking
 purposes only: no cosine normalization and no per-feature scaling are
 applied, and the smoothing bandwidth defaults to the median pairwise
@@ -14,13 +19,13 @@ distance within the dataset being corrected.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from .core import as_values
+from .graph import nearest
 
 
 @dataclass(frozen=True)
@@ -41,14 +46,6 @@ class MnnParams:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
 
-def _knn_sets(dist: np.ndarray, k: int) -> np.ndarray:
-    """Boolean (rows, cols) membership mask: col j among row i's k nearest."""
-    idx = np.argpartition(dist, k - 1, axis=1)[:, :k]
-    mask = np.zeros(dist.shape, dtype=bool)
-    mask[np.arange(dist.shape[0])[:, None], idx] = True
-    return mask
-
-
 def mnn_correct(X, Y, params: MnnParams | None = None) -> np.ndarray:
     """Correct Y toward X using smoothed mutual-nearest-neighbor shifts.
 
@@ -65,8 +62,9 @@ def mnn_correct(X, Y, params: MnnParams | None = None) -> np.ndarray:
     (N2, d) ndarray
         ``Y + S V`` where V stacks per-point raw corrections (mean of x - y
         over mutual neighbors, zero without any) and S is the row-normalized
-        Gaussian smoothing matrix over Y.  If no mutual pair exists anywhere,
-        a warning is raised and Y is returned unchanged.
+        Gaussian smoothing matrix over Y.
+
+    Raises ValueError on non-finite values, mismatched widths or k >= min(N1, N2).
     """
     params = params or MnnParams()
     xv, yv = as_values(X), as_values(Y)
@@ -77,24 +75,29 @@ def mnn_correct(X, Y, params: MnnParams | None = None) -> np.ndarray:
     n1, n2 = xv.shape[0], yv.shape[0]
     if params.k >= min(n1, n2):
         raise ValueError(f"k={params.k} must be < min(N1, N2)={min(n1, n2)}")
-    cross = cdist(yv, xv)  # (N2, N1)
-    y_to_x = _knn_sets(cross, params.k)  # x among y's k nearest
-    x_to_y = _knn_sets(cross.T, params.k)  # y among x's k nearest
-    mutual = y_to_x & x_to_y.T  # (N2, N1)
-    if not mutual.any():
-        warnings.warn("no mutual nearest-neighbor pairs found; returning Y unchanged")
-        return yv.copy()
+    x_of_y, _ = nearest(yv, xv, params.k)  # (N2, k): each y's nearest x
+    y_of_x, _ = nearest(xv, yv, params.k)  # (N1, k): each x's nearest y
+    rows = np.arange(n2)[:, None]
+    mutual = np.zeros((n2, n1), dtype=bool)
+    # y_i and its neighbour x_j pair up when y_i is among x_j's neighbours
+    mutual[rows, x_of_y] = (y_of_x[x_of_y] == rows[:, :, None]).any(axis=2)
     counts = mutual.sum(axis=1)
     V = np.zeros_like(yv)
     has = counts > 0
     V[has] = (mutual[has].astype(np.float64) @ xv) / counts[has, None] - yv[has]
-    dyy = cdist(yv, yv)
+    S = cdist(yv, yv)  # rewritten in place into the smoothing matrix
     sigma = params.sigma
     if sigma is None:
-        off_diag = dyy[~np.eye(n2, dtype=bool)]
-        sigma = float(np.median(off_diag))
+        # median of the m = n2 (n2 - 1) off-diagonal distances: the n2 zeros
+        # of the diagonal sort first, then the two middle ones of the m
+        mid = n2 + n2 * (n2 - 1) // 2
+        sigma = float(np.mean(np.partition(S, (mid - 1, mid), axis=None)[mid - 1 : mid + 1]))
         if sigma <= 0:
             sigma = 1.0
-    S = np.exp(-(dyy**2) / (2.0 * sigma**2))
+    # exp(-(d**2) / (2 sigma^2)) in place: the same operations in the same order
+    np.square(S, out=S)
+    np.negative(S, out=S)
+    S /= 2.0 * sigma**2
+    np.exp(S, out=S)
     S /= S.sum(axis=1, keepdims=True)
     return yv + S @ V

@@ -35,11 +35,11 @@ from .baselines import MnnParams
 from .core import Report, atomic_write_text, csv_lines, load_matrix, write_output
 from .evaluation import (
     ExperimentConfig,
-    _nearest,
     corruption_experiment,
     sweep_csv,
     transfer_experiment,
 )
+from .graph import nearest
 
 _KERNEL_NAMES = {"alg2": "adaptive", "eq1": "anisotropic"}
 _ALIGN_DEFAULTS = AlignmentParams()
@@ -136,7 +136,7 @@ def _self_match_rate(phi: np.ndarray, lo1, hi1, lo2, hi2) -> float | None:
     (distance, index), is row-matched."""
     if hi1 - lo1 != hi2 - lo2:
         return None
-    idx, _ = _nearest(phi[lo1:hi1], phi[lo2:hi2], 1)
+    idx, _ = nearest(phi[lo1:hi1], phi[lo2:hi2], 1)
     return float((idx[:, 0] == np.arange(hi1 - lo1)).mean())
 
 

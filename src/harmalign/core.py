@@ -287,49 +287,60 @@ def write_output(obj, path) -> None:
 
 #: where :func:`_available_memory` reads the kernel's and the cgroup's figures
 _MEMINFO = "/proc/meminfo"
+_SELF_CGROUP = "/proc/self/cgroup"
 _CGROUP = "/sys/fs/cgroup"
 
 
-def _read_first(path) -> str:
+def _read_first(path, prefix: str = "") -> str:
+    """The first line of ``path`` starting with ``prefix``, less the prefix, stripped."""
     with open(path, encoding="ascii") as handle:
-        return handle.readline().strip()
+        for line in handle:
+            if line.startswith(prefix):
+                return line[len(prefix) :].strip()
+    raise ValueError(f"{path}: no line starts with {prefix!r}")
+
+
+def _cgroup_groups() -> list[str]:
+    """The process's cgroup v2 group (the ``0::`` line of ``/proc/self/cgroup``)
+    under ``_CGROUP``, then each ancestor up to ``_CGROUP`` itself; only
+    ``_CGROUP`` when that line is ``0::/``, unreadable or not visible here."""
+    try:
+        parts = [part for part in _read_first(_SELF_CGROUP, "0::").split("/") if part]
+    except (OSError, ValueError):
+        parts = []
+    if not os.path.isdir(os.path.join(_CGROUP, *parts)):
+        parts = []
+    return [os.path.join(_CGROUP, *parts[:i]) for i in range(len(parts), -1, -1)]
 
 
 def _available_memory() -> int | None:
     """Bytes available for new allocations, or None when unknown.
 
-    The smaller of the kernel's ``MemAvailable`` and, under a cgroup v2
-    memory limit, ``memory.max`` minus the working set: ``memory.current``
-    less the reclaimable ``inactive_file`` page cache of ``memory.stat``
-    (none counted when that file cannot be read).  Either figure is left out
-    when it cannot be read or the limit is ``max``.
+    The smallest of the kernel's ``MemAvailable`` and, for each group of
+    :func:`_cgroup_groups` under a memory limit, ``memory.max`` minus the
+    working set: ``memory.current`` less the reclaimable ``inactive_file``
+    page cache of ``memory.stat`` (none counted when that file cannot be
+    read).  A figure is left out when it cannot be read or the limit is ``max``.
     """
     found = []
-    try:
-        with open(_MEMINFO, encoding="ascii") as meminfo:
-            for line in meminfo:
-                if line.startswith("MemAvailable:"):
-                    found.append(int(line.split()[1]) * 1024)  # reported in kB
-                    break
+    try:  # reported in kB
+        found.append(int(_read_first(_MEMINFO, "MemAvailable:").split()[0]) * 1024)
     except (OSError, ValueError):
         pass
-    try:
-        limit = _read_first(os.path.join(_CGROUP, "memory.max"))
-        if limit != "max":
-            used = int(_read_first(os.path.join(_CGROUP, "memory.current")))
-            found.append(max(int(limit) - used + _inactive_file(used), 0))
-    except (OSError, ValueError):
-        pass
+    for group in _cgroup_groups():
+        try:
+            limit = _read_first(os.path.join(group, "memory.max"))
+            if limit != "max":
+                used = int(_read_first(os.path.join(group, "memory.current")))
+                found.append(max(int(limit) - used + _inactive_file(group, used), 0))
+        except (OSError, ValueError):
+            pass
     return min(found) if found else None
 
 
-def _inactive_file(used: int) -> int:
-    """The cgroup's ``inactive_file`` bytes, at most ``used``; 0 if unreadable."""
+def _inactive_file(group: str, used: int) -> int:
+    """The group's ``inactive_file`` bytes, at most ``used``; 0 if unreadable."""
     try:
-        with open(os.path.join(_CGROUP, "memory.stat"), encoding="ascii") as stat:
-            for line in stat:
-                if line.startswith("inactive_file "):
-                    return min(int(line.split()[1]), used)
+        return min(int(_read_first(os.path.join(group, "memory.stat"), "inactive_file ")), used)
     except (OSError, ValueError):
-        pass
-    return 0
+        return 0

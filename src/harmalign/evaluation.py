@@ -18,10 +18,6 @@ Two synthetic sources are provided:
   coordinate, destroying raw cross-dataset distances while leaving each
   dataset's internal geometry intact — the regime harmonic alignment
   targets, and a desk-scale stand-in for image data.
-
-Every nearest-neighbour query (k-NN classification, class-average
-reconstruction, neighbourhood overlap, the CLI's self-match rate) takes its
-neighbours from ``_nearest``, ordered by (distance, index).
 """
 
 from __future__ import annotations
@@ -30,11 +26,11 @@ from dataclasses import asdict, dataclass, field, replace
 from time import perf_counter
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .align import AlignmentParams, PreparedDataset, align_prepared, prepare_dataset
 from .baselines import MnnParams, mnn_correct
 from .core import Report, Rng, load_matrix
+from .graph import _CHUNK, nearest
 
 
 # ---------------------------------------------------------------------------
@@ -157,71 +153,15 @@ class FileSampler:
 # metrics
 
 
-#: query rows per distance block: bounds each block at _CHUNK x N_train
-_CHUNK = 512
-
-
-def _nearest(test, train, k: int):
-    """The k nearest training rows of each test row by (``cdist`` distance,
-    index), and those distances, equal bit for bit to a full ``cdist`` and a
-    stable sort.
-
-    Each block of _CHUNK test rows is screened with one GEMM,
-    ``g = |q|^2 + |t|^2 - 2 q t^T``, which is within
-    ``(4d + 7) u (|q|^2 + max |t|^2)`` of every ``cdist`` value squared, for
-    any summation order (u the unit roundoff, d the width), plus a few
-    smallest subnormals per term where products underflow.  A row keeps each
-    j whose ``g`` is at most its k-th smallest ``g`` plus the margin
-    ``8 (d + 8) (u (|q|^2 + max |t|^2) + s)``, s the smallest subnormal:
-    twice that error, with room for ties the square root makes and for the
-    margin's own rounding.  So no true neighbour is dropped.  The candidates
-    are re-scored with ``cdist``, which computes each pair on its own, and
-    sorted by (distance, index).  On tie-heavy data a row keeps many
-    candidates, up to all of them, and costs at most its full ``cdist`` row.
-
-    Raises ValueError unless every value is finite and the squared norms are
-    far from overflow, where the margin holds.
-
-    Returns ``(idx, dist)``, both (N_test, k).
-    """
-    d = train.shape[1]
-    idx = np.empty((test.shape[0], k), dtype=np.intp)
-    dist = np.empty((test.shape[0], k))
-    t_sq = np.einsum("ij,ij->i", train, train)
-    test_sq = np.einsum("ij,ij->i", test, test)
-    t_max = t_sq.max()
-    if not np.isfinite(4 * (t_max + test_sq.max())):  # NaN and inf propagate
-        raise ValueError(
-            "nearest neighbours need finite values whose squared norms do not overflow"
-        )
-    f64 = np.finfo(np.float64)
-    rel, tiny = 8 * (d + 8) * f64.eps / 2, 8 * (d + 8) * f64.smallest_subnormal
-    for lo in range(0, test.shape[0], _CHUNK):
-        q, q_sq = test[lo : lo + _CHUNK], test_sq[lo : lo + _CHUNK]
-        g = q @ train.T
-        g *= -2.0
-        g += q_sq[:, None]
-        g += t_sq
-        bound = np.partition(g, k - 1, axis=1)[:, k - 1] + (rel * (q_sq + t_max) + tiny)
-        for r, row in enumerate(g <= bound[:, None]):
-            cand = np.flatnonzero(row)
-            near = cdist(q[r : r + 1], train[cand])[0]
-            order = np.lexsort((cand, near))[:k]
-            idx[lo + r], dist[lo + r] = cand[order], near[order]
-    return idx, dist
-
-
 def _knn_vote(train, train_labels, test, k: int):
     """The k nearest training rows of each test row, ordered by (distance,
     index), and their vote: the majority label, ties broken by the smaller
     summed distance, then by the lower label.
 
-    The neighbours and their distances come from :func:`_nearest`.
-
     Returns ``(idx, pred)``: (N_test, k) neighbor indices and (N_test,) labels.
     """
     classes, codes = np.unique(train_labels, return_inverse=True)
-    idx, dist = _nearest(test, train, k)
+    idx, dist = nearest(test, train, k)
     pred = np.empty(test.shape[0], dtype=np.int64)
     for lo in range(0, test.shape[0], _CHUNK):
         near_idx, near = idx[lo : lo + _CHUNK], dist[lo : lo + _CHUNK]
@@ -284,7 +224,7 @@ def neighborhood_overlap(a_embed: np.ndarray, b_embed: np.ndarray, k: int) -> fl
         raise ValueError(f"need 1 <= k < N, got k={k}, N={n}")
     sets = []
     for embed in (a, b):
-        idx, _ = _nearest(embed, embed, k + 1)
+        idx, _ = nearest(embed, embed, k + 1)
         other = idx != np.arange(n)[:, None]
         other[other.all(axis=1), k] = False  # i not among them: keep the first k
         sets.append(idx[other].reshape(n, k))

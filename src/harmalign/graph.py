@@ -1,4 +1,4 @@
-"""Kernel graph construction: adaptive/fixed Gaussian and anisotropic kernels.
+"""Kernel graph construction and nearest-neighbour queries.
 
 Given a dataset this module builds the symmetric kernel matrix ``W`` and
 keeps what later stages read: the degree vector ``D = diag(sum_j W(i, j))``
@@ -25,6 +25,10 @@ it, and it is rewritten in place, a row block at a time, into ``W`` and then
 ``A``.  The other temporaries are row blocks of ``_BLOCK_ROWS`` rows.  With
 one BLAS thread, preparing one 10000-point, 100-feature dataset at rank 100
 took 27 s at a peak RSS of 880 MB, of which the graph is 800 MB.
+
+This module is also the one place that picks neighbours: every query
+outside the kernel (k-NN evaluation, the MNN baseline, the CLI's self-match
+rate) calls :func:`nearest`, which orders them by (distance, index).
 """
 
 from __future__ import annotations
@@ -95,19 +99,21 @@ def _row_blocks(n: int):
     return ((lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS))
 
 
-def _kth_neighbor_distance(sq_blocks, n: int, k: int) -> np.ndarray:
-    """Distance to the k-th nearest neighbor from row blocks of squared distances.
+def _kth_neighbor_distance(sq: np.ndarray, k: int) -> np.ndarray:
+    """Distance to the k-th nearest neighbor from the N x N squared distances.
 
-    ``sq_blocks`` yields the rows of the N x N squared-distance matrix in point
-    order, a block at a time.  Euclidean ``cdist`` is the square root of the
-    squared one bit for bit and the root is monotone, so the root of the k-th
-    smallest squared distance is the k-th smallest distance exactly.
+    The rows are partitioned a block at a time, so no second N x N array is
+    made.  Euclidean ``cdist`` is the square root of the squared one bit for
+    bit and the root is monotone, so the root of the k-th smallest squared
+    distance is the k-th smallest distance exactly.
     """
+    n = sq.shape[0]
     if not 1 <= k < n:
         raise ValueError(f"adaptive bandwidth needs 1 <= k < N; got k={k}, N={n}")
     # column 0 in sorted order is the self-distance 0; column k is the k-th
     # neighbor.  The copy frees each block's partitioned rows at once.
-    sigma = np.concatenate([np.partition(d2, k, axis=1)[:, k].copy() for d2 in sq_blocks])
+    blocks = (np.partition(sq[lo:hi], k, axis=1)[:, k].copy() for lo, hi in _row_blocks(n))
+    sigma = np.concatenate(list(blocks))
     np.sqrt(sigma, out=sigma)
     if np.any(sigma <= 0):
         i = int(np.flatnonzero(sigma <= 0)[0])
@@ -119,24 +125,10 @@ def _kth_neighbor_distance(sq_blocks, n: int, k: int) -> np.ndarray:
 
 
 def adaptive_bandwidth(X, k: int) -> np.ndarray:
-    """Distance from each point to its k-th nearest neighbor (self excluded).
-
-    Distances are computed a row block at a time, so no N x N array is held.
-
-    Parameters
-    ----------
-    X : DataMatrix or (N, d) array
-    k : int
-        Neighbor index, 1 <= k < N.
-
-    Returns
-    -------
-    (N,) ndarray of strictly positive bandwidths.
-    """
+    """Distance from each point to its k-th nearest neighbor (self excluded);
+    unused by the package, kept while ``perfbench/tracer.py`` names it."""
     values = as_values(X)
-    n = values.shape[0]
-    blocks = (cdist(values[lo:hi], values, metric="sqeuclidean") for lo, hi in _row_blocks(n))
-    return _kth_neighbor_distance(blocks, n, k)
+    return _kth_neighbor_distance(cdist(values, values, metric="sqeuclidean"), k)
 
 
 def _finish_graph(W: np.ndarray) -> KernelGraph:
@@ -169,7 +161,7 @@ def gauss_kernel_graph(X, bw: BandwidthSpec) -> KernelGraph:
     # the squared distances are exactly symmetric, so W is too
     W = cdist(values, values, metric="sqeuclidean")
     if bw.mode == "adaptive":
-        sigma = _kth_neighbor_distance((W[lo:hi] for lo, hi in _row_blocks(n)), n, bw.k)
+        sigma = _kth_neighbor_distance(W, bw.k)
     else:
         sigma = np.full(n, bw.sigma, dtype=np.float64)
     scale = -2.0 * sigma**2
@@ -203,3 +195,57 @@ def anisotropic_kernel_graph(X, sigma: float) -> KernelGraph:
     for lo, hi in _row_blocks(G.shape[0]):
         G[lo:hi] /= np.multiply.outer(r[lo:hi], r)
     return _finish_graph(G)
+
+
+#: query rows per distance block: bounds each block at _CHUNK x N_train
+_CHUNK = 512
+
+
+def nearest(test, train, k: int):
+    """The k nearest training rows of each test row by (``cdist`` distance,
+    index), and those distances, equal bit for bit to a full ``cdist`` and a
+    stable sort.
+
+    Each block of _CHUNK test rows is screened with one GEMM,
+    ``g = |q|^2 + |t|^2 - 2 q t^T``, which is within
+    ``(4d + 7) u (|q|^2 + max |t|^2)`` of every ``cdist`` value squared, for
+    any summation order (u the unit roundoff, d the width), plus a few
+    smallest subnormals per term where products underflow.  A row keeps each
+    j whose ``g`` is at most its k-th smallest ``g`` plus the margin
+    ``8 (d + 8) (u (|q|^2 + max |t|^2) + s)``, s the smallest subnormal:
+    twice that error, with room for ties the square root makes and for the
+    margin's own rounding.  So no true neighbour is dropped.  The candidates
+    are re-scored with ``cdist``, which computes each pair on its own, and
+    sorted by (distance, index).  On tie-heavy data a row keeps many
+    candidates, up to all of them, and costs at most its full ``cdist`` row.
+
+    Raises ValueError unless every value is finite and the squared norms are
+    far from overflow, where the margin holds.
+
+    Returns ``(idx, dist)``, both (N_test, k).
+    """
+    d = train.shape[1]
+    idx = np.empty((test.shape[0], k), dtype=np.intp)
+    dist = np.empty((test.shape[0], k))
+    t_sq = np.einsum("ij,ij->i", train, train)
+    test_sq = np.einsum("ij,ij->i", test, test)
+    t_max = t_sq.max()
+    if not np.isfinite(4 * (t_max + test_sq.max())):  # NaN and inf propagate
+        raise ValueError(
+            "nearest neighbours need finite values whose squared norms do not overflow"
+        )
+    f64 = np.finfo(np.float64)
+    rel, tiny = 8 * (d + 8) * f64.eps / 2, 8 * (d + 8) * f64.smallest_subnormal
+    for lo in range(0, test.shape[0], _CHUNK):
+        q, q_sq = test[lo : lo + _CHUNK], test_sq[lo : lo + _CHUNK]
+        g = q @ train.T
+        g *= -2.0
+        g += q_sq[:, None]
+        g += t_sq
+        bound = np.partition(g, k - 1, axis=1)[:, k - 1] + (rel * (q_sq + t_max) + tiny)
+        for r, row in enumerate(g <= bound[:, None]):
+            cand = np.flatnonzero(row)
+            near = cdist(q[r : r + 1], train[cand])[0]
+            order = np.lexsort((cand, near))[:k]
+            idx[lo + r], dist[lo + r] = cand[order], near[order]
+    return idx, dist

@@ -428,3 +428,29 @@ class TestMemoryPreCheck:
         monkeypatch.setattr(core, "_MEMINFO", str(info))
         monkeypatch.setattr(core, "_CGROUP", str(cgroup))
         assert align._available_memory() == expected
+
+    @pytest.mark.parametrize("own, expected", [
+        ("0::/a/b\n", 3072),  # the parent's limit is the tighter one
+        ("0::/a/c\n", 1024),  # the process's own group is the tighter one
+        ("0::/\n", 64512),  # the root group alone
+        ("0::/gone\n", 64512),  # the group is not visible: the root group
+        ("4:memory:/a/c\n0::/\n", 64512),  # cgroup v1 lines are not read
+        (None, 64512),  # /proc/self/cgroup unreadable
+    ])
+    def test_probe_takes_the_tightest_of_the_group_and_its_ancestors(
+        self, monkeypatch, tmp_path, own, expected
+    ):
+        cgroup = tmp_path / "cgroup"
+        # (limit, usage) per group: b is looser than its parent a, c tighter
+        for group, limit, used in (("", 65536, 1024), ("a", 4096, 1024),
+                                   ("a/b", 1048576, 1024), ("a/c", 2048, 1024)):
+            (cgroup / group).mkdir(parents=True, exist_ok=True)
+            (cgroup / group / "memory.max").write_text(f"{limit}\n")
+            (cgroup / group / "memory.current").write_text(f"{used}\n")
+        own_file = tmp_path / "self-cgroup"
+        if own is not None:
+            own_file.write_text(own)
+        monkeypatch.setattr(core, "_MEMINFO", str(tmp_path / "no-meminfo"))
+        monkeypatch.setattr(core, "_SELF_CGROUP", str(own_file))
+        monkeypatch.setattr(core, "_CGROUP", str(cgroup))
+        assert align._available_memory() == expected

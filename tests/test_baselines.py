@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import cdist
 
+import harmalign.baselines as bl
 from harmalign.baselines import MnnParams, mnn_correct
 from harmalign.core import Rng
+from harmalign.graph import nearest
 
 
 def two_clusters(n_per=30, d=5, seed=0, separation=20.0, scale=1.0):
@@ -11,6 +17,53 @@ def two_clusters(n_per=30, d=5, seed=0, separation=20.0, scale=1.0):
     b = scale * gen.standard_normal((n_per, d))
     b[:, 0] += separation
     return np.vstack([a, b])
+
+
+def reference_mnn(X, Y, k):
+    """MNN from a full cdist, neighbours by a stable (distance, index) sort."""
+    cross = cdist(Y, X)
+    y_to_x = np.zeros(cross.shape, dtype=bool)
+    np.put_along_axis(y_to_x, np.argsort(cross, axis=1, kind="stable")[:, :k], True, axis=1)
+    x_to_y = np.zeros(cross.shape, dtype=bool)
+    np.put_along_axis(x_to_y, np.argsort(cross, axis=0, kind="stable")[:k], True, axis=0)
+    mutual = y_to_x & x_to_y
+    counts = mutual.sum(axis=1)
+    V = np.zeros_like(Y)
+    has = counts > 0
+    V[has] = (mutual[has].astype(np.float64) @ X) / counts[has, None] - Y[has]
+    dyy = cdist(Y, Y)
+    sigma = float(np.median(dyy[~np.eye(Y.shape[0], dtype=bool)])) or 1.0
+    S = np.exp(-(dyy**2) / (2.0 * sigma**2))
+    S /= S.sum(axis=1, keepdims=True)
+    return Y + S @ V
+
+
+def neighbour_sets(X, Y, k):
+    """The (N2, k) and (N1, k) neighbour indices mnn_correct selects."""
+    found = []
+
+    def recording(test, train, k):
+        idx, dist = nearest(test, train, k)
+        found.append(idx)
+        return idx, dist
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bl, "nearest", recording)
+        mnn_correct(X, Y, MnnParams(k=k))
+    return found
+
+
+def grids_or_floats(shape):
+    integers = arrays(np.float64, shape, elements=st.integers(-2, 2).map(float))
+    floats = arrays(np.float64, shape, elements=st.floats(-1e3, 1e3))
+    return st.one_of(integers, floats)
+
+
+@st.composite
+def mnn_inputs(draw):
+    n1, n2, d = draw(st.integers(2, 12)), draw(st.integers(2, 12)), draw(st.integers(1, 3))
+    k = draw(st.integers(1, min(n1, n2) - 1))
+    return draw(grids_or_floats((n1, d))), draw(grids_or_floats((n2, d))), k
 
 
 class TestMnnCorrect:
@@ -30,21 +83,6 @@ class TestMnnCorrect:
         corrected = mnn_correct(X, Y, MnnParams(k=29))
         errors = np.linalg.norm(corrected - X, axis=1)
         assert np.all(errors <= 0.1 * np.linalg.norm(c))
-
-    def test_no_mutual_pairs_warns_and_returns_y(self, monkeypatch):
-        # the globally closest cross-pair is always mutual for k >= 1, so the
-        # empty case is defensive; exercise it by stubbing the neighbor sets
-        import harmalign.baselines as bl
-
-        monkeypatch.setattr(
-            bl, "_knn_sets", lambda dist, k: np.zeros(dist.shape, dtype=bool)
-        )
-        gen = Rng(3).generator
-        X = gen.standard_normal((10, 3))
-        Y = gen.standard_normal((12, 3)) + 100.0
-        with pytest.warns(UserWarning, match="no mutual"):
-            corrected = mnn_correct(X, Y, MnnParams(k=1))
-        assert np.array_equal(corrected, Y)
 
     def test_translation_equivariance(self):
         gen = Rng(4).generator
@@ -82,3 +120,28 @@ class TestMnnCorrect:
             MnnParams(k=0)
         with pytest.raises(ValueError):
             MnnParams(sigma=-1.0)
+
+    def test_ties_go_to_the_lower_index(self):
+        # integer points: most distances tie, many at the k-th place
+        gen = Rng(8).generator
+        X = gen.integers(0, 4, (200, 3)).astype(float)
+        Y = gen.integers(0, 4, (300, 3)).astype(float) + 0.5
+        assert np.array_equal(mnn_correct(X, Y, MnnParams(k=5)), reference_mnn(X, Y, 5))
+
+    @settings(deadline=None, max_examples=200)
+    @given(inputs=mnn_inputs())
+    def test_a_mutual_pair_always_exists(self, inputs):
+        X, Y, k = inputs
+        x_of_y, y_of_x = neighbour_sets(X, Y, k)
+        mutual = y_of_x[x_of_y] == np.arange(Y.shape[0])[:, None, None]
+        assert mutual.any()
+        assert np.array_equal(mnn_correct(X, Y, MnnParams(k=k)), reference_mnn(X, Y, k))
+
+    @pytest.mark.parametrize("where", ["X", "Y"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_raise(self, where, bad):
+        gen = Rng(9).generator
+        data = {"X": gen.standard_normal((10, 3)), "Y": gen.standard_normal((12, 3))}
+        data[where][4, 1] = bad
+        with pytest.raises(ValueError, match="finite values"):
+            mnn_correct(data["X"], data["Y"], MnnParams(k=3))

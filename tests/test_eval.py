@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from harmalign import evaluation
+from harmalign import graph
 from harmalign.align import AlignmentParams, harmonic_alignment
 from harmalign.core import Rng
 from harmalign.evaluation import (
-    _CHUNK,
-    _nearest,
     ClusterSampler,
     ExperimentConfig,
     ManifoldSampler,
@@ -22,6 +20,7 @@ from harmalign.evaluation import (
     sweep_csv,
     transfer_experiment,
 )
+from harmalign.graph import _CHUNK, nearest
 
 
 class TestRandomOrthogonal:
@@ -142,7 +141,7 @@ class TestNearest:
         assert test.shape[0] % _CHUNK != 0
         full = cdist(test, train)
         want = np.argsort(full, axis=1, kind="stable")[:, :k]
-        idx, dist = _nearest(test, train, k)
+        idx, dist = nearest(test, train, k)
         assert np.array_equal(idx, want)
         assert np.array_equal(dist, np.take_along_axis(full, want, axis=1))
 
@@ -154,8 +153,8 @@ class TestNearest:
             rows.append(a.shape[0])
             return cdist(a, b)
 
-        monkeypatch.setattr(evaluation, "cdist", counting_cdist)
-        _nearest(test, train, 5)
+        monkeypatch.setattr(graph, "cdist", counting_cdist)
+        nearest(test, train, 5)
         assert rows == [1] * test.shape[0]  # one query row per call, never a full block
 
     @pytest.mark.parametrize("where", ["train", "test"])
@@ -165,7 +164,7 @@ class TestNearest:
         (train if where == "train" else test)[7, 1] = bad
         labels = np.arange(300) % 3
         for call in (
-            lambda: _nearest(test, train, 5),
+            lambda: nearest(test, train, 5),
             lambda: knn_classify(train, labels, test, 5),
             lambda: neighborhood_overlap(train if where == "train" else test[:300],
                                          np.zeros((300, 7)), 5),

@@ -30,22 +30,31 @@ def diffusion_operator(g):
     return kernel(g) / g.degrees[:, None]
 
 
+def adaptive_kernel(X, sigma):
+    """W from its formula, with per-point bandwidths sigma."""
+    eps = np.square(np.asarray(sigma, dtype=float))
+    d2 = cdist(X, X, metric="sqeuclidean")
+    return 0.5 * (np.exp(-d2 / (2 * eps[:, None])) + np.exp(-d2 / (2 * eps[None, :])))
+
+
 class TestAdaptiveBandwidth:
+    """The adaptive bandwidth of a point is its distance to its k-th neighbor."""
+
     def test_three_point_line_k1(self):
-        bw = adaptive_bandwidth(line_points(0, 1, 3), k=1)
-        assert np.allclose(bw, [1, 1, 2])
+        g = gauss_kernel_graph(line_points(0, 1, 3), BandwidthSpec.adaptive(1))
+        assert np.abs(kernel(g) - adaptive_kernel(line_points(0, 1, 3), [1, 1, 2])).max() <= 1e-15
 
     def test_three_point_line_k2(self):
-        bw = adaptive_bandwidth(line_points(0, 1, 3), k=2)
-        assert np.allclose(bw, [3, 2, 3])
+        g = gauss_kernel_graph(line_points(0, 1, 3), BandwidthSpec.adaptive(2))
+        assert np.abs(kernel(g) - adaptive_kernel(line_points(0, 1, 3), [3, 2, 3])).max() <= 1e-15
 
     def test_duplicate_points_error(self):
         with pytest.raises(ValueError, match="fixed bandwidth"):
-            adaptive_bandwidth(line_points(0, 0, 1), k=1)
+            gauss_kernel_graph(line_points(0, 0, 1), BandwidthSpec.adaptive(1))
 
     def test_k_too_large(self):
         with pytest.raises(ValueError, match="k < N"):
-            adaptive_bandwidth(line_points(0, 1, 3), k=3)
+            gauss_kernel_graph(line_points(0, 1, 3), BandwidthSpec.adaptive(3))
 
 
 class TestGaussKernelGraph:
@@ -71,10 +80,8 @@ class TestGaussKernelGraph:
         W = kernel(g)
         assert np.allclose(np.diag(W), 1.0)
         assert np.allclose(g.degrees, W.sum(axis=1), rtol=1e-10)
-        # W entries from the formula, with the bandwidths of adaptive_bandwidth
-        eps = adaptive_bandwidth(X, 5) ** 2
-        d2 = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=-1)
-        W_ref = 0.5 * (np.exp(-d2 / (2 * eps[:, None])) + np.exp(-d2 / (2 * eps[None, :])))
+        # W entries from the formula, with each point's 5th-neighbor distance
+        W_ref = adaptive_kernel(X, np.partition(cdist(X, X), 5, axis=1)[:, 5])
         assert np.abs(W - W_ref).max() <= 1e-12
         assert np.abs(g.L - (np.eye(40) - g.A)).max() == 0.0
         eigs = scipy.linalg.eigvalsh(g.L)
