@@ -40,10 +40,12 @@ from .filters import bandlimiting_weights
 from .graph import (
     BandwidthSpec,
     KernelGraph,
+    _row_blocks,
     anisotropic_kernel_graph,
     gauss_kernel_graph,
 )
 from .spectral import (
+    _DENSE_NXN_ARRAYS,
     FourierBasis,
     canonical_signs,
     degenerate_gaps,
@@ -106,6 +108,16 @@ class AlignmentParams:
             raise ValueError(f"diffusion time must be a non-negative integer, got {self.t}")
         if self.kernel not in ("adaptive", "fixed", "anisotropic"):
             raise ValueError(f"unknown kernel {self.kernel!r}")
+        if self.knn < 1:
+            raise ValueError(f"knn must be >= 1, got {self.knn}")
+        if self.knn_fraction is not None and not 0 < self.knn_fraction < 1:
+            raise ValueError(f"knn_fraction must lie in (0, 1), got {self.knn_fraction}")
+        if self.sigma is not None and not self.sigma > 0:
+            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if self.sigma is None and self.kernel != "adaptive":
+            raise ValueError(f"{self.kernel} kernel requires sigma")
+        if self.rank is not None and self.rank < 1:
+            raise ValueError(f"rank must be >= 1, got {self.rank}")
 
 
 @dataclass(frozen=True)
@@ -183,7 +195,8 @@ def unified_diffusion_map(bases, maps, t: int) -> np.ndarray:
 
     Block (i, j) is ``Phi0_i T(i->j) Lam_j^t`` with ``Phi0_i = D_i^{-1/2}
     Psi_i``; diagonal blocks use the identity map.  Dataset i's rows come
-    i-th and the columns in dataset j's spectrum j-th.
+    i-th and the columns in dataset j's spectrum j-th.  ``Phi0_i`` is formed
+    in place, in its diagonal block.
 
     Parameters
     ----------
@@ -197,18 +210,16 @@ def unified_diffusion_map(bases, maps, t: int) -> np.ndarray:
     """
     if t < 0 or t != int(t):
         raise ValueError(f"diffusion time must be a non-negative integer, got {t}")
-    rows = _ranges(b.psi.shape[0] for b in bases)
-    cols = _ranges(b.rank for b in bases)
-    phi = np.empty((rows[-1][1], cols[-1][1]))
-    for i, (bi, (r0, r1)) in enumerate(zip(bases, rows)):
-        phi0 = bi.degrees[:, None] ** -0.5 * bi.psi
-        for j, (bj, (c0, c1)) in enumerate(zip(bases, cols)):
-            block = phi[r0:r1, c0:c1]
-            if i == j:
-                block[:] = phi0
-            else:
-                np.matmul(phi0, maps[(i, j)], out=block)
-            block *= bj.lam ** int(t)
+    rows = [slice(*r) for r in _ranges(b.psi.shape[0] for b in bases)]
+    cols = [slice(*c) for c in _ranges(b.rank for b in bases)]
+    phi = np.empty((rows[-1].stop, cols[-1].stop))
+    for b, r, c in zip(bases, rows, cols):
+        np.multiply(b.degrees[:, None] ** -0.5, b.psi, out=phi[r, c])
+    for i, j in itertools.permutations(range(len(bases)), 2):
+        np.matmul(phi[rows[i], cols[i]], maps[(i, j)], out=phi[rows[i], cols[j]])
+        phi[rows[i], cols[j]] *= bases[j].lam ** int(t)
+    for b, r, c in zip(bases, rows, cols):
+        phi[r, c] *= b.lam ** int(t)
     return phi
 
 
@@ -231,11 +242,7 @@ def _build_graph(values: np.ndarray, params: AlignmentParams) -> KernelGraph:
             k = max(1, int(np.rint(params.knn_fraction * values.shape[0])))
         return gauss_kernel_graph(values, BandwidthSpec.adaptive(k))
     if params.kernel == "fixed":
-        if params.sigma is None:
-            raise ValueError("fixed kernel requires sigma")
         return gauss_kernel_graph(values, BandwidthSpec.fixed(params.sigma))
-    if params.sigma is None:
-        raise ValueError("anisotropic kernel requires sigma")
     return anisotropic_kernel_graph(values, params.sigma)
 
 
@@ -246,7 +253,7 @@ def _check_memory(n: int, rank: int | None) -> None:
     copy of it and its eigenvector matrix as well.  The check is skipped when
     available memory cannot be read.
     """
-    need = 8 * n * n * (3 if uses_dense_solver(n, rank) else 1)
+    need = 8 * n * n * (_DENSE_NXN_ARRAYS if uses_dense_solver(n, rank) else 1)
     available = _available_memory()
     if available is not None and need > available:
         raise MemoryError(
@@ -307,9 +314,11 @@ def _caller_stacklevel() -> int:
 def _normalize_block_scale(phi: np.ndarray, ranges) -> np.ndarray:
     """Scale each dataset's rows to unit mean norm (in place)."""
     for lo, hi in ranges:
-        scale = np.linalg.norm(phi[lo:hi], axis=1).mean()
+        rows = phi[lo:hi]  # norms a row block at a time: no copy of the rows
+        scale = np.concatenate([np.linalg.norm(rows[a:b], axis=1)
+                                for a, b in _row_blocks(hi - lo)]).mean()
         if scale > 0:
-            phi[lo:hi] /= scale
+            rows /= scale
     return phi
 
 

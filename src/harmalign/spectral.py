@@ -26,6 +26,8 @@ from .core import _available_memory
 from .graph import KernelGraph
 
 _log = logging.getLogger("harmalign")
+#: N x N arrays at the dense route's peak: A, eigh's copy of it, the eigenvectors
+_DENSE_NXN_ARRAYS = 3
 
 
 @dataclass(frozen=True)
@@ -49,12 +51,13 @@ def canonical_signs(psi: np.ndarray) -> np.ndarray:
     """Flip eigenvector signs so each column's largest-magnitude entry is positive.
 
     Idempotent; applied on construction and again inside the alignment
-    pipeline so externally sign-flipped bases align identically.
+    pipeline so externally sign-flipped bases align identically.  Returns
+    ``psi`` itself when no column flips (the first of tied maxima decides).
     """
-    idx = np.abs(psi).argmax(axis=0)
+    idx = np.abs(psi.T, order="C").argmax(axis=1)
     signs = np.sign(psi[idx, np.arange(psi.shape[1])])
     signs[signs == 0] = 1.0
-    return psi * signs
+    return psi if np.all(signs > 0) else psi * signs
 
 
 def uses_dense_solver(n: int, rank: int | None) -> bool:
@@ -108,8 +111,7 @@ def fourier_basis(g: KernelGraph, rank: int | None = None) -> FourierBasis:
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             found = (f"Lanczos found {len(exc.eigenvalues)} of {rank} eigenpairs "
                      f"of a {n}-point graph")
-            # the dense route holds three N x N arrays; A is one of them already
-            need = 2 * g.A.nbytes
+            need = (_DENSE_NXN_ARRAYS - 1) * g.A.nbytes  # A exists already
             available = _available_memory()
             if available is not None and need > available:
                 raise MemoryError(

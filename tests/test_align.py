@@ -118,6 +118,42 @@ class TestOrthogonalize:
             orthogonalize(C)
 
 
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory it allocated, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def reference_unified_map(bases, maps, t):
+    """The embedding assembled block by block from a separate Phi0 per dataset."""
+    blocks = []
+    for i, bi in enumerate(bases):
+        phi0 = bi.degrees[:, None] ** -0.5 * bi.psi
+        row = [phi0.copy() if i == j else phi0 @ maps[(i, j)] for j in range(len(bases))]
+        blocks.append([block * bj.lam ** t for block, bj in zip(row, bases)])
+    return np.block(blocks)
+
+
+def random_bases(seed, sizes, ranks):
+    """Bases with random eigenvectors, spectra and degrees, and maps between them."""
+    gen = Rng(seed).generator
+    bases = [
+        FourierBasis(psi=gen.standard_normal((n, r)), lam=gen.uniform(0.0, 1.0, r),
+                     degrees=gen.uniform(0.5, 4.0, n))
+        for n, r in zip(sizes, ranks)
+    ]
+    maps = {
+        (i, j): gen.standard_normal((ranks[i], ranks[j]))
+        for i in range(len(sizes)) for j in range(len(sizes)) if i != j
+    }
+    return bases, maps
+
+
 def basis(phi0, lam, degrees=None):
     """A FourierBasis whose diffusion coordinates at t = 0 are ``phi0``."""
     degrees = np.ones(phi0.shape[0]) if degrees is None else degrees
@@ -171,6 +207,19 @@ class TestUnifiedDiffusionMap:
                 T = np.eye(ranks[i]) if i == j else maps[(i, j)]
                 block = phi[rows[i] : rows[i + 1], cols[j] : cols[j + 1]]
                 assert np.allclose(block, phi0[i] @ T * lam[j] ** 2, rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("t", [0, 1, 2])
+    def test_equals_the_blockwise_assembly(self, t):
+        bases, maps = random_bases(43, (40, 70, 25), (30, 69, 25))
+        phi = unified_diffusion_map(bases, maps, t)
+        assert np.array_equal(phi, reference_unified_map(bases, maps, t))
+
+    def test_holds_no_array_beside_the_embedding(self):
+        # Phi0 is formed in the diagonal blocks: a separate 1200 x 1000 Phi0
+        # for the second dataset alone would be half the embedding's size
+        bases, maps = random_bases(44, (200, 1200, 300), (150, 1000, 250))
+        phi, peak = traced_peak(unified_diffusion_map, bases, maps, 1)
+        assert peak <= 1.1 * phi.nbytes
 
 
 class TestHarmonicAlignment:
@@ -268,6 +317,58 @@ class TestHarmonicAlignment:
         keep = np.arange(8) != 3
         T_reduced = orthogonalize(C[keep])
         assert np.abs(T[keep] - T_reduced).max() <= 1e-8
+
+
+class TestOneCopyFlow:
+    """Each basis array exists once between the eigensolver and the embedding."""
+
+    def test_full_rank_preparation_peaks_at_the_counted_arrays(self):
+        # the memory pre-check counts the dense route's N x N arrays: the
+        # graph, eigh's copy of it and the eigenvectors; no copy of the
+        # eigenvectors may come on top
+        n = 1500
+        prepared, peak = traced_peak(prepare_dataset, sample_data(60, n, 10), AlignmentParams())
+        assert prepared.basis.rank == n - 1
+        assert align._DENSE_NXN_ARRAYS == 3
+        assert peak <= (align._DENSE_NXN_ARRAYS + 0.1) * 8 * n * n
+
+    def test_alignment_holds_the_embedding_and_little_else(self):
+        # the prepared bases are canonical already, so none is re-signed into
+        # a copy, and the scale normalization copies no rows
+        p = AlignmentParams(normalize_scale=True)
+        px = prepare_dataset(sample_data(61, 500, 30), p)
+        py = prepare_dataset(sample_data(62, 1000, 30), p)
+        result, peak = traced_peak(align_prepared, px, py, p)
+        assert result.phi.shape == (1500, 1498)
+        assert peak <= 1.8 * result.phi.nbytes
+
+
+class TestAlignmentParams:
+    @pytest.mark.parametrize("fields, message", [
+        ({"knn": 0}, "knn must be >= 1, got 0"),
+        ({"knn_fraction": 0.0}, r"knn_fraction must lie in \(0, 1\), got 0.0"),
+        ({"knn_fraction": -0.3}, r"knn_fraction must lie in \(0, 1\), got -0.3"),
+        ({"knn_fraction": 1.0}, r"knn_fraction must lie in \(0, 1\), got 1.0"),
+        ({"sigma": -1.0}, "sigma must be positive, got -1.0"),
+        ({"sigma": 0.0}, "sigma must be positive, got 0.0"),
+        ({"kernel": "fixed"}, "fixed kernel requires sigma"),
+        ({"kernel": "anisotropic"}, "anisotropic kernel requires sigma"),
+        ({"rank": 0}, "rank must be >= 1, got 0"),
+    ], ids=["knn-0", "knn_fraction-0", "knn_fraction-negative", "knn_fraction-1",
+            "sigma-negative", "sigma-0", "fixed-without-sigma", "anisotropic-without-sigma",
+            "rank-0"])
+    def test_rejected_at_construction(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            AlignmentParams(**fields)
+
+    @pytest.mark.parametrize("fields", [
+        {"knn": 1}, {"knn_fraction": 0.5}, {"sigma": 0.1},
+        {"kernel": "fixed", "sigma": 2.0}, {"kernel": "anisotropic", "sigma": 2.0},
+        {"rank": 1},
+    ])
+    def test_valid_values_accepted(self, fields):
+        params = AlignmentParams(**fields)
+        assert {name: getattr(params, name) for name in fields} == fields
 
 
 class TestMultiAlignment:

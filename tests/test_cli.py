@@ -70,6 +70,14 @@ class TestAlign:
         code = run(["align", "--x", dataset_csv, "--y", dataset_csv, "--bands", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--sigma", "-1"], "sigma must be positive, got -1.0"),
+        (["--kernel", "eq1"], "anisotropic kernel requires sigma"),
+    ])
+    def test_bad_parameter_config_error(self, dataset_csv, capsys, flags, message):
+        assert run(["align", "--x", dataset_csv, "--y", dataset_csv, *flags]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_missing_input_runtime_error(self, tmp_path, dataset_csv, capsys):
         code = run(["align", "--x", str(tmp_path / "nope.csv"), "--y", dataset_csv])
         assert code == 1
@@ -201,6 +209,11 @@ class TestExperiment:
         code = run(["experiment", "--mode", "corruption", "--config", cfg])
         assert code == 1
         assert f"{cfg}:10: unknown key 'trails'" in capsys.readouterr().err
+
+    def test_bad_parameter_rejected(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, sigma=-1)
+        assert run(["experiment", "--mode", "corruption", "--config", cfg]) == 1
+        assert "error: sigma must be positive, got -1.0" in capsys.readouterr().err
 
     def test_omitted_keys_take_dataclass_defaults(self, tmp_path, monkeypatch):
         def record(cfg):

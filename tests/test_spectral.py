@@ -14,6 +14,14 @@ from harmalign.spectral import (
 )
 
 
+def reference_signs(psi):
+    """Columns re-signed so the first of their largest magnitudes is positive."""
+    idx = np.abs(psi).argmax(axis=0)
+    signs = np.sign(psi[idx, np.arange(psi.shape[1])])
+    signs[signs == 0] = 1.0
+    return psi * signs
+
+
 def random_graph(n=30, d=4, seed=0, k=5):
     X = Rng(seed).generator.standard_normal((n, d))
     return gauss_kernel_graph(X, BandwidthSpec.adaptive(k))
@@ -58,6 +66,29 @@ class TestFourierBasis:
     def test_canonical_signs_idempotent(self):
         b = fourier_basis(random_graph(seed=5))
         assert np.array_equal(canonical_signs(b.psi), b.psi)
+
+    def test_canonical_basis_is_returned_itself(self):
+        psi = fourier_basis(random_graph(seed=5)).psi
+        assert canonical_signs(psi) is psi
+        view = psi[:, 1:]  # as the trivial component's removal leaves it
+        assert canonical_signs(view) is view
+        flipped = psi * np.where(np.arange(psi.shape[1]) % 2, -1.0, 1.0)
+        resigned = canonical_signs(flipped)
+        assert resigned is not flipped and np.array_equal(resigned, psi)
+
+    def test_canonical_signs_match_the_columnwise_rule(self):
+        # small integers tie often: equal and opposite largest magnitudes in
+        # one column, and all-zero columns
+        gen = Rng(7).generator
+        for _ in range(500):
+            n, r = gen.integers(1, 12), gen.integers(1, 8)
+            psi = gen.integers(-2, 3, (n, r)).astype(float)
+            psi[:, gen.integers(0, r)] = 0.0
+            if n > 1:
+                psi[gen.permutation(n)[:2], gen.integers(0, r)] = gen.permutation([2.0, -2.0])
+            expected = reference_signs(psi)
+            assert np.array_equal(canonical_signs(psi), expected)
+            assert np.array_equal(canonical_signs(psi[:, ::-1]), expected[:, ::-1])
 
     def test_determinism(self):
         g = random_graph(seed=6)
