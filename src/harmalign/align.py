@@ -11,7 +11,7 @@ Pipeline for a pair of datasets sharing a feature space:
 5. orthogonalize C by SVD (``C = U S V^T``, ``T = U V^T``), the nearest
    isometry between the two diffusion coordinate systems;
 6. assemble the unified diffusion map placing both datasets in shared
-   coordinates:
+   coordinates, then scale each dataset's rows to unit mean norm:
 
        Phi_t = [[Phi0_x,        Phi0_x T ],    * blockdiag(Lam_x, Lam_y)^t
                 [Phi0_y T^T,    Phi0_y   ]]
@@ -57,6 +57,8 @@ from .spectral import (
 #: datasets larger than this use iterative rank-RANK_AUTO truncation by default
 FULL_DECOMPOSITION_LIMIT = 2000
 RANK_AUTO = 100
+#: the smallest neighborhood fraction the adaptive bandwidth takes from ``knn``
+MIN_KNN_FRACTION = 0.02
 
 
 @dataclass(frozen=True)
@@ -73,23 +75,16 @@ class AlignmentParams:
         Graph construction: symmetric adaptive Gaussian (default),
         fixed-bandwidth Gaussian, or density-normalized anisotropic kernel.
     knn : int
-        Neighbor index for the adaptive bandwidth.
+        Adaptive bandwidth: the neighbor index for the smallest of the
+        datasets aligned together; see :func:`neighborhood_fraction`.
     sigma : float, optional
         Bandwidth for the fixed and anisotropic kernels.
     knn_fraction : float, optional
-        When set, overrides ``knn`` with ``round(knn_fraction * N)`` per
-        dataset, holding the neighborhood *fraction* constant across
-        datasets of different sizes (their spectra then live on comparable
-        frequency scales).
+        When set, the neighborhood fraction shared by every dataset in place
+        of the one ``knn`` gives.
     rank : int, optional
         Spectral truncation; ``None`` selects full decomposition up to
         ``FULL_DECOMPOSITION_LIMIT`` points and rank ``RANK_AUTO`` beyond.
-    normalize_scale : bool
-        Rescale each dataset's rows of the unified embedding to unit mean
-        norm.  Unit-norm eigenvectors make raw diffusion coordinates shrink
-        like N^(-1/2), so datasets of different sizes otherwise sit at
-        different radii in the shared space; a per-dataset scalar restores
-        comparability without touching the geometry.  Off by default.
     """
 
     n_bands: int = 8
@@ -99,7 +94,6 @@ class AlignmentParams:
     knn_fraction: float | None = None
     sigma: float | None = None
     rank: int | None = None
-    normalize_scale: bool = False
 
     def __post_init__(self):
         if self.n_bands < 1:
@@ -229,17 +223,32 @@ def _ranges(sizes) -> tuple:
     return tuple((int(lo), int(hi)) for lo, hi in zip(offsets[:-1], offsets[1:]))
 
 
-def _effective_rank(params: AlignmentParams, n: int) -> int | None:
-    if params.rank is not None:
-        return params.rank
-    return None if n <= FULL_DECOMPOSITION_LIMIT else RANK_AUTO
+def _neighbors(fraction: float, n: int) -> int:
+    return max(1, int(np.rint(fraction * n)))
 
 
-def _build_graph(values: np.ndarray, params: AlignmentParams) -> KernelGraph:
+def neighborhood_fraction(sizes, params: AlignmentParams) -> float:
+    """The neighborhood fraction f shared by datasets of the given sizes
+    aligned together: dataset i's adaptive bandwidth is the distance to its
+    ``max(1, rint(f N_i))``-th neighbor, so the spectra cover comparable
+    frequency ranges.  f is ``knn_fraction`` when set, else ``knn / min_i
+    N_i`` but at least ``MIN_KNN_FRACTION``, as a fixed k narrows the kernel
+    as N grows.  Raises ValueError when a dataset has too few points.
+    """
+    n = min(sizes)  # rint(f N) >= N holds first for the smallest N
+    f = params.knn_fraction or max(params.knn / n, MIN_KNN_FRACTION)
+    if params.kernel == "adaptive" and _neighbors(f, n) >= n:
+        raise ValueError(
+            f"knn={params.knn} (knn_fraction={params.knn_fraction}) asks for "
+            f"{_neighbors(f, n)} neighbors in the smallest dataset, dataset "
+            f"{list(sizes).index(n)} of {n} points; it must have more points"
+        )
+    return f
+
+
+def _build_graph(values: np.ndarray, params: AlignmentParams, fraction: float) -> KernelGraph:
     if params.kernel == "adaptive":
-        k = params.knn
-        if params.knn_fraction is not None:
-            k = max(1, int(np.rint(params.knn_fraction * values.shape[0])))
+        k = _neighbors(fraction, values.shape[0])
         return gauss_kernel_graph(values, BandwidthSpec.adaptive(k))
     if params.kernel == "fixed":
         return gauss_kernel_graph(values, BandwidthSpec.fixed(params.sigma))
@@ -263,18 +272,21 @@ def _check_memory(n: int, rank: int | None) -> None:
         )
 
 
-def prepare_dataset(X, params: AlignmentParams) -> PreparedDataset:
+def prepare_dataset(X, params: AlignmentParams, fraction: float | None = None) -> PreparedDataset:
     """Run the per-dataset pipeline: graph, Fourier basis, trivial removal.
 
-    Raises MemoryError before building anything when the dataset's N x N
-    arrays would exceed available memory.  The kernel graph is not kept: the
-    basis carries its degrees.
+    ``fraction`` is the :func:`neighborhood_fraction` of the datasets X is
+    aligned with; by default X's own.  Raises MemoryError before building
+    anything when the dataset's N x N arrays would exceed available memory.
+    The kernel graph is not kept: the basis carries its degrees.
     """
     if not isinstance(X, DataMatrix):
         X = DataMatrix(values=np.asarray(X, dtype=np.float64))
-    rank = _effective_rank(params, X.n_points)
+    if fraction is None:
+        fraction = neighborhood_fraction([X.n_points], params)
+    rank = params.rank or (None if X.n_points <= FULL_DECOMPOSITION_LIMIT else RANK_AUTO)
     _check_memory(X.n_points, rank)
-    graph = _build_graph(X.values, params)
+    graph = _build_graph(X.values, params, fraction)
     basis = fourier_basis(graph, rank=rank)
     return PreparedDataset(data=X, basis=drop_trivial(basis))
 
@@ -312,7 +324,8 @@ def _caller_stacklevel() -> int:
 
 
 def _normalize_block_scale(phi: np.ndarray, ranges) -> np.ndarray:
-    """Scale each dataset's rows to unit mean norm (in place)."""
+    """Scale each dataset's rows to unit mean norm (in place): diffusion
+    coordinates shrink like N^(-1/2), and sizes may differ."""
     for lo, hi in ranges:
         rows = phi[lo:hi]  # norms a row block at a time: no copy of the rows
         scale = np.concatenate([np.linalg.norm(rows[a:b], axis=1)
@@ -339,11 +352,9 @@ def _align(preps, params: AlignmentParams) -> AlignmentResult:
         maps[(j, i)] = maps[(i, j)].T
     phi = unified_diffusion_map(bases, maps, params.t)
     row_ranges = _ranges(p.data.n_points for p in preps)
-    if params.normalize_scale:
-        phi = _normalize_block_scale(phi, row_ranges)
     return AlignmentResult(
         maps=maps,
-        phi=phi,
+        phi=_normalize_block_scale(phi, row_ranges),
         row_ranges=row_ranges,
         col_ranges=_ranges(b.rank for b in bases),
         diagnostics=_diagnostics(bases, params.t),
@@ -358,19 +369,9 @@ def align_prepared(
 
 
 def harmonic_alignment(X, Y, params: AlignmentParams | None = None) -> AlignmentResult:
-    """End-to-end pairwise alignment: :func:`multi_alignment` of ``[X, Y]``.
-
-    Parameters
-    ----------
-    X, Y : DataMatrix or (N, d) arrays
-        Two datasets with the same number of features ``d``.
-    params : AlignmentParams, optional
-
-    Returns
-    -------
-    AlignmentResult
-        Unified embedding with X's rows on top; ``T`` maps X's harmonics
-        onto Y's.
+    """End-to-end pairwise alignment: :func:`multi_alignment` of ``[X, Y]``,
+    two datasets (DataMatrix or (N, d) arrays) with the same ``d``.  X's rows
+    come first in the embedding, and ``T`` maps X's harmonics onto Y's.
     """
     return multi_alignment([X, Y], params)
 
@@ -380,12 +381,15 @@ def multi_alignment(datasets, params: AlignmentParams | None = None) -> Alignmen
 
     For every pair i < j the pairwise orthogonal map ``T(i->j)`` is computed
     once; its transpose serves as ``T(j->i)``.  Block (i, j) of the output is
-    ``Phi0_i T(i->j) Lam_j^t`` (diagonal blocks use the identity map).
+    ``Phi0_i T(i->j) Lam_j^t`` (diagonal blocks use the identity map), each
+    dataset's rows scaled to unit mean norm.  One :func:`neighborhood_fraction`
+    serves every dataset; it is checked before any graph is built.
     """
     params = params or AlignmentParams()
     if len(datasets) < 2:
         raise ValueError(f"need at least 2 datasets, got {len(datasets)}")
-    dims = [as_values(X).shape[1] for X in datasets]
-    if len(set(dims)) != 1:
-        raise ValueError(f"datasets must share a feature space: d={dims}")
-    return _align([prepare_dataset(X, params) for X in datasets], params)
+    shapes = [as_values(X).shape for X in datasets]
+    if len({d for _, d in shapes}) != 1:
+        raise ValueError(f"datasets must share a feature space: d={[d for _, d in shapes]}")
+    f = neighborhood_fraction([n for n, _ in shapes], params)
+    return _align([prepare_dataset(X, params, f) for X in datasets], params)

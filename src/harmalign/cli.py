@@ -83,8 +83,8 @@ def _add_align_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--t", type=_non_negative_int,
                         help=f"diffusion time (default {_ALIGN_DEFAULTS.t})")
     parser.add_argument("--knn-bandwidth", type=_positive_int,
-                        help="adaptive kernel: k-th neighbor distance "
-                             f"(default {_ALIGN_DEFAULTS.knn})")
+                        help="adaptive kernel: neighbor count of the smallest input; the others "
+                             f"scale with size, 2%% at least (default {_ALIGN_DEFAULTS.knn})")
     parser.add_argument("--sigma", type=float,
                         help="bandwidth for fixed/anisotropic kernels")
     parser.add_argument("--rank", type=_positive_int,

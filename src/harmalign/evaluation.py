@@ -18,16 +18,21 @@ Two synthetic sources are provided:
   coordinate, destroying raw cross-dataset distances while leaving each
   dataset's internal geometry intact — the regime harmonic alignment
   targets, and a desk-scale stand-in for image data.
+
+The ``harmonic`` method aligns each pair as :func:`harmonic_alignment` does,
+with ``align_params`` as given: both drivers share the neighborhood rule
+(:func:`neighborhood_fraction`) and the block scale of ``align``.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from time import perf_counter
 
 import numpy as np
 
-from .align import AlignmentParams, PreparedDataset, align_prepared, prepare_dataset
+from .align import (AlignmentParams, PreparedDataset, align_prepared, neighborhood_fraction,
+                    prepare_dataset)
 from .baselines import MnnParams, mnn_correct
 from .core import Report, Rng, load_matrix
 from .graph import _CHUNK, nearest
@@ -301,6 +306,8 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in ("none", "harmonic", "mnn"):
                 raise ValueError(f"unknown method {m!r}")
+        if any(r < 1 for r in self.ratios):
+            raise ValueError(f"test sets are at least the reference's size: ratios {self.ratios}")
 
 
 def _make_sampler(cfg: ExperimentConfig, rng: Rng):
@@ -312,13 +319,14 @@ def _make_sampler(cfg: ExperimentConfig, rng: Rng):
 
 
 def _run_methods(report, cfg, row: dict, x_values, x_labels, y_values, y_labels,
-                 params: AlignmentParams, x_prep: PreparedDataset | None = None):
+                 x_prep: PreparedDataset | None = None):
     """Append to ``report.trials`` one copy of ``row`` per method, with the
     method's accuracy of label transfer from (x, labels) to corrupted y.
 
-    ``x_prep``, if given, is x already prepared with ``params``.  Returns x
-    prepared, if a method needed it, for the next call with the same x.
+    ``x_prep``, if given, is x prepared for alignment with y.  Returns x
+    prepared, if a method needed it, for the next call with x and a y of at least x's size.
     """
+    params = cfg.align_params
     for method in cfg.methods:
         start = perf_counter()
         if method == "none":
@@ -328,9 +336,10 @@ def _run_methods(report, cfg, row: dict, x_values, x_labels, y_values, y_labels,
             _, acc = knn_classify(x_values, x_labels, corrected, cfg.knn_k, y_labels)
             del corrected  # freed before the next method runs
         else:
+            f = neighborhood_fraction([x_values.shape[0], y_values.shape[0]], params)
             if x_prep is None:
-                x_prep = prepare_dataset(x_values, params)
-            phi = align_prepared(x_prep, prepare_dataset(y_values, params), params).phi
+                x_prep = prepare_dataset(x_values, params, f)
+            phi = align_prepared(x_prep, prepare_dataset(y_values, params, f), params).phi
             n1 = x_values.shape[0]
             _, acc = knn_classify(phi[:n1], x_labels, phi[n1:], cfg.knn_k, y_labels)
             del phi  # freed before the next method runs
@@ -381,8 +390,7 @@ def corruption_experiment(cfg: ExperimentConfig) -> Report:
             O0 = random_orthogonal(sampler.dim, rng.spawn("orthogonal"))
             Op = partial_corruption(O0, float(p), rng.spawn("columns"))
             row = {"p": float(p), "trial": trial}
-            _run_methods(report, cfg, row, x_values, x_labels, y_values @ Op, y_labels,
-                         cfg.align_params)
+            _run_methods(report, cfg, row, x_values, x_labels, y_values @ Op, y_labels)
     _aggregate(report, "p", "{method}@p{level:g}")
     return report
 
@@ -395,20 +403,8 @@ def transfer_experiment(cfg: ExperimentConfig) -> Report:
     ``cfg.preserved_pct`` percent preserved columns.
     """
     root = Rng(cfg.seed)
-    # with unequal sizes the alignment needs (a) a neighborhood size that
-    # scales with N so the two spectra cover the same frequency range, and
-    # (b) per-dataset scale equalization of the joint embedding; apply both
-    # unless the caller already fixed a neighborhood fraction
-    align_params = cfg.align_params
-    if align_params.knn_fraction is None:
-        align_params = replace(
-            align_params,
-            knn_fraction=align_params.knn / cfg.n1,
-            normalize_scale=True,
-        )
     report = Report(params=_effective_params(cfg))
     report.params["mode"] = "transfer"
-    report.params["align_params"] = asdict(align_params)
     for trial in range(cfg.trials):
         rng = root.spawn("transfer", trial)
         sampler = _make_sampler(cfg, rng.spawn("source"))
@@ -416,14 +412,14 @@ def transfer_experiment(cfg: ExperimentConfig) -> Report:
         dim = x_values.shape[1]
         O0 = random_orthogonal(dim, rng.spawn("orthogonal"))
         Op = partial_corruption(O0, cfg.preserved_pct, rng.spawn("columns"))
-        x_prep = None  # the reference is fixed per trial: prepared once for every ratio
+        x_prep = None  # fixed per trial and the smallest of every pair: prepared once
         for ratio in cfg.ratios:
             y_values, y_labels = sampler.draw(
                 int(cfg.n1 * ratio), rng.spawn("draw-y", ratio)
             )
             row = {"ratio": ratio, "trial": trial}
             x_prep = _run_methods(report, cfg, row, x_values, x_labels, y_values @ Op,
-                                  y_labels, align_params, x_prep)
+                                  y_labels, x_prep)
     _aggregate(report, "ratio", "{method}@ratio{level}")
     return report
 

@@ -3,7 +3,8 @@
 Each test pins a behavioral guarantee at a fixed tolerance: window-weight
 analytics, orthogonalization accuracy, multi/pairwise agreement, sign
 equivariance, corruption recovery, baseline sanity, transfer under size
-imbalance, neighborhood recovery from noisy views, and truncation speed.
+imbalance, neighborhood recovery from noisy views, truncation speed, and the
+default bandwidth at large size.
 Experiment-level checks run at fixed seeds so they are exactly reproducible.
 """
 
@@ -206,6 +207,25 @@ class TestTransferUnderSizeImbalance:
         for ratio in (2, 4):
             assert abs(agg[f"none@ratio{ratio}"] - agg["none@ratio1"]) <= 0.05
         assert perf_counter() - start < 900.0
+
+
+class TestDefaultsAtLargeSize:
+    def test_default_bandwidth_holds_at_3500_points(self):
+        # a fixed knn = 20 narrows the kernel as N grows (0.651 here before
+        # the neighborhood fraction's floor of 0.02)
+        N, accs = 3500, []
+        for s in (11, 12):
+            rng = Rng(s)
+            sampler = ManifoldSampler(rng.spawn("src"))
+            X, xl = sampler.draw(N, rng.spawn("x"))
+            Y, yl = sampler.draw(N, rng.spawn("y"))
+            Op = partial_corruption(random_orthogonal(100, rng.spawn("o")), 35.0, rng.spawn("c"))
+            start = perf_counter()
+            phi = harmonic_alignment(X, Y @ Op).phi
+            _, acc = knn_classify(phi[:N], xl, phi[N:], 5, yl)
+            assert perf_counter() - start < 20.0
+            accs.append(acc)
+        assert np.mean(accs) >= 0.85
 
 
 class TestNeighborhoodRecovery:

@@ -335,7 +335,7 @@ class TestOneCopyFlow:
     def test_alignment_holds_the_embedding_and_little_else(self):
         # the prepared bases are canonical already, so none is re-signed into
         # a copy, and the scale normalization copies no rows
-        p = AlignmentParams(normalize_scale=True)
+        p = AlignmentParams()
         px = prepare_dataset(sample_data(61, 500, 30), p)
         py = prepare_dataset(sample_data(62, 1000, 30), p)
         result, peak = traced_peak(align_prepared, px, py, p)
@@ -369,6 +369,67 @@ class TestAlignmentParams:
     def test_valid_values_accepted(self, fields):
         params = AlignmentParams(**fields)
         assert {name: getattr(params, name) for name in fields} == fields
+
+
+class TestNeighborhoodRule:
+    @pytest.fixture
+    def recorded_k(self, monkeypatch):
+        calls = []
+        build = align.gauss_kernel_graph
+
+        def record(values, bw):
+            calls.append((values.shape[0], bw.k))
+            return build(values, bw)
+
+        monkeypatch.setattr(align, "gauss_kernel_graph", record)
+        return calls
+
+    @pytest.mark.parametrize("sizes", [(60, 150), (150, 60), (60, 150, 90)])
+    @pytest.mark.parametrize("fields, fraction", [
+        ({}, lambda n: 20 / n),  # knn of the smallest dataset
+        ({"knn": 1}, lambda n: 0.02),  # the floor
+        ({"knn_fraction": 0.1}, lambda n: 0.1),  # as given
+    ], ids=["knn", "floor", "knn_fraction"])
+    def test_each_graph_takes_the_shared_fraction(self, recorded_k, sizes, fields, fraction):
+        datasets = [sample_data(70 + i, n, 8) for i, n in enumerate(sizes)]
+        multi_alignment(datasets, AlignmentParams(**fields))
+        f = fraction(min(sizes))
+        assert recorded_k == [(n, max(1, int(np.rint(f * n)))) for n in sizes]
+
+    def test_prepared_alone_takes_its_own_size(self, recorded_k):
+        prepare_dataset(sample_data(73, 30, 8), AlignmentParams(knn=6))
+        prepare_dataset(sample_data(74, 1500, 2), AlignmentParams(rank=10))
+        assert recorded_k == [(30, 6), (1500, 30)]
+
+    @pytest.mark.parametrize("fields, sizes, k", [
+        ({}, (4000, 15), 20), ({"knn": 15}, (15, 4000), 15),
+        ({"knn_fraction": 0.96}, (4000, 12), 12),
+    ])
+    def test_too_few_points_fail_before_any_graph(self, monkeypatch, fields, sizes, k):
+        def never(*args):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(align, "gauss_kernel_graph", never)
+        params = AlignmentParams(**fields)
+        small = sizes.index(min(sizes))
+        with pytest.raises(ValueError) as exc:
+            multi_alignment([sample_data(75 + i, n, 3) for i, n in enumerate(sizes)], params)
+        assert str(exc.value) == (
+            f"knn={params.knn} (knn_fraction={params.knn_fraction}) asks for {k} neighbors "
+            f"in the smallest dataset, dataset {small} of {min(sizes)} points; "
+            "it must have more points"
+        )
+
+    def test_fixed_kernel_has_no_neighbor_count(self):
+        result = multi_alignment([sample_data(77, 10, 3), sample_data(78, 12, 3)],
+                                 AlignmentParams(kernel="fixed", sigma=3.0))
+        assert result.phi.shape == (22, 20)
+
+    def test_every_block_has_unit_mean_row_norm(self):
+        result = multi_alignment([sample_data(79, 40, 8), sample_data(80, 90, 8)])
+        for lo, hi in result.row_ranges:
+            norm = np.linalg.norm(result.phi[lo:hi], axis=1).mean()
+            assert norm == pytest.approx(1.0, abs=1e-12)
 
 
 class TestMultiAlignment:

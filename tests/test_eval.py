@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -364,11 +362,11 @@ class TestExperiments:
 
     def test_transfer_prepared_reference_matches_pairwise_alignment(self):
         # the reference is prepared once per trial; every ratio must still
-        # give exactly what a fresh harmonic_alignment of the pair gives
+        # give exactly what a fresh harmonic_alignment of the pair gives,
+        # with the parameters as given
         cfg = self.small_config(n1=60, ratios=(1, 2), methods=("harmonic",),
                                 align_params=AlignmentParams(), preserved_pct=35.0)
         report = transfer_experiment(cfg)
-        params = replace(cfg.align_params, knn_fraction=20 / 60, normalize_scale=True)
         for trial in range(cfg.trials):
             rng = Rng(cfg.seed).spawn("transfer", trial)
             sampler = ManifoldSampler(rng.spawn("source"), classes=10, dim=30)
@@ -377,13 +375,33 @@ class TestExperiments:
             Op = partial_corruption(O0, 35.0, rng.spawn("columns"))
             for ratio in cfg.ratios:
                 Y, yl = sampler.draw(60 * ratio, rng.spawn("draw-y", ratio))
-                phi = harmonic_alignment(X, Y @ Op, params).phi
+                phi = harmonic_alignment(X, Y @ Op, cfg.align_params).phi
                 _, acc = knn_classify(phi[:60], xl, phi[60:], 5, yl)
                 [row] = [r for r in report.trials if (r["trial"], r["ratio"]) == (trial, ratio)]
                 assert row["accuracy"] == acc
         for ratio in cfg.ratios:
             accs = [r["accuracy"] for r in report.trials if r["ratio"] == ratio]
             assert report.aggregates[f"harmonic@ratio{ratio}"] == float(np.mean(accs))
+
+    @pytest.mark.parametrize("n1, n2", [(60, 90), (90, 60)])
+    def test_corruption_arm_matches_pairwise_alignment(self, n1, n2):
+        # unequal sizes: the driver aligns each pair as harmonic_alignment does
+        cfg = self.small_config(n1=n1, n2=n2, trials=1, methods=("harmonic",),
+                                align_params=AlignmentParams(), preserved_sweep=(35,))
+        [row] = corruption_experiment(cfg).trials
+        rng = Rng(cfg.seed).spawn("corruption", 35.0, 0)
+        sampler = ManifoldSampler(rng.spawn("source"), classes=10, dim=30)
+        X, xl = sampler.draw(n1, rng.spawn("draw-x"))
+        Y, yl = sampler.draw(n2, rng.spawn("draw-y"))
+        Op = partial_corruption(random_orthogonal(30, rng.spawn("orthogonal")), 35.0,
+                                rng.spawn("columns"))
+        phi = harmonic_alignment(X, Y @ Op, cfg.align_params).phi
+        _, acc = knn_classify(phi[:n1], xl, phi[n1:], 5, yl)
+        assert row["accuracy"] == acc
+
+    def test_ratio_below_one_rejected(self):
+        with pytest.raises(ValueError, match="at least the reference's size"):
+            self.small_config(ratios=(1, 0))
 
     def test_cluster_source(self):
         cfg = self.small_config(source="synthetic-clusters", trials=1)
