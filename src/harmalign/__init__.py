@@ -25,7 +25,7 @@ from .evaluation import (
     random_orthogonal,
     transfer_experiment,
 )
-from .filters import WindowBank, bandlimiting_weights, itersine_window
+from .filters import bandlimiting_weights, itersine_window
 from .graph import (
     BandwidthSpec,
     KernelGraph,

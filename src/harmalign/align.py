@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 
-from .core import DataMatrix, _available_memory, as_values
+from .core import DataMatrix, as_values
 from .filters import bandlimiting_weights
 from .graph import (
     BandwidthSpec,
@@ -45,18 +45,14 @@ from .graph import (
     gauss_kernel_graph,
 )
 from .spectral import (
-    _DENSE_NXN_ARRAYS,
     FourierBasis,
     canonical_signs,
+    check_memory,
     degenerate_gaps,
     drop_trivial,
     fourier_basis,
-    uses_dense_solver,
 )
 
-#: datasets larger than this use iterative rank-RANK_AUTO truncation by default
-FULL_DECOMPOSITION_LIMIT = 2000
-RANK_AUTO = 100
 #: the smallest neighborhood fraction the adaptive bandwidth takes from ``knn``
 MIN_KNN_FRACTION = 0.02
 
@@ -83,8 +79,9 @@ class AlignmentParams:
         When set, the neighborhood fraction shared by every dataset in place
         of the one ``knn`` gives.
     rank : int, optional
-        Spectral truncation; ``None`` selects full decomposition up to
-        ``FULL_DECOMPOSITION_LIMIT`` points and rank ``RANK_AUTO`` beyond.
+        Eigenpairs computed per dataset, the trivial one included; ``None``
+        is :func:`~harmalign.spectral.fourier_basis`'s default, all N up to
+        ``FULL_DECOMPOSITION_LIMIT`` points and ``RANK_AUTO`` beyond.
     """
 
     n_bands: int = 8
@@ -255,23 +252,6 @@ def _build_graph(values: np.ndarray, params: AlignmentParams, fraction: float) -
     return anisotropic_kernel_graph(values, params.sigma)
 
 
-def _check_memory(n: int, rank: int | None) -> None:
-    """Refuse a dataset whose N x N arrays would not fit in available memory.
-
-    The kernel graph is one N x N array; on the dense route ``eigh`` holds a
-    copy of it and its eigenvector matrix as well.  The check is skipped when
-    available memory cannot be read.
-    """
-    need = 8 * n * n * (_DENSE_NXN_ARRAYS if uses_dense_solver(n, rank) else 1)
-    available = _available_memory()
-    if available is not None and need > available:
-        raise MemoryError(
-            f"preparing {n} points at rank {rank or 'full'} needs about "
-            f"{need / 2**20:.0f} MiB for its N x N arrays, but only "
-            f"{available / 2**20:.0f} MiB is available"
-        )
-
-
 def prepare_dataset(X, params: AlignmentParams, fraction: float | None = None) -> PreparedDataset:
     """Run the per-dataset pipeline: graph, Fourier basis, trivial removal.
 
@@ -284,10 +264,9 @@ def prepare_dataset(X, params: AlignmentParams, fraction: float | None = None) -
         X = DataMatrix(values=np.asarray(X, dtype=np.float64))
     if fraction is None:
         fraction = neighborhood_fraction([X.n_points], params)
-    rank = params.rank or (None if X.n_points <= FULL_DECOMPOSITION_LIMIT else RANK_AUTO)
-    _check_memory(X.n_points, rank)
+    check_memory(X.n_points, params.rank)
     graph = _build_graph(X.values, params, fraction)
-    basis = fourier_basis(graph, rank=rank)
+    basis = fourier_basis(graph, rank=params.rank)
     return PreparedDataset(data=X, basis=drop_trivial(basis))
 
 

@@ -25,12 +25,7 @@ from time import perf_counter
 import numpy as np
 
 from . import __version__
-from .align import (
-    FULL_DECOMPOSITION_LIMIT,
-    RANK_AUTO,
-    AlignmentParams,
-    multi_alignment,
-)
+from .align import AlignmentParams, multi_alignment
 from .baselines import MnnParams
 from .core import Report, atomic_write_text, csv_lines, load_matrix, write_output
 from .evaluation import (
@@ -40,6 +35,7 @@ from .evaluation import (
     transfer_experiment,
 )
 from .graph import nearest
+from .spectral import FULL_DECOMPOSITION_LIMIT, RANK_AUTO
 
 _KERNEL_NAMES = {"alg2": "adaptive", "eq1": "anisotropic"}
 _ALIGN_DEFAULTS = AlignmentParams()

@@ -34,7 +34,7 @@ import numpy as np
 from .align import (AlignmentParams, PreparedDataset, align_prepared, neighborhood_fraction,
                     prepare_dataset)
 from .baselines import MnnParams, mnn_correct
-from .core import Report, Rng, load_matrix
+from .core import DataMatrix, Report, Rng, load_matrix
 from .graph import _CHUNK, nearest
 
 
@@ -131,12 +131,9 @@ class ManifoldSampler:
 
 
 class FileSampler:
-    """Draws disjoint random subsets of a labeled matrix loaded from disk."""
+    """Draws disjoint subsets of a labeled matrix, in one order drawn from ``rng``."""
 
-    def __init__(self, path, rng: Rng):
-        data = load_matrix(path)
-        if data.labels is None:
-            raise ValueError(f"{path}: experiment data needs a label column")
+    def __init__(self, data: DataMatrix, rng: Rng):
         self.values = data.values
         self.labels = data.labels
         self.dim = data.n_features
@@ -308,14 +305,28 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {m!r}")
         if any(r < 1 for r in self.ratios):
             raise ValueError(f"test sets are at least the reference's size: ratios {self.ratios}")
+        if self.knn_k < 1:
+            raise ValueError(f"knn_k must be >= 1, got {self.knn_k}")
+        if not 0 <= self.preserved_pct <= 100:
+            raise ValueError(f"preserved_pct must be in [0, 100], got {self.preserved_pct}")
+        if not all(0 <= p <= 100 for p in self.preserved_sweep):
+            raise ValueError(
+                f"preserved_sweep values must be in [0, 100], got {self.preserved_sweep}"
+            )
 
 
-def _make_sampler(cfg: ExperimentConfig, rng: Rng):
+def _sampler_factory(cfg: ExperimentConfig):
+    """The sampler of an arm, as a function of the arm's ``source`` RNG.
+    A file source is loaded once, here."""
     if cfg.source == "synthetic-manifold":
-        return ManifoldSampler(rng, classes=cfg.classes, dim=cfg.dim)
+        return lambda rng: ManifoldSampler(rng, classes=cfg.classes, dim=cfg.dim)
     if cfg.source == "synthetic-clusters":
-        return ClusterSampler(rng, classes=cfg.classes, dim=cfg.dim, spread=cfg.spread)
-    return FileSampler(cfg.source, rng)
+        return lambda rng: ClusterSampler(rng, classes=cfg.classes, dim=cfg.dim,
+                                          spread=cfg.spread)
+    data = load_matrix(cfg.source)
+    if data.labels is None:
+        raise ValueError(f"{cfg.source}: experiment data needs a label column")
+    return lambda rng: FileSampler(data, rng)
 
 
 def _run_methods(report, cfg, row: dict, x_values, x_labels, y_values, y_labels,
@@ -381,10 +392,11 @@ def corruption_experiment(cfg: ExperimentConfig) -> Report:
     root = Rng(cfg.seed)
     report = Report(params=_effective_params(cfg))
     report.params["mode"] = "corruption"
+    make_sampler = _sampler_factory(cfg)
     for p in cfg.preserved_sweep:
         for trial in range(cfg.trials):
             rng = root.spawn("corruption", float(p), trial)
-            sampler = _make_sampler(cfg, rng.spawn("source"))
+            sampler = make_sampler(rng.spawn("source"))
             x_values, x_labels = sampler.draw(cfg.n1, rng.spawn("draw-x"))
             y_values, y_labels = sampler.draw(cfg.n2, rng.spawn("draw-y"))
             O0 = random_orthogonal(sampler.dim, rng.spawn("orthogonal"))
@@ -405,9 +417,10 @@ def transfer_experiment(cfg: ExperimentConfig) -> Report:
     root = Rng(cfg.seed)
     report = Report(params=_effective_params(cfg))
     report.params["mode"] = "transfer"
+    make_sampler = _sampler_factory(cfg)
     for trial in range(cfg.trials):
         rng = root.spawn("transfer", trial)
-        sampler = _make_sampler(cfg, rng.spawn("source"))
+        sampler = make_sampler(rng.spawn("source"))
         x_values, x_labels = sampler.draw(cfg.n1, rng.spawn("draw-x"))
         dim = x_values.shape[1]
         O0 = random_orthogonal(dim, rng.spawn("orthogonal"))

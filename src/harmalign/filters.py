@@ -20,8 +20,6 @@ w = 1 property needs at small eigenvalues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -45,32 +43,6 @@ def itersine_window(lam, xi: int, n_bands: int):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-@dataclass(frozen=True)
-class WindowBank:
-    """The itersine bank with bands xi = 0..n_bands over the spectrum [0, 1]."""
-
-    n_bands: int
-
-    def __post_init__(self):
-        if self.n_bands < 1:
-            raise ValueError(f"band count must be >= 1, got {self.n_bands}")
-
-    @property
-    def band_indices(self) -> range:
-        return range(0, self.n_bands + 1)
-
-    def window(self, lam, xi: int):
-        return itersine_window(lam, xi, self.n_bands)
-
-    def squared_sum(self, lam):
-        """sum_xi w_xi(lam)^2 — identically 1 on [0, 1] (tight tiling)."""
-        lam = np.asarray(lam, dtype=np.float64)
-        total = np.zeros_like(lam)
-        for xi in self.band_indices:
-            total += itersine_window(lam, xi, self.n_bands) ** 2
-        return total
 
 
 def bandlimiting_weights(lam_x: np.ndarray, lam_y: np.ndarray, n_bands: int) -> np.ndarray:

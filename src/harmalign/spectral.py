@@ -11,6 +11,10 @@ from eigenvalue ties.
 The basis carries the graph's degrees so that diffusion coordinates
 ``Phi_t = D^{-1/2} Psi Lambda^t`` can be formed from it; the alignment module
 assembles them (:func:`harmalign.align.unified_diffusion_map`).
+
+This module alone plans each eigensolve: the rank ``rank=None`` means, the
+route (dense ``eigh`` or Lanczos) and the N x N arrays that route holds,
+which :func:`check_memory` compares with the memory available.
 """
 
 from __future__ import annotations
@@ -26,6 +30,9 @@ from .core import _available_memory
 from .graph import KernelGraph
 
 _log = logging.getLogger("harmalign")
+#: graphs larger than this keep RANK_AUTO eigenpairs when no rank is given
+FULL_DECOMPOSITION_LIMIT = 2000
+RANK_AUTO = 100
 #: N x N arrays at the dense route's peak: A, eigh's copy of it, the eigenvectors
 _DENSE_NXN_ARRAYS = 3
 
@@ -60,12 +67,34 @@ def canonical_signs(psi: np.ndarray) -> np.ndarray:
     return psi if np.all(signs > 0) else psi * signs
 
 
-def uses_dense_solver(n: int, rank: int | None) -> bool:
-    """Whether :func:`fourier_basis` slices a full ``eigh`` for this size and rank."""
+def _plan(n: int, rank: int | None) -> tuple[int | None, bool]:
+    """The rank :func:`fourier_basis` keeps of an n-point graph (None: all n)
+    and whether a full ``eigh`` computes it."""
+    if rank is None and n > FULL_DECOMPOSITION_LIMIT:
+        rank = RANK_AUTO
     # Lanczos time grows faster than linearly in rank: with one BLAS thread
     # it matched dense eigh at ranks of about N/6 (N = 1000), N/7 (N = 2000)
     # and N/10 (N = 4000); N/8 keeps either choice within 2x of the faster
-    return rank is None or 8 * rank >= n
+    return rank, rank is None or 8 * rank >= n
+
+
+def _require(need: int, what: str, detail: str, cause: Exception | None = None) -> None:
+    """Raise MemoryError when ``need`` bytes exceed the available memory;
+    skipped when that cannot be read."""
+    available = _available_memory()
+    if available is not None and need > available:
+        raise MemoryError(
+            f"{what} needs about {need / 2**20:.0f} MiB {detail}, "
+            f"but only {available / 2**20:.0f} MiB is available"
+        ) from cause
+
+
+def check_memory(n: int, rank: int | None = None) -> None:
+    """Refuse an n-point graph whose N x N arrays at ``rank`` would not fit:
+    the graph, and on the dense route ``eigh``'s copy of it and eigenvectors."""
+    rank, dense = _plan(n, rank)
+    _require(8 * n * n * (_DENSE_NXN_ARRAYS if dense else 1),
+             f"preparing {n} points at rank {rank or 'full'}", "for its N x N arrays")
 
 
 def _dense_top(A: np.ndarray, rank: int | None):
@@ -85,12 +114,13 @@ def fourier_basis(g: KernelGraph, rank: int | None = None) -> FourierBasis:
     ----------
     g : KernelGraph
     rank : int, optional
-        Number of leading eigenpairs to keep; ``None`` keeps all N.  Ranks of
-        at least N/8 slice the full dense decomposition; smaller ranks use an
-        iterative Lanczos solver with a fixed starting vector for determinism.
-        If Lanczos does not converge, the dense decomposition is sliced
-        instead and the fallback is logged to the ``harmalign`` logger; when
-        the dense route's two further N x N arrays would exceed available
+        Leading eigenpairs to keep, all N at ``rank=N``; ``None`` keeps all N
+        up to ``FULL_DECOMPOSITION_LIMIT`` points, else ``RANK_AUTO``.  Ranks
+        of at least N/8 slice the full dense decomposition; smaller ranks use
+        an iterative Lanczos solver with a fixed starting vector for
+        determinism.  If Lanczos does not converge, the dense decomposition is
+        sliced instead and the fallback is logged to the ``harmalign`` logger;
+        when the dense route's two further N x N arrays would exceed available
         memory, a MemoryError naming the Lanczos failure is raised instead.
 
     Returns
@@ -102,7 +132,8 @@ def fourier_basis(g: KernelGraph, rank: int | None = None) -> FourierBasis:
     n = g.n_points
     if rank is not None and rank < 1:
         raise ValueError(f"rank must be positive, got {rank}")
-    if uses_dense_solver(n, rank):
+    rank, dense = _plan(n, rank)
+    if dense:
         lam, psi = _dense_top(g.A, rank)
     else:
         v0 = np.full(n, 1.0 / np.sqrt(n))
@@ -111,13 +142,8 @@ def fourier_basis(g: KernelGraph, rank: int | None = None) -> FourierBasis:
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             found = (f"Lanczos found {len(exc.eigenvalues)} of {rank} eigenpairs "
                      f"of a {n}-point graph")
-            need = (_DENSE_NXN_ARRAYS - 1) * g.A.nbytes  # A exists already
-            available = _available_memory()
-            if available is not None and need > available:
-                raise MemoryError(
-                    f"{found}, and the dense solver needs about {need / 2**20:.0f} MiB "
-                    f"more, but only {available / 2**20:.0f} MiB is available"
-                ) from exc
+            _require((_DENSE_NXN_ARRAYS - 1) * g.A.nbytes,  # A exists already
+                     f"{found}, and the dense solver", "more", exc)
             _log.warning("%s; falling back to the dense solver", found)
             lam, psi = _dense_top(g.A, rank)
         else:

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 from scipy.spatial.distance import cdist
 
-from harmalign import align, core
+from harmalign import align, core, spectral
 from harmalign.align import (
     AlignmentParams,
     PreparedDataset,
@@ -21,7 +21,8 @@ from harmalign.align import (
 )
 from harmalign.core import DataMatrix, Rng
 from harmalign.evaluation import ManifoldSampler
-from harmalign.spectral import FourierBasis, degenerate_gaps
+from harmalign.graph import BandwidthSpec, gauss_kernel_graph
+from harmalign.spectral import FourierBasis, degenerate_gaps, fourier_basis
 
 PARAMS = AlignmentParams(knn=10)
 
@@ -329,8 +330,8 @@ class TestOneCopyFlow:
         n = 1500
         prepared, peak = traced_peak(prepare_dataset, sample_data(60, n, 10), AlignmentParams())
         assert prepared.basis.rank == n - 1
-        assert align._DENSE_NXN_ARRAYS == 3
-        assert peak <= (align._DENSE_NXN_ARRAYS + 0.1) * 8 * n * n
+        assert spectral._DENSE_NXN_ARRAYS == 3
+        assert peak <= (spectral._DENSE_NXN_ARRAYS + 0.1) * 8 * n * n
 
     def test_alignment_holds_the_embedding_and_little_else(self):
         # the prepared bases are canonical already, so none is re-signed into
@@ -534,12 +535,36 @@ class TestDegenerateGapWarning:
         assert files == {__file__}
 
 
+class TestDefaultRank:
+    """``rank=None`` is one default, applied by the spectral module for every caller."""
+
+    @pytest.fixture(autouse=True)
+    def small_limit(self, monkeypatch):
+        monkeypatch.setattr(spectral, "FULL_DECOMPOSITION_LIMIT", 150)
+        monkeypatch.setattr(spectral, "RANK_AUTO", 20)
+
+    def test_fourier_basis_and_prepare_dataset_keep_the_same_rank(self):
+        X = sample_data(70, 200, 10)
+        g = gauss_kernel_graph(X, BandwidthSpec.adaptive(20))
+        assert fourier_basis(g).rank == 20
+        assert fourier_basis(g, rank=200).rank == 200  # full rank at any size
+        assert prepare_dataset(X, AlignmentParams()).basis.rank == 19
+
+    def test_memory_check_counts_the_lanczos_route(self, monkeypatch):
+        need = 8 * 200 * 200  # the graph alone: 8 * 20 < 200 takes Lanczos
+        monkeypatch.setattr(spectral, "_available_memory", lambda: need)
+        spectral.check_memory(200)
+        monkeypatch.setattr(spectral, "_available_memory", lambda: need - 1)
+        with pytest.raises(MemoryError, match="^preparing 200 points at rank 20 needs"):
+            spectral.check_memory(200)
+
+
 class TestMemoryPreCheck:
     @pytest.mark.parametrize("rank, arrays", [(40000, 3), (5000, 3), (4999, 1)])
     def test_refuses_before_building_the_graph(self, monkeypatch, rank, arrays):
         n = 40000  # 8 * 5000 >= n takes the dense route, 8 * 4999 < n Lanczos
         need = 8 * n * n * arrays
-        monkeypatch.setattr(align, "_available_memory", lambda: need // 2)
+        monkeypatch.setattr(spectral, "_available_memory", lambda: need // 2)
         monkeypatch.setattr(align, "gauss_kernel_graph", None)  # never reached
         with pytest.raises(MemoryError) as exc:
             prepare_dataset(sample_data(50, n, 2), AlignmentParams(rank=rank))
@@ -551,12 +576,12 @@ class TestMemoryPreCheck:
 
     @pytest.mark.parametrize("available", [8 * 90 * 90 * 3, None])
     def test_runs_when_memory_suffices_or_is_unknown(self, monkeypatch, available):
-        monkeypatch.setattr(align, "_available_memory", lambda: available)
+        monkeypatch.setattr(spectral, "_available_memory", lambda: available)
         prep = prepare_dataset(sample_data(50, 90, 5), AlignmentParams())
         assert prep.basis.rank == 89
 
     def test_probe_reads_available_memory(self):
-        available = align._available_memory()
+        available = core._available_memory()
         assert available is None or available > 0
 
     @pytest.mark.parametrize("limit, current, inactive, meminfo, expected", [
@@ -589,7 +614,7 @@ class TestMemoryPreCheck:
             info.write_text(f"MemTotal: 64 kB\nMemAvailable: {meminfo} kB\n")
         monkeypatch.setattr(core, "_MEMINFO", str(info))
         monkeypatch.setattr(core, "_CGROUP", str(cgroup))
-        assert align._available_memory() == expected
+        assert core._available_memory() == expected
 
     @pytest.mark.parametrize("own, expected", [
         ("0::/a/b\n", 3072),  # the parent's limit is the tighter one
@@ -615,4 +640,4 @@ class TestMemoryPreCheck:
         monkeypatch.setattr(core, "_MEMINFO", str(tmp_path / "no-meminfo"))
         monkeypatch.setattr(core, "_SELF_CGROUP", str(own_file))
         monkeypatch.setattr(core, "_CGROUP", str(cgroup))
-        assert align._available_memory() == expected
+        assert core._available_memory() == expected

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from harmalign import graph
+from harmalign import evaluation, graph
 from harmalign.align import AlignmentParams, harmonic_alignment
-from harmalign.core import Rng
+from harmalign.core import Rng, load_matrix
 from harmalign.evaluation import (
     ClusterSampler,
     ExperimentConfig,
@@ -411,6 +411,67 @@ class TestExperiments:
     def test_invalid_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):
             self.small_config(methods=("magic",))
+
+    def test_knn_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match="knn_k must be >= 1"):
+            self.small_config(knn_k=0)
+
+    @pytest.mark.parametrize("pct", [-5.0, 100.5])
+    def test_preserved_pct_outside_percent_range_rejected(self, pct):
+        with pytest.raises(ValueError, match=r"preserved_pct must be in \[0, 100\]"):
+            self.small_config(preserved_pct=pct)
+
+    @pytest.mark.parametrize("sweep", [(0, 50, 101), (-1, 50)])
+    def test_preserved_sweep_outside_percent_range_rejected(self, sweep):
+        with pytest.raises(ValueError, match=r"preserved_sweep values must be in \[0, 100\]"):
+            self.small_config(preserved_sweep=sweep)
+
+
+def _write_csv(path, n, labeled=True, seed=40):
+    gen = Rng(seed).generator
+    values = gen.standard_normal((n, 5)) + 3.0 * (np.arange(n) % 2)[:, None]
+    header = ",".join([f"f{j}" for j in range(5)] + (["label"] if labeled else []))
+    rows = [",".join([f"{v:.17g}" for v in row] + ([str(i % 2)] if labeled else []))
+            for i, row in enumerate(values)]
+    path.write_text("\n".join([header, *rows]) + "\n")
+    return str(path)
+
+
+class TestFileSource:
+    def config(self, path):
+        return ExperimentConfig(source=path, n1=20, n2=20, trials=2, methods=("none",),
+                                preserved_sweep=(50, 100), ratios=(1, 2), seed=7)
+
+    def test_both_drivers_load_the_file_once(self, tmp_path, monkeypatch):
+        path = _write_csv(tmp_path / "labeled.csv", 80)
+        loads = []
+        monkeypatch.setattr(evaluation, "load_matrix",
+                            lambda source: loads.append(source) or load_matrix(source))
+        cfg = self.config(path)
+        corruption = corruption_experiment(cfg)
+        assert loads == [path] and len(corruption.trials) == 4
+        transfer = transfer_experiment(cfg)
+        assert loads == [path, path] and len(transfer.trials) == 4
+        # each arm still draws from its own permutation of the rows
+        data = load_matrix(path)
+        rng = Rng(cfg.seed).spawn("corruption", 100.0, 1)
+        order = rng.spawn("source").generator.permutation(80)
+        x, y = order[:20], order[20:40]
+        _, acc = knn_classify(data.values[x], data.labels[x], data.values[y], 5,
+                              data.labels[y])
+        [row] = [r for r in corruption.trials if (r["p"], r["trial"]) == (100.0, 1)]
+        assert row["accuracy"] == acc
+
+    def test_unlabeled_file_rejected(self, tmp_path):
+        cfg = self.config(_write_csv(tmp_path / "unlabeled.csv", 80, labeled=False))
+        for run in (corruption_experiment, transfer_experiment):
+            with pytest.raises(ValueError, match="experiment data needs a label column"):
+                run(cfg)
+
+    def test_exhausted_pool_rejected(self, tmp_path):
+        cfg = self.config(_write_csv(tmp_path / "small.csv", 70))  # transfer draws 80
+        with pytest.raises(ValueError, match="data pool exhausted: need 40 more rows, 30 left"):
+            transfer_experiment(cfg)
 
 
 class TestSamplers:
