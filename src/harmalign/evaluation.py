@@ -141,11 +141,6 @@ class FileSampler:
         self._cursor = 0
 
     def draw(self, n: int, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
-        if self._cursor + n > self._order.size:
-            raise ValueError(
-                f"data pool exhausted: need {n} more rows, "
-                f"{self._order.size - self._cursor} left"
-            )
         idx = self._order[self._cursor : self._cursor + n]
         self._cursor += n
         return self.values[idx], self.labels[idx]
@@ -315,9 +310,10 @@ class ExperimentConfig:
             )
 
 
-def _sampler_factory(cfg: ExperimentConfig):
+def _sampler_factory(cfg: ExperimentConfig, rows: int):
     """The sampler of an arm, as a function of the arm's ``source`` RNG.
-    A file source is loaded once, here."""
+    A file source is loaded once, here, and refused before any arm runs
+    unless it holds the ``rows`` each arm draws."""
     if cfg.source == "synthetic-manifold":
         return lambda rng: ManifoldSampler(rng, classes=cfg.classes, dim=cfg.dim)
     if cfg.source == "synthetic-clusters":
@@ -326,6 +322,9 @@ def _sampler_factory(cfg: ExperimentConfig):
     data = load_matrix(cfg.source)
     if data.labels is None:
         raise ValueError(f"{cfg.source}: experiment data needs a label column")
+    if data.n_points < rows:
+        raise ValueError(f"data pool exhausted: each arm draws {rows} rows, "
+                         f"{cfg.source} has {data.n_points}")
     return lambda rng: FileSampler(data, rng)
 
 
@@ -392,7 +391,7 @@ def corruption_experiment(cfg: ExperimentConfig) -> Report:
     root = Rng(cfg.seed)
     report = Report(params=_effective_params(cfg))
     report.params["mode"] = "corruption"
-    make_sampler = _sampler_factory(cfg)
+    make_sampler = _sampler_factory(cfg, cfg.n1 + cfg.n2)
     for p in cfg.preserved_sweep:
         for trial in range(cfg.trials):
             rng = root.spawn("corruption", float(p), trial)
@@ -417,7 +416,8 @@ def transfer_experiment(cfg: ExperimentConfig) -> Report:
     root = Rng(cfg.seed)
     report = Report(params=_effective_params(cfg))
     report.params["mode"] = "transfer"
-    make_sampler = _sampler_factory(cfg)
+    test_sizes = [int(cfg.n1 * ratio) for ratio in cfg.ratios]
+    make_sampler = _sampler_factory(cfg, cfg.n1 + sum(test_sizes))
     for trial in range(cfg.trials):
         rng = root.spawn("transfer", trial)
         sampler = make_sampler(rng.spawn("source"))
@@ -426,10 +426,8 @@ def transfer_experiment(cfg: ExperimentConfig) -> Report:
         O0 = random_orthogonal(dim, rng.spawn("orthogonal"))
         Op = partial_corruption(O0, cfg.preserved_pct, rng.spawn("columns"))
         x_prep = None  # fixed per trial and the smallest of every pair: prepared once
-        for ratio in cfg.ratios:
-            y_values, y_labels = sampler.draw(
-                int(cfg.n1 * ratio), rng.spawn("draw-y", ratio)
-            )
+        for ratio, n2 in zip(cfg.ratios, test_sizes):
+            y_values, y_labels = sampler.draw(n2, rng.spawn("draw-y", ratio))
             row = {"ratio": ratio, "trial": trial}
             x_prep = _run_methods(report, cfg, row, x_values, x_labels, y_values @ Op,
                                   y_labels, x_prep)

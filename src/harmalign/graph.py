@@ -19,16 +19,24 @@ all points).  The alternative is the anisotropic kernel
 
 which divides out sampling density before any further normalization.
 
-Each graph is built with one squared-distance pass and one N x N array:
-the ``cdist`` output is the only one, the adaptive bandwidths are read from
-it, and it is rewritten in place, a row block at a time, into ``W`` and then
-``A``.  The other temporaries are row blocks of ``_BLOCK_ROWS`` rows.  With
-one BLAS thread, preparing one 10000-point, 100-feature dataset at rank 100
-took 27 s at a peak RSS of 880 MB, of which the graph is 800 MB.
+Each graph is one N x N array.  The adaptive bandwidths come first, exactly,
+from :func:`nearest`, the only caller of ``cdist``.  One GEMM of the centered
+rows then writes the squared distances into the array, which is rewritten in
+place, a row block at a time, into ``W`` and then ``A``; the other temporaries
+are row blocks of ``_BLOCK_ROWS`` rows and the N x d centered copy.  With one
+BLAS thread, preparing one 10000-point, 100-feature dataset at rank 100 took
+12 s at a peak RSS of 883 MB, of which the graph is 800 MB.
 
-This module is also the one place that picks neighbours: every query
-outside the kernel (k-NN evaluation, the MNN baseline, the CLI's self-match
-rate) calls :func:`nearest`, which orders them by (distance, index).
+Each squared distance is within ``e_ij = (4d + 7) u (|c_i|^2 + |c_j|^2)`` of
+``cdist``'s (the bound :func:`nearest` states; ``c`` the centered rows, so a
+common offset costs nothing).  A Gaussian term then moves by a relative
+``rho = max e_ij / (2 min eps_i)`` at most and an entry of ``A``, through the
+degrees, by ``2 rho`` (the anisotropic kernel: ``6 max e_ij / sigma``), to
+first order: under 1.1e-13 of ``max |A|`` on the tests' data, checked at 1e-12.
+
+This module is also the one place that picks neighbours: every query (the
+bandwidths, k-NN evaluation, MNN, the CLI's self-match rate) calls
+:func:`nearest`, which orders them by (distance, index).
 """
 
 from __future__ import annotations
@@ -99,36 +107,48 @@ def _row_blocks(n: int):
     return ((lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS))
 
 
-def _kth_neighbor_distance(sq: np.ndarray, k: int) -> np.ndarray:
-    """Distance to the k-th nearest neighbor from the N x N squared distances.
+def _squared_norms(a: np.ndarray) -> np.ndarray:
+    """Squared row norms; raises ValueError unless they are finite and far
+    from overflow, so that no sum of four of them overflows."""
+    sq = np.einsum("ij,ij->i", a, a)
+    if not np.isfinite(8 * sq.max()):  # NaN and inf propagate
+        raise ValueError("distances need finite values whose squared norms do not overflow")
+    return sq
 
-    The rows are partitioned a block at a time, so no second N x N array is
-    made.  Euclidean ``cdist`` is the square root of the squared one bit for
-    bit and the root is monotone, so the root of the k-th smallest squared
-    distance is the k-th smallest distance exactly.
-    """
-    n = sq.shape[0]
-    if not 1 <= k < n:
-        raise ValueError(f"adaptive bandwidth needs 1 <= k < N; got k={k}, N={n}")
-    # column 0 in sorted order is the self-distance 0; column k is the k-th
-    # neighbor.  The copy frees each block's partitioned rows at once.
-    blocks = (np.partition(sq[lo:hi], k, axis=1)[:, k].copy() for lo, hi in _row_blocks(n))
-    sigma = np.concatenate(list(blocks))
-    np.sqrt(sigma, out=sigma)
-    if np.any(sigma <= 0):
-        i = int(np.flatnonzero(sigma <= 0)[0])
-        raise ValueError(
-            f"zero adaptive bandwidth at point {i} (duplicate points within {k} "
-            "neighbors); use a fixed bandwidth instead"
-        )
-    return sigma
+
+def _squared_distances(values: np.ndarray) -> np.ndarray:
+    """The N x N squared distances ``|c_i|^2 + |c_j|^2 - 2 c_i.c_j`` of the
+    centered rows c by one GEMM, clamped at 0 and exactly symmetric: each row
+    block computes its upper part and copies its lower part from above."""
+    c = values - values.mean(axis=0)
+    sq = _squared_norms(c)
+    D = c @ c.T
+    del c  # before the blocks' temporaries
+    for lo, hi in _row_blocks(len(D)):
+        d2 = D[lo:hi, lo:]
+        d2 *= -2.0
+        d2 += sq[lo:hi, None]
+        d2 += sq[lo:]
+        np.maximum(d2, 0.0, out=d2)
+        D[lo:hi, :lo] = D[:lo, lo:hi].T
+        D[lo:hi, lo:hi] = np.triu(D[lo:hi, lo:hi]) + np.triu(D[lo:hi, lo:hi], 1).T
+    np.fill_diagonal(D, 0.0)
+    return D
 
 
 def adaptive_bandwidth(X, k: int) -> np.ndarray:
-    """Distance from each point to its k-th nearest neighbor (self excluded);
-    unused by the package, kept while ``perfbench/tracer.py`` names it."""
+    """Distance from each point to its k-th nearest neighbor (self excluded),
+    the adaptive kernel's bandwidth: exact, as :func:`nearest` selects it."""
     values = as_values(X)
-    return _kth_neighbor_distance(cdist(values, values, metric="sqeuclidean"), k)
+    if not 1 <= k < len(values):
+        raise ValueError(f"adaptive bandwidth needs 1 <= k < N; got k={k}, N={len(values)}")
+    # column 0 is the point itself; the copy frees the N x (k + 1) distances
+    sigma = nearest(values, values, k + 1)[1][:, k].copy()
+    if np.any(sigma <= 0):
+        i = int(np.flatnonzero(sigma <= 0)[0])
+        raise ValueError(f"zero adaptive bandwidth at point {i} (duplicate points within "
+                         f"{k} neighbors); use a fixed bandwidth instead")
+    return sigma
 
 
 def _finish_graph(W: np.ndarray) -> KernelGraph:
@@ -151,21 +171,17 @@ def gauss_kernel_graph(X, bw: BandwidthSpec) -> KernelGraph:
     Gaussian ``W(i,j) = 1/2 [exp(-d_ij^2 / (2 eps_i)) + exp(-d_ij^2 / (2 eps_j))]``;
     a fixed bandwidth uses the same formula with all ``sigma_i`` equal, which
     reduces to the plain Gaussian ``exp(-d^2 / (2 sigma^2))``.
-
-    The squared distances are the only N x N array: the adaptive bandwidths
-    are read from them, and they are rewritten in place, a row block at a
-    time, into ``W`` and then ``A``.
     """
     values = as_values(X)
-    n = values.shape[0]
-    # the squared distances are exactly symmetric, so W is too
-    W = cdist(values, values, metric="sqeuclidean")
+    # the bandwidths first: nearest's block temporaries never meet W
     if bw.mode == "adaptive":
-        sigma = _kth_neighbor_distance(W, bw.k)
+        sigma = adaptive_bandwidth(values, bw.k)
     else:
-        sigma = np.full(n, bw.sigma, dtype=np.float64)
+        sigma = np.full(len(values), bw.sigma, dtype=np.float64)
+    # the squared distances are exactly symmetric, so W is too
+    W = _squared_distances(values)
     scale = -2.0 * sigma**2
-    for lo, hi in _row_blocks(n):
+    for lo, hi in _row_blocks(len(W)):
         d2 = W[lo:hi]
         row_term = d2 / scale[lo:hi, None]
         np.exp(row_term, out=row_term)
@@ -187,8 +203,7 @@ def anisotropic_kernel_graph(X, sigma: float) -> KernelGraph:
     """
     if sigma <= 0:
         raise ValueError(f"anisotropic kernel requires sigma > 0, got {sigma}")
-    values = as_values(X)
-    G = cdist(values, values, metric="sqeuclidean")
+    G = _squared_distances(as_values(X))
     G /= -sigma
     np.exp(G, out=G)
     r = G.sum(axis=1)
@@ -227,13 +242,8 @@ def nearest(test, train, k: int):
     d = train.shape[1]
     idx = np.empty((test.shape[0], k), dtype=np.intp)
     dist = np.empty((test.shape[0], k))
-    t_sq = np.einsum("ij,ij->i", train, train)
-    test_sq = np.einsum("ij,ij->i", test, test)
+    t_sq, test_sq = _squared_norms(train), _squared_norms(test)
     t_max = t_sq.max()
-    if not np.isfinite(4 * (t_max + test_sq.max())):  # NaN and inf propagate
-        raise ValueError(
-            "nearest neighbours need finite values whose squared norms do not overflow"
-        )
     f64 = np.finfo(np.float64)
     rel, tiny = 8 * (d + 8) * f64.eps / 2, 8 * (d + 8) * f64.smallest_subnormal
     for lo in range(0, test.shape[0], _CHUNK):

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
+from scipy.linalg.blas import dsymv
 
 from .core import _available_memory
 from .graph import KernelGraph
@@ -72,9 +73,10 @@ def _plan(n: int, rank: int | None) -> tuple[int | None, bool]:
     and whether a full ``eigh`` computes it."""
     if rank is None and n > FULL_DECOMPOSITION_LIMIT:
         rank = RANK_AUTO
-    # Lanczos time grows faster than linearly in rank: with one BLAS thread
-    # it matched dense eigh at ranks of about N/6 (N = 1000), N/7 (N = 2000)
-    # and N/10 (N = 4000); N/8 keeps either choice within 2x of the faster
+    # Lanczos time grows faster than linearly in rank: with one BLAS thread and
+    # dsymv products it matched dense eigh at ranks of about N/5 (N = 1000),
+    # N/6 (N = 2000) and N/6.6 (N = 4000), then took 9x longer by N/6 at
+    # N = 4000; N/8 stays below each break-even and clear of that rise
     return rank, rank is None or 8 * rank >= n
 
 
@@ -118,8 +120,9 @@ def fourier_basis(g: KernelGraph, rank: int | None = None) -> FourierBasis:
         up to ``FULL_DECOMPOSITION_LIMIT`` points, else ``RANK_AUTO``.  Ranks
         of at least N/8 slice the full dense decomposition; smaller ranks use
         an iterative Lanczos solver with a fixed starting vector for
-        determinism.  If Lanczos does not converge, the dense decomposition is
-        sliced instead and the fallback is logged to the ``harmalign`` logger;
+        determinism, whose products (``dsymv``) read one triangle of A in
+        place.  If Lanczos does not converge, the dense decomposition is sliced
+        instead and the fallback is logged to the ``harmalign`` logger;
         when the dense route's two further N x N arrays would exceed available
         memory, a MemoryError naming the Lanczos failure is raised instead.
 
@@ -137,8 +140,11 @@ def fourier_basis(g: KernelGraph, rank: int | None = None) -> FourierBasis:
         lam, psi = _dense_top(g.A, rank)
     else:
         v0 = np.full(n, 1.0 / np.sqrt(n))
+        # A.T is the symmetric, C-ordered A in F order: dsymv reads it in place
+        op = scipy.sparse.linalg.LinearOperator((n, n), lambda v: dsymv(1.0, g.A.T, v),
+                                                dtype=float)
         try:
-            lam, psi = scipy.sparse.linalg.eigsh(g.A, k=rank, which="LA", v0=v0)
+            lam, psi = scipy.sparse.linalg.eigsh(op, k=rank, which="LA", v0=v0)
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             found = (f"Lanczos found {len(exc.eigenvalues)} of {rank} eigenpairs "
                      f"of a {n}-point graph")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -468,10 +470,18 @@ class TestFileSource:
             with pytest.raises(ValueError, match="experiment data needs a label column"):
                 run(cfg)
 
-    def test_exhausted_pool_rejected(self, tmp_path):
-        cfg = self.config(_write_csv(tmp_path / "small.csv", 70))  # transfer draws 80
-        with pytest.raises(ValueError, match="data pool exhausted: need 40 more rows, 30 left"):
+    def test_exhausted_pool_rejected(self, tmp_path, monkeypatch):
+        path = _write_csv(tmp_path / "small.csv", 70)
+        arms = []
+        monkeypatch.setattr(evaluation, "knn_classify", lambda *a: arms.append(a) or (None, 1.0))
+        cfg = self.config(path)  # transfer draws 20 + 20 + 40 rows per trial
+        with pytest.raises(ValueError, match="data pool exhausted: each arm draws 80 rows, .*small.csv has 70"):
             transfer_experiment(cfg)
+        cfg = dataclasses.replace(cfg, n2=51)  # the sweep draws 20 + 51 per arm
+        with pytest.raises(ValueError, match="data pool exhausted: each arm draws 71 rows, .*small.csv has 70"):
+            corruption_experiment(cfg)
+        assert arms == []  # refused before any arm ran
+        assert len(transfer_experiment(dataclasses.replace(cfg, ratios=(1, 1.5))).trials) == 4
 
 
 class TestSamplers:

@@ -52,6 +52,19 @@ class TestAdaptiveBandwidth:
         with pytest.raises(ValueError, match="fixed bandwidth"):
             gauss_kernel_graph(line_points(0, 0, 1), BandwidthSpec.adaptive(1))
 
+    def test_k_duplicate_neighbors_make_a_zero_bandwidth(self):
+        X = Rng(3).generator.standard_normal((30, 4))
+        X[10:13] = X[4]  # point 4 and three copies: its third neighbor is at 0
+        gauss_kernel_graph(X, BandwidthSpec.adaptive(4))
+        with pytest.raises(ValueError, match="zero adaptive bandwidth at point 4 .*fixed bandwidth"):
+            gauss_kernel_graph(X, BandwidthSpec.adaptive(3))
+
+    @pytest.mark.parametrize("bw", [BandwidthSpec.adaptive(1), BandwidthSpec.fixed(1.0), None])
+    def test_overflowing_squared_norms_raise(self, bw):
+        X = line_points(0, 1, 3) * np.array([[1.0, 1e160]])  # |x|^2 near 1e320
+        with pytest.raises(ValueError, match="finite values whose squared norms do not overflow"):
+            gauss_kernel_graph(X, bw) if bw else anisotropic_kernel_graph(X, 1.0)
+
     def test_k_too_large(self):
         with pytest.raises(ValueError, match="k < N"):
             gauss_kernel_graph(line_points(0, 1, 3), BandwidthSpec.adaptive(3))
@@ -133,8 +146,26 @@ def full_matrix_finish(W):
     return W * np.multiply.outer(inv_sqrt, inv_sqrt), degrees
 
 
+def relative_gap(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+def graph_and_reference(X, kind, k, scale=1.0):
+    """A graph of X and the full-matrix ``cdist`` reference (A, degrees);
+    ``scale`` is the scale of X, which the fixed and anisotropic bandwidths follow."""
+    if kind == "adaptive":
+        g = gauss_kernel_graph(X, BandwidthSpec.adaptive(k))
+        return g, full_matrix_gauss(X, np.partition(cdist(X, X), k, axis=1)[:, k])
+    if kind == "fixed":
+        g = gauss_kernel_graph(X, BandwidthSpec.fixed(2.5 * scale))
+        return g, full_matrix_gauss(X, np.full(len(X), 2.5 * scale))
+    g = anisotropic_kernel_graph(X, 20.0 * scale**2)
+    return g, full_matrix_anisotropic(X, 20.0 * scale**2)
+
+
 class TestBlockedBuild:
-    """The row-block passes give the full-matrix results bit for bit."""
+    """The row-block passes match the full-matrix ``cdist`` reference within
+    the bound the ``graph`` module states, and A is exactly symmetric."""
 
     N = 2 * _BLOCK_ROWS + 89  # three blocks, the last one partial
     K = 7
@@ -147,19 +178,31 @@ class TestBlockedBuild:
         expected = np.partition(cdist(X, X), self.K, axis=1)[:, self.K]
         assert np.array_equal(adaptive_bandwidth(X, self.K), expected)
 
+    @pytest.mark.parametrize("data", ["offset", "grid"])
+    def test_adaptive_bandwidth_is_bit_equal_to_cdist(self, X, data):
+        # a common offset of 1e6 and the ties of integer points change nothing
+        Y = {"offset": X + 1e6, "grid": np.round(2 * X)}[data]
+        expected = np.partition(cdist(Y, Y), self.K, axis=1)[:, self.K]
+        assert np.array_equal(adaptive_bandwidth(Y, self.K), expected)
+
     @pytest.mark.parametrize("kind", ["adaptive", "fixed", "anisotropic"])
     def test_graph_matches_full_matrix_reference(self, X, kind):
-        if kind == "adaptive":
-            g = gauss_kernel_graph(X, BandwidthSpec.adaptive(self.K))
-            A, degrees = full_matrix_gauss(X, np.partition(cdist(X, X), self.K, axis=1)[:, self.K])
-        elif kind == "fixed":
-            g = gauss_kernel_graph(X, BandwidthSpec.fixed(2.5))
-            A, degrees = full_matrix_gauss(X, np.full(self.N, 2.5))
-        else:
-            g = anisotropic_kernel_graph(X, 20.0)
-            A, degrees = full_matrix_anisotropic(X, 20.0)
-        assert np.array_equal(g.A, A)
-        assert np.array_equal(g.degrees, degrees)
+        g, (A, degrees) = graph_and_reference(X, kind, self.K)
+        assert np.array_equal(g.A, g.A.T)
+        # the GEMM distances round differently from cdist's: the bound is the
+        # graph module's, and the gap measured here is below 1e-15
+        assert relative_gap(g.A, A) <= 1e-12
+        assert relative_gap(g.degrees, degrees) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["adaptive", "fixed", "anisotropic"])
+    @pytest.mark.parametrize("offset, scale", [(1e6, 1.0), (0.0, 1e-150)])
+    def test_graph_matches_reference_after_offset_or_scale(self, X, kind, offset, scale):
+        # without centering, the offset's squared norms (1e13) swamp the
+        # squared distances (about 20) in the GEMM and the kernel is lost
+        g, (A, degrees) = graph_and_reference(X * scale + offset, kind, self.K, scale)
+        assert np.array_equal(g.A, g.A.T)
+        assert relative_gap(g.A, A) <= 1e-12
+        assert relative_gap(g.degrees, degrees) <= 1e-12
 
     def test_duplicate_in_a_later_block_is_reported_by_index(self, X):
         Y = X.copy()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -192,6 +194,22 @@ class TestFourierBasis:
         assert np.linalg.norm(b.psi.T @ f) == pytest.approx(
             np.linalg.norm(f), abs=1e-10
         )
+
+
+class TestLanczosMatvec:
+    def test_lanczos_reads_a_in_place_and_matches_the_dense_slice(self):
+        g = random_graph(n=1000, d=6, seed=14, k=20)
+        assert not spectral._plan(1000, 20)[1]  # rank 20 takes the Lanczos route
+        tracemalloc.start()
+        try:
+            b = fourier_basis(g, rank=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * g.A.nbytes  # no copy of A, not even of a triangle
+        lam, _ = spectral._dense_top(g.A, 20)
+        assert np.abs(b.lam - lam).max() <= 1e-12
+        assert np.abs(g.A @ b.psi - b.psi * b.lam).max() <= 1e-10
 
 
 class TestDropTrivial:
