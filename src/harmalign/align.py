@@ -74,7 +74,9 @@ class AlignmentParams:
         Adaptive bandwidth: the neighbor index for the smallest of the
         datasets aligned together; see :func:`neighborhood_fraction`.
     sigma : float, optional
-        Bandwidth for the fixed and anisotropic kernels.
+        Bandwidth for the fixed and anisotropic kernels.  One number means
+        two widths: the fixed kernel is ``exp(-d^2 / (2 sigma^2))``, the
+        anisotropic one ``exp(-d^2 / sigma)``.
     knn_fraction : float, optional
         When set, the neighborhood fraction shared by every dataset in place
         of the one ``knn`` gives.

@@ -35,7 +35,7 @@ from .align import (AlignmentParams, PreparedDataset, align_prepared, neighborho
                     prepare_dataset)
 from .baselines import MnnParams, mnn_correct
 from .core import DataMatrix, Report, Rng, load_matrix
-from .graph import _CHUNK, nearest
+from .graph import _row_blocks, nearest
 
 
 # ---------------------------------------------------------------------------
@@ -95,35 +95,29 @@ class ManifoldSampler:
 
     Latent points are standard Gaussian; class labels are nearest-center
     (Voronoi) regions of ``classes`` fixed latent centers.  The lift uses
-    random sinusoidal features ``sqrt(2) cos(z A + b)`` plus a constant
-    offset of norm ``offset`` shared by all points.  The offset carries most
-    of the signal energy into a single direction, so corrupting the feature
-    basis misplaces datasets relative to each other without perturbing
-    either one's internal neighborhood structure.
+    random sinusoidal features ``sqrt(2) cos(z A + b)``, with A's entries of
+    standard deviation ``FREQ``, plus a constant offset of norm ``OFFSET``
+    shared by all points.  The offset carries most of the signal energy into
+    a single direction, so corrupting the feature basis misplaces datasets
+    relative to each other without perturbing either one's internal
+    neighborhood structure.
     """
 
-    def __init__(
-        self,
-        rng: Rng,
-        classes: int = 10,
-        dim: int = 100,
-        latent_dim: int = 2,
-        freq: float = 1.5,
-        offset: float = 12.0,
-    ):
+    LATENT_DIM, FREQ, OFFSET = 2, 1.5, 12.0
+
+    def __init__(self, rng: Rng, classes: int = 10, dim: int = 100):
         gen = rng.generator
         self.classes = classes
         self.dim = dim
-        self.latent_dim = latent_dim
-        self.centers = gen.standard_normal((classes, latent_dim))
-        self.proj = freq * gen.standard_normal((latent_dim, dim))
+        self.centers = gen.standard_normal((classes, self.LATENT_DIM))
+        self.proj = self.FREQ * gen.standard_normal((self.LATENT_DIM, dim))
         self.phase = gen.uniform(0.0, 2.0 * np.pi, size=dim)
         direction = gen.standard_normal(dim)
-        self.offset = offset * direction / np.linalg.norm(direction)
+        self.offset = self.OFFSET * direction / np.linalg.norm(direction)
 
     def draw(self, n: int, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
         gen = rng.generator
-        z = gen.standard_normal((n, self.latent_dim))
+        z = gen.standard_normal((n, self.LATENT_DIM))
         d2 = ((z[:, None, :] - self.centers[None, :, :]) ** 2).sum(axis=-1)
         labels = d2.argmin(axis=1)
         values = np.sqrt(2.0) * np.cos(z @ self.proj + self.phase) + self.offset
@@ -160,8 +154,8 @@ def _knn_vote(train, train_labels, test, k: int):
     classes, codes = np.unique(train_labels, return_inverse=True)
     idx, dist = nearest(test, train, k)
     pred = np.empty(test.shape[0], dtype=np.int64)
-    for lo in range(0, test.shape[0], _CHUNK):
-        near_idx, near = idx[lo : lo + _CHUNK], dist[lo : lo + _CHUNK]
+    for lo, hi in _row_blocks(test.shape[0]):
+        near_idx, near = idx[lo:hi], dist[lo:hi]
         member = codes[near_idx][:, :, None] == np.arange(classes.size)
         counts = member.sum(axis=1)
         # summed over neighbors in (distance, index) order, as a per-class sum would
@@ -169,7 +163,7 @@ def _knn_vote(train, train_labels, test, k: int):
         best = counts == counts.max(axis=1, keepdims=True)
         totals[~best] = np.inf
         winners = totals == totals.min(axis=1, keepdims=True)
-        pred[lo : lo + _CHUNK] = classes[winners.argmax(axis=1)]  # lowest label
+        pred[lo:hi] = classes[winners.argmax(axis=1)]  # lowest label
     return idx, pred
 
 
@@ -226,11 +220,11 @@ def neighborhood_overlap(a_embed: np.ndarray, b_embed: np.ndarray, k: int) -> fl
         other[other.all(axis=1), k] = False  # i not among them: keep the first k
         sets.append(idx[other].reshape(n, k))
     overlap = 0
-    for lo in range(0, n, _CHUNK):
-        local = np.arange(min(_CHUNK, n - lo))[:, None]
-        in_a = np.zeros((local.size, n), dtype=bool)
-        in_a[local, sets[0][lo : lo + _CHUNK]] = True
-        overlap += int(in_a[local, sets[1][lo : lo + _CHUNK]].sum())
+    for lo, hi in _row_blocks(n):
+        # a row's k indices are distinct in each set, so equal neighbours in
+        # the row's sorted union are exactly its intersection
+        both = np.sort(np.hstack([sets[0][lo:hi], sets[1][lo:hi]]), axis=1)
+        overlap += int((both[:, 1:] == both[:, :-1]).sum())
     return overlap / (n * k)
 
 
@@ -291,17 +285,19 @@ class ExperimentConfig:
     ratios: tuple[int, ...] = (1, 2, 4)
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not self.methods:
-            raise ValueError("method list must be non-empty")
+        for name in ("trials", "n2", "classes", "dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("methods", "preserved_sweep", "ratios"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be non-empty")
         for m in self.methods:
             if m not in ("none", "harmonic", "mnn"):
                 raise ValueError(f"unknown method {m!r}")
         if any(r < 1 for r in self.ratios):
             raise ValueError(f"test sets are at least the reference's size: ratios {self.ratios}")
-        if self.knn_k < 1:
-            raise ValueError(f"knn_k must be >= 1, got {self.knn_k}")
+        if not 1 <= self.knn_k <= self.n1:  # the reference is the k-NN training set
+            raise ValueError(f"knn_k must be >= 1 and at most n1={self.n1}, got {self.knn_k}")
         if not 0 <= self.preserved_pct <= 100:
             raise ValueError(f"preserved_pct must be in [0, 100], got {self.preserved_pct}")
         if not all(0 <= p <= 100 for p in self.preserved_sweep):
@@ -359,15 +355,6 @@ def _run_methods(report, cfg, row: dict, x_values, x_labels, y_values, y_labels,
     return x_prep
 
 
-def _aggregate(report, key: str, name: str) -> None:
-    """Mean accuracy per (``key`` level, method), stored under ``name``."""
-    groups = {}
-    for row in report.trials:
-        groups.setdefault((row[key], row["method"]), []).append(row["accuracy"])
-    for (level, method), accs in groups.items():
-        report.aggregates[name.format(method=method, level=level)] = float(np.mean(accs))
-
-
 def _effective_params(cfg: ExperimentConfig) -> dict:
     params = asdict(cfg)
     params["align_params"] = asdict(cfg.align_params)
@@ -379,6 +366,43 @@ def _effective_params(cfg: ExperimentConfig) -> dict:
     return params
 
 
+def _run_arms(cfg: ExperimentConfig, mode: str, key: str, name: str, arms) -> Report:
+    """Run every arm and report each trial row and each mean accuracy.
+
+    An arm is ``(tags, trial, pct, tests)``: its RNG is
+    ``Rng(cfg.seed).spawn(*tags)``, which draws the sampler, the labeled
+    reference x of ``cfg.n1`` points and the corruption keeping ``pct``
+    percent of columns; each test set ``(level, y_tags, size)`` draws y from
+    ``spawn(*y_tags)``.  A row stores ``level`` under ``key``, and the mean
+    accuracy per (level, method) is stored under ``name``.  The reference is
+    prepared for alignment once per arm, which an arm of several test sets
+    allows by drawing each at least the reference's size.
+    """
+    root = Rng(cfg.seed)
+    report = Report(params=_effective_params(cfg))
+    report.params["mode"] = mode
+    rows = cfg.n1 + max(sum(size for *_, size in tests) for *_, tests in arms)
+    make_sampler = _sampler_factory(cfg, rows)
+    for tags, trial, pct, tests in arms:
+        rng = root.spawn(*tags)
+        sampler = make_sampler(rng.spawn("source"))
+        x_values, x_labels = sampler.draw(cfg.n1, rng.spawn("draw-x"))
+        O0 = random_orthogonal(sampler.dim, rng.spawn("orthogonal"))
+        Op = partial_corruption(O0, pct, rng.spawn("columns"))
+        x_prep = None
+        for level, y_tags, size in tests:
+            y_values, y_labels = sampler.draw(size, rng.spawn(*y_tags))
+            row = {key: level, "trial": trial}
+            x_prep = _run_methods(report, cfg, row, x_values, x_labels, y_values @ Op,
+                                  y_labels, x_prep)
+    groups = {}
+    for row in report.trials:
+        groups.setdefault((row[key], row["method"]), []).append(row["accuracy"])
+    report.aggregates = {name.format(method=method, level=level): float(np.mean(accs))
+                         for (level, method), accs in groups.items()}
+    return report
+
+
 def corruption_experiment(cfg: ExperimentConfig) -> Report:
     """Sweep corruption levels and record per-method label-transfer accuracy.
 
@@ -388,22 +412,9 @@ def corruption_experiment(cfg: ExperimentConfig) -> Report:
     Deterministic given (config, seed): every arm owns an RNG stream derived
     from (seed, p, trial).
     """
-    root = Rng(cfg.seed)
-    report = Report(params=_effective_params(cfg))
-    report.params["mode"] = "corruption"
-    make_sampler = _sampler_factory(cfg, cfg.n1 + cfg.n2)
-    for p in cfg.preserved_sweep:
-        for trial in range(cfg.trials):
-            rng = root.spawn("corruption", float(p), trial)
-            sampler = make_sampler(rng.spawn("source"))
-            x_values, x_labels = sampler.draw(cfg.n1, rng.spawn("draw-x"))
-            y_values, y_labels = sampler.draw(cfg.n2, rng.spawn("draw-y"))
-            O0 = random_orthogonal(sampler.dim, rng.spawn("orthogonal"))
-            Op = partial_corruption(O0, float(p), rng.spawn("columns"))
-            row = {"p": float(p), "trial": trial}
-            _run_methods(report, cfg, row, x_values, x_labels, y_values @ Op, y_labels)
-    _aggregate(report, "p", "{method}@p{level:g}")
-    return report
+    arms = [(("corruption", p, trial), trial, p, [(p, ("draw-y",), cfg.n2)])
+            for p in map(float, cfg.preserved_sweep) for trial in range(cfg.trials)]
+    return _run_arms(cfg, "corruption", "p", "{method}@p{level:g}", arms)
 
 
 def transfer_experiment(cfg: ExperimentConfig) -> Report:
@@ -413,26 +424,9 @@ def transfer_experiment(cfg: ExperimentConfig) -> Report:
     ``cfg.n1 * ratio`` points for each ratio, corrupted at
     ``cfg.preserved_pct`` percent preserved columns.
     """
-    root = Rng(cfg.seed)
-    report = Report(params=_effective_params(cfg))
-    report.params["mode"] = "transfer"
-    test_sizes = [int(cfg.n1 * ratio) for ratio in cfg.ratios]
-    make_sampler = _sampler_factory(cfg, cfg.n1 + sum(test_sizes))
-    for trial in range(cfg.trials):
-        rng = root.spawn("transfer", trial)
-        sampler = make_sampler(rng.spawn("source"))
-        x_values, x_labels = sampler.draw(cfg.n1, rng.spawn("draw-x"))
-        dim = x_values.shape[1]
-        O0 = random_orthogonal(dim, rng.spawn("orthogonal"))
-        Op = partial_corruption(O0, cfg.preserved_pct, rng.spawn("columns"))
-        x_prep = None  # fixed per trial and the smallest of every pair: prepared once
-        for ratio, n2 in zip(cfg.ratios, test_sizes):
-            y_values, y_labels = sampler.draw(n2, rng.spawn("draw-y", ratio))
-            row = {"ratio": ratio, "trial": trial}
-            x_prep = _run_methods(report, cfg, row, x_values, x_labels, y_values @ Op,
-                                  y_labels, x_prep)
-    _aggregate(report, "ratio", "{method}@ratio{level}")
-    return report
+    tests = [(ratio, ("draw-y", ratio), int(cfg.n1 * ratio)) for ratio in cfg.ratios]
+    arms = [(("transfer", trial), trial, cfg.preserved_pct, tests) for trial in range(cfg.trials)]
+    return _run_arms(cfg, "transfer", "ratio", "{method}@ratio{level}", arms)
 
 
 def sweep_csv(report: Report) -> str:

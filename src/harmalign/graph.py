@@ -23,7 +23,8 @@ Each graph is one N x N array.  The adaptive bandwidths come first, exactly,
 from :func:`nearest`, the only caller of ``cdist``.  One GEMM of the centered
 rows then writes the squared distances into the array, which is rewritten in
 place, a row block at a time, into ``W`` and then ``A``; the other temporaries
-are row blocks of ``_BLOCK_ROWS`` rows and the N x d centered copy.  With one
+are row blocks of ``_BLOCK_ROWS`` rows, the one block size of every blocked
+pass here and in the evaluation, and the N x d centered copy.  With one
 BLAS thread, preparing one 10000-point, 100-feature dataset at rank 100 took
 12 s at a peak RSS of 883 MB, of which the graph is 800 MB.
 
@@ -97,8 +98,10 @@ class KernelGraph:
         return np.eye(self.n_points) - self.A
 
 
-#: rows per block of the blocked passes over the N x N buffer; a block's
-#: temporaries take _BLOCK_ROWS * N * 8 bytes (2 MB at N = 1000)
+#: rows per block of every blocked pass: the kernel passes over the N x N
+#: buffer and the nearest-neighbour queries (:func:`nearest`, k-NN voting,
+#: neighbourhood overlap); a block's temporaries take _BLOCK_ROWS * N * 8
+#: bytes (2 MB at N = 1000), N the row count or the training set's size
 _BLOCK_ROWS = 256
 
 
@@ -147,7 +150,8 @@ def adaptive_bandwidth(X, k: int) -> np.ndarray:
     if np.any(sigma <= 0):
         i = int(np.flatnonzero(sigma <= 0)[0])
         raise ValueError(f"zero adaptive bandwidth at point {i} (duplicate points within "
-                         f"{k} neighbors); use a fixed bandwidth instead")
+                         f"{k} neighbors); use a fixed bandwidth instead, e.g. the "
+                         "anisotropic kernel with a sigma (CLI: --kernel eq1 --sigma S)")
     return sigma
 
 
@@ -212,16 +216,12 @@ def anisotropic_kernel_graph(X, sigma: float) -> KernelGraph:
     return _finish_graph(G)
 
 
-#: query rows per distance block: bounds each block at _CHUNK x N_train
-_CHUNK = 512
-
-
 def nearest(test, train, k: int):
     """The k nearest training rows of each test row by (``cdist`` distance,
     index), and those distances, equal bit for bit to a full ``cdist`` and a
     stable sort.
 
-    Each block of _CHUNK test rows is screened with one GEMM,
+    Each block of ``_BLOCK_ROWS`` test rows is screened with one GEMM,
     ``g = |q|^2 + |t|^2 - 2 q t^T``, which is within
     ``(4d + 7) u (|q|^2 + max |t|^2)`` of every ``cdist`` value squared, for
     any summation order (u the unit roundoff, d the width), plus a few
@@ -246,8 +246,8 @@ def nearest(test, train, k: int):
     t_max = t_sq.max()
     f64 = np.finfo(np.float64)
     rel, tiny = 8 * (d + 8) * f64.eps / 2, 8 * (d + 8) * f64.smallest_subnormal
-    for lo in range(0, test.shape[0], _CHUNK):
-        q, q_sq = test[lo : lo + _CHUNK], test_sq[lo : lo + _CHUNK]
+    for lo, hi in _row_blocks(test.shape[0]):
+        q, q_sq = test[lo:hi], test_sq[lo:hi]
         g = q @ train.T
         g *= -2.0
         g += q_sq[:, None]

@@ -167,8 +167,7 @@ def drop_trivial(b: FourierBasis) -> FourierBasis:
     return FourierBasis(psi=b.psi[:, 1:], lam=b.lam[1:], degrees=b.degrees)
 
 
-def degenerate_gaps(lam: np.ndarray, tol: float = 1e-10) -> list[int]:
-    """Indices i where lam[i] - lam[i+1] < tol (basis defined only up to rotation)."""
-    gaps = -np.diff(lam)
-    return [int(i) for i in np.flatnonzero(gaps < tol)]
+def degenerate_gaps(lam: np.ndarray) -> list[int]:
+    """Indices i where lam[i] - lam[i+1] < 1e-10 (basis defined only up to rotation)."""
+    return [int(i) for i in np.flatnonzero(-np.diff(lam) < 1e-10)]
 

@@ -78,6 +78,21 @@ class TestAlign:
         assert run(["align", "--x", dataset_csv, "--y", dataset_csv, *flags]) == 1
         assert f"error: {message}" in capsys.readouterr().err
 
+    def test_duplicate_rows_name_a_kernel_the_cli_can_select(self, tmp_path, capsys):
+        # 24 copies of row 0 put its 20th neighbor at distance 0
+        values = Rng(2).generator.standard_normal((80, 5))
+        values[1:25] = values[0]
+        path = str(tmp_path / "dup.csv")
+        write_output(DataMatrix(values=values), path)
+        assert run(["align", "--x", path, "--y", path]) == 1
+        assert ("error: zero adaptive bandwidth at point 0 (duplicate points within 20 "
+                "neighbors); use a fixed bandwidth instead, e.g. the anisotropic kernel with "
+                "a sigma (CLI: --kernel eq1 --sigma S)\n") in capsys.readouterr().err
+        out = tmp_path / "embed.csv"
+        assert run(["align", "--x", path, "--y", path, "--kernel", "eq1", "--sigma", "2",
+                    "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 2 * 80
+
     def test_missing_input_runtime_error(self, tmp_path, dataset_csv, capsys):
         code = run(["align", "--x", str(tmp_path / "nope.csv"), "--y", dataset_csv])
         assert code == 1

@@ -20,7 +20,7 @@ from harmalign.evaluation import (
     sweep_csv,
     transfer_experiment,
 )
-from harmalign.graph import _CHUNK, nearest
+from harmalign.graph import _BLOCK_ROWS, nearest
 
 
 class TestRandomOrthogonal:
@@ -116,7 +116,7 @@ class TestKnnClassify:
 
 
 def _point_sets(name, seed):
-    """(train, test) of 300 and 1100 rows: 1100 is not a multiple of _CHUNK."""
+    """(train, test) of 300 and 1100 rows: 1100 is not a multiple of _BLOCK_ROWS."""
     gen = Rng(seed).generator
     if name == "gaussian":
         return gen.standard_normal((300, 7)), gen.standard_normal((1100, 7))
@@ -138,7 +138,7 @@ class TestNearest:
     @pytest.mark.parametrize("k", [1, 5, 300])
     def test_equals_full_cdist_sorted_by_distance_then_index(self, name, k):
         train, test = _point_sets(name, 50 + k)
-        assert test.shape[0] % _CHUNK != 0
+        assert test.shape[0] % _BLOCK_ROWS != 0
         full = cdist(test, train)
         want = np.argsort(full, axis=1, kind="stable")[:, :k]
         idx, dist = nearest(test, train, k)
@@ -200,6 +200,29 @@ def _loop_knn(train, labels, test, k):
         neighbors.append(idx)
         pred.append(int(winners[totals == totals.min()].min()))
     return np.array(neighbors), np.array(pred)
+
+
+class TestBlockSize:
+    def test_ragged_blocks_match_the_default_block(self, monkeypatch):
+        # every blocked pass is exact per row: 7-row blocks, the last one
+        # partial, give what one default block per 256 rows gives
+        gen = Rng(48).generator
+        train = gen.integers(0, 4, (300, 2)).astype(float)  # ties in every row
+        test = gen.standard_normal((1100, 2)) * 2.0
+        labels = gen.choice([11, 3, 7], 300)
+        b = train + gen.standard_normal(train.shape)
+
+        def results():
+            return (nearest(test, train, 5), knn_classify(train, labels, test, 5),
+                    neighborhood_overlap(train, b, 6))
+
+        (idx, dist), (pred, _), overlap = results()
+        monkeypatch.setattr(graph, "_BLOCK_ROWS", 7)
+        assert test.shape[0] % 7 != 0 and train.shape[0] % 7 != 0
+        (idx7, dist7), (pred7, _), overlap7 = results()
+        assert np.array_equal(idx7, idx) and np.array_equal(dist7, dist)
+        assert np.array_equal(pred7, pred)
+        assert overlap7 == overlap
 
 
 class TestVectorizedVote:
@@ -427,6 +450,19 @@ class TestExperiments:
     def test_preserved_sweep_outside_percent_range_rejected(self, sweep):
         with pytest.raises(ValueError, match=r"preserved_sweep values must be in \[0, 100\]"):
             self.small_config(preserved_sweep=sweep)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("preserved_sweep", (), "preserved_sweep must be non-empty"),
+        ("ratios", (), "ratios must be non-empty"),
+        ("knn_k", 121, "knn_k must be >= 1 and at most n1=120, got 121"),
+        ("n2", 0, "n2 must be >= 1, got 0"),
+        ("classes", 0, "classes must be >= 1, got 0"),
+        ("dim", 0, "dim must be >= 1, got 0"),
+    ], ids=["preserved_sweep", "ratios", "knn_k", "n2", "classes", "dim"])
+    def test_protocol_that_cannot_run_rejected(self, name, value, message):
+        # each would otherwise run no arm or fail inside the first one
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            self.small_config(**{name: value})
 
 
 def _write_csv(path, n, labeled=True, seed=40):
