@@ -13,8 +13,9 @@ non-finite values raise ``ValueError``.
 
 This is a compact reimplementation of the textbook method for benchmarking
 purposes only: no cosine normalization and no per-feature scaling are
-applied, and the smoothing bandwidth defaults to the median pairwise
-distance within the dataset being corrected.
+applied, and the smoothing bandwidth defaults to the median of the
+n2 (n2 - 1) / 2 pairwise distances within the n2 rows being corrected, which
+``pdist`` computes once each (1.0 when that median is 0).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import pdist, squareform
 
 from .core import as_values
 from .graph import nearest
@@ -85,15 +86,10 @@ def mnn_correct(X, Y, params: MnnParams | None = None) -> np.ndarray:
     V = np.zeros_like(yv)
     has = counts > 0
     V[has] = (mutual[has].astype(np.float64) @ xv) / counts[has, None] - yv[has]
-    S = cdist(yv, yv)  # rewritten in place into the smoothing matrix
-    sigma = params.sigma
-    if sigma is None:
-        # median of the m = n2 (n2 - 1) off-diagonal distances: the n2 zeros
-        # of the diagonal sort first, then the two middle ones of the m
-        mid = n2 + n2 * (n2 - 1) // 2
-        sigma = float(np.mean(np.partition(S, (mid - 1, mid), axis=None)[mid - 1 : mid + 1]))
-        if sigma <= 0:
-            sigma = 1.0
+    d = pdist(yv)
+    sigma = params.sigma or float(np.median(d)) or 1.0
+    S = squareform(d)  # rewritten in place into the smoothing matrix
+    del d
     # exp(-(d**2) / (2 sigma^2)) in place: the same operations in the same order
     np.square(S, out=S)
     np.negative(S, out=S)

@@ -113,7 +113,10 @@ def _field_values(file_values: dict, args) -> dict:
     given = {ExperimentConfig: {}, AlignmentParams: {}, MnnParams: {}}
     for key, value in values.items():
         cls, name = _CONFIG_KEYS[key]
-        given[cls][name] = _convert(typing.get_type_hints(cls)[name], value)
+        try:
+            given[cls][name] = _convert(typing.get_type_hints(cls)[name], value)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
     kernel = given[AlignmentParams].get("kernel")
     if kernel is not None:
         given[AlignmentParams]["kernel"] = _KERNEL_NAMES.get(kernel, kernel)

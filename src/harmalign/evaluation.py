@@ -376,8 +376,15 @@ def _run_arms(cfg: ExperimentConfig, mode: str, key: str, name: str, arms) -> Re
     ``spawn(*y_tags)``.  A row stores ``level`` under ``key``, and the mean
     accuracy per (level, method) is stored under ``name``.  The reference is
     prepared for alignment once per arm, which an arm of several test sets
-    allows by drawing each at least the reference's size.
+    allows by drawing each at least the reference's size.  Raises ValueError
+    before any arm runs when a method cannot run at the smallest test size.
     """
+    m = min(size for *_, tests in arms for *_, size in tests)
+    if "mnn" in cfg.methods and cfg.mnn_params.k >= min(cfg.n1, m):
+        raise ValueError(f"mnn_params.k={cfg.mnn_params.k} must be < min(n1, smallest test "
+                         f"size)={min(cfg.n1, m)}")
+    if "harmonic" in cfg.methods:
+        neighborhood_fraction([cfg.n1, m], cfg.align_params)  # raises, naming knn
     root = Rng(cfg.seed)
     report = Report(params=_effective_params(cfg))
     report.params["mode"] = mode

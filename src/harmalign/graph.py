@@ -21,12 +21,13 @@ which divides out sampling density before any further normalization.
 
 Each graph is one N x N array.  The adaptive bandwidths come first, exactly,
 from :func:`nearest`, the only caller of ``cdist``.  One GEMM of the centered
-rows then writes the squared distances into the array, which is rewritten in
-place, a row block at a time, into ``W`` and then ``A``; the other temporaries
-are row blocks of ``_BLOCK_ROWS`` rows, the one block size of every blocked
-pass here and in the evaluation, and the N x d centered copy.  With one
-BLAS thread, preparing one 10000-point, 100-feature dataset at rank 100 took
-12 s at a peak RSS of 883 MB, of which the graph is 800 MB.
+rows fills the array; one blocked pass over its upper triangle turns it into
+kernel values and mirrors them below the diagonal; the degrees and ``A`` take
+two more passes (four for the anisotropic kernel).  The other temporaries are
+row blocks of ``_BLOCK_ROWS`` rows, the one block size of every blocked pass
+here and in the evaluation, and the N x d centered copy.  With one BLAS
+thread, a 10000-point, 100-feature dataset prepares at rank 100 in 13 s at a
+peak RSS of 881 MB, of which the graph is 800 MB.
 
 Each squared distance is within ``e_ij = (4d + 7) u (|c_i|^2 + |c_j|^2)`` of
 ``cdist``'s (the bound :func:`nearest` states; ``c`` the centered rows, so a
@@ -119,24 +120,26 @@ def _squared_norms(a: np.ndarray) -> np.ndarray:
     return sq
 
 
-def _squared_distances(values: np.ndarray) -> np.ndarray:
-    """The N x N squared distances ``|c_i|^2 + |c_j|^2 - 2 c_i.c_j`` of the
-    centered rows c by one GEMM, clamped at 0 and exactly symmetric: each row
-    block computes its upper part and copies its lower part from above."""
+def _kernel_matrix(values: np.ndarray, kernel) -> np.ndarray:
+    """``kernel`` of the squared distances of the centered rows, N x N, in one
+    blocked pass after one GEMM: each row block computes and clamps its part
+    right of the diagonal, zeroes the diagonal, calls ``kernel(d2, lo)`` on it
+    in place (``lo`` its first row) and copies its left part from above."""
     c = values - values.mean(axis=0)
     sq = _squared_norms(c)
-    D = c @ c.T
+    W = c @ c.T
     del c  # before the blocks' temporaries
-    for lo, hi in _row_blocks(len(D)):
-        d2 = D[lo:hi, lo:]
+    for lo, hi in _row_blocks(len(W)):
+        d2 = W[lo:hi, lo:]
         d2 *= -2.0
         d2 += sq[lo:hi, None]
         d2 += sq[lo:]
         np.maximum(d2, 0.0, out=d2)
-        D[lo:hi, :lo] = D[:lo, lo:hi].T
-        D[lo:hi, lo:hi] = np.triu(D[lo:hi, lo:hi]) + np.triu(D[lo:hi, lo:hi], 1).T
-    np.fill_diagonal(D, 0.0)
-    return D
+        np.fill_diagonal(d2, 0.0)
+        kernel(d2, lo)
+        W[lo:hi, :lo] = W[:lo, lo:hi].T
+        W[lo:hi, lo:hi] = np.triu(W[lo:hi, lo:hi]) + np.triu(W[lo:hi, lo:hi], 1).T
+    return W
 
 
 def adaptive_bandwidth(X, k: int) -> np.ndarray:
@@ -182,19 +185,16 @@ def gauss_kernel_graph(X, bw: BandwidthSpec) -> KernelGraph:
         sigma = adaptive_bandwidth(values, bw.k)
     else:
         sigma = np.full(len(values), bw.sigma, dtype=np.float64)
-    # the squared distances are exactly symmetric, so W is too
-    W = _squared_distances(values)
     scale = -2.0 * sigma**2
-    for lo, hi in _row_blocks(len(W)):
-        d2 = W[lo:hi]
-        row_term = d2 / scale[lo:hi, None]
+
+    def kernel(d2, lo):
+        row_term = d2 / scale[lo : lo + len(d2), None]
         np.exp(row_term, out=row_term)
-        d2 /= scale[None, :]
+        d2 /= scale[lo:]
         np.add(row_term, np.exp(d2, out=d2), out=d2)
         d2 *= 0.5
-        del row_term  # before the next block's is allocated
-    np.fill_diagonal(W, 1.0)
-    return _finish_graph(W)
+
+    return _finish_graph(_kernel_matrix(values, kernel))
 
 
 def anisotropic_kernel_graph(X, sigma: float) -> KernelGraph:
@@ -207,9 +207,12 @@ def anisotropic_kernel_graph(X, sigma: float) -> KernelGraph:
     """
     if sigma <= 0:
         raise ValueError(f"anisotropic kernel requires sigma > 0, got {sigma}")
-    G = _squared_distances(as_values(X))
-    G /= -sigma
-    np.exp(G, out=G)
+
+    def kernel(d2, lo):
+        d2 /= -sigma
+        np.exp(d2, out=d2)
+
+    G = _kernel_matrix(as_values(X), kernel)
     r = G.sum(axis=1)
     for lo, hi in _row_blocks(G.shape[0]):
         G[lo:hi] /= np.multiply.outer(r[lo:hi], r)

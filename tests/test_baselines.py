@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,6 +129,20 @@ class TestMnnCorrect:
         X = gen.integers(0, 4, (200, 3)).astype(float)
         Y = gen.integers(0, 4, (300, 3)).astype(float) + 0.5
         assert np.array_equal(mnn_correct(X, Y, MnnParams(k=5)), reference_mnn(X, Y, 5))
+
+    def test_one_n2_by_n2_array_and_the_distances(self):
+        # S (8 N2^2 bytes) and pdist's half of it; a full-matrix copy for the
+        # median would make it 2
+        gen = Rng(10).generator
+        n2 = 1500
+        X, Y = gen.standard_normal((300, 10)), gen.standard_normal((n2, 10))
+        tracemalloc.start()
+        try:
+            mnn_correct(X, Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * 8 * n2 * n2
 
     @settings(deadline=None, max_examples=200)
     @given(inputs=mnn_inputs())

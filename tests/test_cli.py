@@ -230,6 +230,14 @@ class TestExperiment:
         assert run(["experiment", "--mode", "corruption", "--config", cfg]) == 1
         assert "error: sigma must be positive, got -1.0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, bad", [("ratios", "1,1.5", "'1.5'"),
+                                                 ("n1", "many", "'many'")])
+    def test_unconvertible_value_names_its_key(self, tmp_path, capsys, key, value, bad):
+        cfg = self.write_config(tmp_path, **{key: value})
+        assert run(["experiment", "--mode", "transfer", "--config", cfg]) == 1
+        assert f"error: {key}: invalid literal for int() with base 10: {bad}" in \
+            capsys.readouterr().err
+
     def test_omitted_keys_take_dataclass_defaults(self, tmp_path, monkeypatch):
         def record(cfg):
             report = Report(params=asdict(cfg))

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy.spatial.distance import cdist
 
 from harmalign import evaluation, graph
 from harmalign.align import AlignmentParams, harmonic_alignment
+from harmalign.baselines import MnnParams
 from harmalign.core import Rng, load_matrix
 from harmalign.evaluation import (
     ClusterSampler,
@@ -518,6 +520,36 @@ class TestFileSource:
             corruption_experiment(cfg)
         assert arms == []  # refused before any arm ran
         assert len(transfer_experiment(dataclasses.replace(cfg, ratios=(1, 1.5))).trials) == 4
+
+
+class TestMethodSizeLimits:
+    """A method that cannot run at the protocol's smallest set is refused
+    before any arm runs, by the field that sets its limit."""
+
+    def refused(self, monkeypatch, cfg, message):
+        calls = []
+        monkeypatch.setattr(evaluation, "knn_classify", lambda *a: calls.append(a) or (None, 1.0))
+        for run in (corruption_experiment, transfer_experiment):
+            with pytest.raises(ValueError, match=message):
+                run(cfg)
+        assert calls == []
+
+    def config(self, *methods, **kw):
+        return ExperimentConfig(n1=20, n2=40, dim=10, trials=1, methods=("none", *methods),
+                                preserved_sweep=(50,), ratios=(1, 2), **kw)
+
+    def test_mnn_k_at_least_the_reference_size(self, monkeypatch):
+        self.refused(monkeypatch, self.config("mnn"),
+                     re.escape("mnn_params.k=20 must be < min(n1, smallest test size)=20"))
+
+    def test_harmonic_knn_at_least_the_reference_size(self, monkeypatch):
+        self.refused(monkeypatch, self.config("harmonic"),
+                     re.escape("knn=20 (knn_fraction=None) asks for 20 neighbors"))
+
+    def test_smaller_neighbourhoods_run(self):
+        cfg = self.config("mnn", "harmonic", mnn_params=MnnParams(k=19),
+                          align_params=AlignmentParams(knn=19))
+        assert len(corruption_experiment(cfg).trials) == 3
 
 
 class TestSamplers:

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from scipy.spatial.distance import cdist
 
+from harmalign import graph
 from harmalign.core import Rng
 from harmalign.graph import (
     _BLOCK_ROWS,
@@ -222,6 +223,20 @@ class TestBlockedBuild:
         assert g.n_points == n
         # A itself is 8 N^2 bytes; whole-matrix temporaries would double it
         assert peak < 1.25 * 8 * n * n
+
+
+class TestBlockSize:
+    """Every entry is computed by the same operations whatever the row block
+    it falls in, so the block size cannot change a graph."""
+
+    @pytest.mark.parametrize("kind", ["adaptive", "fixed", "anisotropic"])
+    def test_ragged_blocks_match_the_default_block(self, kind, monkeypatch):
+        X = Rng(8).generator.standard_normal((300, 12))
+        default, _ = graph_and_reference(X, kind, 7)
+        monkeypatch.setattr(graph, "_BLOCK_ROWS", 7)  # 300 = 42 * 7 + 6
+        ragged, _ = graph_and_reference(X, kind, 7)
+        assert np.array_equal(ragged.A, default.A)
+        assert np.array_equal(ragged.degrees, default.degrees)
 
 
 class TestAnisotropicKernelGraph:
