@@ -260,7 +260,8 @@ def prepare_dataset(X, params: AlignmentParams, fraction: float | None = None) -
     ``fraction`` is the :func:`neighborhood_fraction` of the datasets X is
     aligned with; by default X's own.  Raises MemoryError before building
     anything when the dataset's N x N arrays would exceed available memory.
-    The kernel graph is not kept: the basis carries its degrees.
+    The kernel graph is not kept: the dense eigensolve writes over it, and the
+    basis carries its degrees.
     """
     if not isinstance(X, DataMatrix):
         X = DataMatrix(values=np.asarray(X, dtype=np.float64))
@@ -268,7 +269,7 @@ def prepare_dataset(X, params: AlignmentParams, fraction: float | None = None) -
         fraction = neighborhood_fraction([X.n_points], params)
     check_memory(X.n_points, params.rank)
     graph = _build_graph(X.values, params, fraction)
-    basis = fourier_basis(graph, rank=params.rank)
+    basis = fourier_basis(graph, rank=params.rank, overwrite_a=True)
     return PreparedDataset(data=X, basis=drop_trivial(basis))
 
 

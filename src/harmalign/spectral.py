@@ -13,8 +13,9 @@ The basis carries the graph's degrees so that diffusion coordinates
 assembles them (:func:`harmalign.align.unified_diffusion_map`).
 
 This module alone plans each eigensolve: the rank ``rank=None`` means, the
-route (dense ``eigh`` or Lanczos) and the N x N arrays that route holds,
-which :func:`check_memory` compares with the memory available.
+route (a dense divide-and-conquer ``eigh`` or Lanczos) and the N x N arrays
+that route holds, which :func:`check_memory` compares with the memory
+available.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ _log = logging.getLogger("harmalign")
 #: graphs larger than this keep RANK_AUTO eigenpairs when no rank is given
 FULL_DECOMPOSITION_LIMIT = 2000
 RANK_AUTO = 100
-#: N x N arrays at the dense route's peak: A, eigh's copy of it, the eigenvectors
+#: N x N arrays at the dense route's peak when the solve may consume A: A,
+#: overwritten by the eigenvectors, and dsyevd's 2 N^2 workspace
 _DENSE_NXN_ARRAYS = 3
 
 
@@ -74,9 +76,10 @@ def _plan(n: int, rank: int | None) -> tuple[int | None, bool]:
     if rank is None and n > FULL_DECOMPOSITION_LIMIT:
         rank = RANK_AUTO
     # Lanczos time grows faster than linearly in rank: with one BLAS thread and
-    # dsymv products it matched dense eigh at ranks of about N/5 (N = 1000),
-    # N/6 (N = 2000) and N/6.6 (N = 4000), then took 9x longer by N/6 at
-    # N = 4000; N/8 stays below each break-even and clear of that rise
+    # dsymv products it matched the divide-and-conquer dense solve at ranks of
+    # about N/6 (N = 1000), N/7.5 (N = 2000) and N/8.5 (N = 4000), and took 9x
+    # longer at rank 667 than at 600 (N = 4000); N/8 sits at or below each
+    # break-even and clear of that rise
     return rank, rank is None or 8 * rank >= n
 
 
@@ -93,23 +96,29 @@ def _require(need: int, what: str, detail: str, cause: Exception | None = None) 
 
 def check_memory(n: int, rank: int | None = None) -> None:
     """Refuse an n-point graph whose N x N arrays at ``rank`` would not fit:
-    the graph, and on the dense route ``eigh``'s copy of it and eigenvectors."""
+    the graph, and on the dense route ``dsyevd``'s workspace of two more, as
+    when :func:`fourier_basis` may overwrite the graph (``overwrite_a``)."""
     rank, dense = _plan(n, rank)
     _require(8 * n * n * (_DENSE_NXN_ARRAYS if dense else 1),
              f"preparing {n} points at rank {rank or 'full'}", "for its N x N arrays")
 
 
-def _dense_top(A: np.ndarray, rank: int | None):
-    """The top ``rank`` eigenpairs of A from a full ``eigh``, descending.
+def _dense_top(A: np.ndarray, rank: int | None, *, overwrite_a: bool = False):
+    """The top ``rank`` eigenpairs of the symmetric A from one full
+    divide-and-conquer ``eigh`` (LAPACK ``dsyevd``), descending.
 
-    ``eigh`` holds a copy of A and the N x N eigenvector matrix; the kept
-    columns are copied out so that matrix is freed on return.
+    ``A.T`` is the C-ordered A in F order, so ``dsyevd`` writes the
+    eigenvectors over it in place, beside its 2 N^2 workspace; without
+    ``overwrite_a`` it works on one F-ordered copy and A is left unchanged.
+    The kept columns are copied out so the eigenvector matrix can be freed.
     """
-    lam, psi = scipy.linalg.eigh(A)
+    a = A.T if overwrite_a else A.T.copy(order="F")
+    lam, psi = scipy.linalg.eigh(a, driver="evd", overwrite_a=True)
     return lam[::-1][:rank], np.ascontiguousarray(psi[:, ::-1][:, :rank])
 
 
-def fourier_basis(g: KernelGraph, rank: int | None = None) -> FourierBasis:
+def fourier_basis(g: KernelGraph, rank: int | None = None, *,
+                  overwrite_a: bool = False) -> FourierBasis:
     """Eigendecomposition of A = I - L, optionally truncated to the top ``rank`` pairs.
 
     Parameters
@@ -118,13 +127,20 @@ def fourier_basis(g: KernelGraph, rank: int | None = None) -> FourierBasis:
     rank : int, optional
         Leading eigenpairs to keep, all N at ``rank=N``; ``None`` keeps all N
         up to ``FULL_DECOMPOSITION_LIMIT`` points, else ``RANK_AUTO``.  Ranks
-        of at least N/8 slice the full dense decomposition; smaller ranks use
-        an iterative Lanczos solver with a fixed starting vector for
-        determinism, whose products (``dsymv``) read one triangle of A in
-        place.  If Lanczos does not converge, the dense decomposition is sliced
-        instead and the fallback is logged to the ``harmalign`` logger;
-        when the dense route's two further N x N arrays would exceed available
-        memory, a MemoryError naming the Lanczos failure is raised instead.
+        of at least N/8 slice the full dense decomposition, a
+        divide-and-conquer ``eigh``; smaller ranks use an iterative Lanczos
+        solver with a fixed starting vector for determinism, whose products
+        (``dsymv``) read one triangle of A in place.  If Lanczos does not
+        converge, the dense decomposition is sliced instead and the fallback
+        is logged to the ``harmalign`` logger; when the dense route's further
+        N x N arrays would exceed available memory, a MemoryError naming the
+        Lanczos failure is raised instead.
+    overwrite_a : bool, keyword-only
+        Let a dense decomposition, the Lanczos fallback's included, write its
+        eigenvectors over ``g.A``, for a caller that drops the graph.  It then
+        peaks at three N x N arrays: A and the solver's 2 N^2 workspace.  By
+        default it solves on one copy of A, peaks at four and leaves ``g.A``
+        unchanged.  Lanczos itself only reads A.
 
     Returns
     -------
@@ -137,7 +153,7 @@ def fourier_basis(g: KernelGraph, rank: int | None = None) -> FourierBasis:
         raise ValueError(f"rank must be positive, got {rank}")
     rank, dense = _plan(n, rank)
     if dense:
-        lam, psi = _dense_top(g.A, rank)
+        lam, psi = _dense_top(g.A, rank, overwrite_a=overwrite_a)
     else:
         v0 = np.full(n, 1.0 / np.sqrt(n))
         # A.T is the symmetric, C-ordered A in F order: dsymv reads it in place
@@ -148,10 +164,11 @@ def fourier_basis(g: KernelGraph, rank: int | None = None) -> FourierBasis:
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             found = (f"Lanczos found {len(exc.eigenvalues)} of {rank} eigenpairs "
                      f"of a {n}-point graph")
-            _require((_DENSE_NXN_ARRAYS - 1) * g.A.nbytes,  # A exists already
-                     f"{found}, and the dense solver", "more", exc)
+            # A exists already; the copy of it comes on top unless A is consumed
+            further = _DENSE_NXN_ARRAYS - 1 if overwrite_a else _DENSE_NXN_ARRAYS
+            _require(further * g.A.nbytes, f"{found}, and the dense solver", "more", exc)
             _log.warning("%s; falling back to the dense solver", found)
-            lam, psi = _dense_top(g.A, rank)
+            lam, psi = _dense_top(g.A, rank, overwrite_a=overwrite_a)
         else:
             order = np.argsort(lam)[::-1]
             lam, psi = lam[order], psi[:, order]

@@ -2,12 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
 from harmalign import spectral
 from harmalign.align import orthogonalize, unified_diffusion_map
 from harmalign.core import Rng
-from harmalign.graph import BandwidthSpec, gauss_kernel_graph
+from harmalign.graph import BandwidthSpec, KernelGraph, gauss_kernel_graph
 from harmalign.spectral import (
     canonical_signs,
     degenerate_gaps,
@@ -164,11 +165,13 @@ class TestFourierBasis:
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
         monkeypatch.setattr(spectral, "_available_memory", lambda: spare)
-        assert np.array_equal(fourier_basis(g, rank=10).psi, full.psi[:, :10])
+        # consuming A, the fallback adds only dsyevd's 2 N^2 workspace
+        owned = fourier_basis(g, rank=10, overwrite_a=True)
+        assert np.array_equal(owned.psi, full.psi[:, :10])
 
     def test_lanczos_fallback_refuses_when_dense_route_does_not_fit(self, monkeypatch):
         g = random_graph(n=200, seed=13, k=10)
-        need = 2 * 8 * 200 * 200  # eigh's copy of A and its eigenvectors
+        need = 3 * 8 * 200 * 200  # the copy of A and dsyevd's 2 N^2 workspace
 
         def no_convergence(A, k, **kw):
             raise scipy.sparse.linalg.ArpackNoConvergence(
@@ -187,6 +190,22 @@ class TestFourierBasis:
         )
         assert isinstance(exc.value.__cause__, scipy.sparse.linalg.ArpackNoConvergence)
 
+    @pytest.mark.parametrize("overwrite_a, arrays", [(True, 2), (False, 3)])
+    def test_lanczos_fallback_counts_the_copy_it_makes(self, monkeypatch, overwrite_a, arrays):
+        full = fourier_basis(random_graph(n=200, seed=13, k=10))
+
+        def no_convergence(A, k, **kw):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        need = arrays * 8 * 200 * 200
+        monkeypatch.setattr(spectral, "_available_memory", lambda: need - 1)
+        with pytest.raises(MemoryError):
+            fourier_basis(random_graph(n=200, seed=13, k=10), rank=10, overwrite_a=overwrite_a)
+        monkeypatch.setattr(spectral, "_available_memory", lambda: need)
+        b = fourier_basis(random_graph(n=200, seed=13, k=10), rank=10, overwrite_a=overwrite_a)
+        assert np.array_equal(b.psi, full.psi[:, :10])
+
     def test_parseval(self):
         g = random_graph(seed=9)
         b = fourier_basis(g)
@@ -194,6 +213,62 @@ class TestFourierBasis:
         assert np.linalg.norm(b.psi.T @ f) == pytest.approx(
             np.linalg.norm(f), abs=1e-10
         )
+
+
+class TestGraphOwnership:
+    """A direct call keeps the caller's graph; only an owner lets the dense
+    solve write its eigenvectors over A."""
+
+    def test_dense_route_leaves_the_graph_unchanged(self):
+        g = random_graph(n=200, seed=13, k=10)
+        before = g.A.copy()
+        fourier_basis(g)
+        assert np.array_equal(g.A, before)
+
+    def test_lanczos_fallback_leaves_the_graph_unchanged(self, monkeypatch):
+        g = random_graph(n=200, seed=13, k=10)
+        before = g.A.copy()
+
+        def no_convergence(A, k, **kw):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        fourier_basis(g, rank=10)  # 8 * 10 < 200: Lanczos first
+        assert np.array_equal(g.A, before)
+
+    @pytest.mark.parametrize("rank", [None, 10])
+    def test_overwriting_gives_the_same_eigenvalues(self, rank):
+        g = random_graph(n=200, seed=13, k=10)
+        kept = fourier_basis(KernelGraph(A=g.A.copy(), degrees=g.degrees), rank)
+        owned = fourier_basis(g, rank, overwrite_a=True)
+        assert np.abs(owned.lam - kept.lam).max() <= 1e-12
+
+
+class TestDenseSolve:
+    """The divide-and-conquer solve: orthonormal, accurate, and orthonormal
+    inside a degenerate eigenspace too."""
+
+    @staticmethod
+    def assert_accurate(g, b):
+        assert b.rank == g.n_points
+        raw = scipy.linalg.eigvalsh(g.A)[::-1]
+        assert np.abs(b.lam - np.clip(raw, 0.0, 1.0)).max() <= 1e-12
+        assert np.abs(b.psi.T @ b.psi - np.eye(b.rank)).max() <= 1e-10
+        live = (raw >= 0) & (raw <= 1)  # where the clamp did not move eigenvalues
+        resid = g.A @ b.psi[:, live] - b.psi[:, live] * b.lam[live]
+        assert np.abs(resid).max() <= 1e-10
+
+    def test_full_rank_basis_of_1000_points(self):
+        g = random_graph(n=1000, d=6, seed=16, k=20)
+        self.assert_accurate(g, fourier_basis(g))
+
+    def test_repeated_eigenvalue_of_two_components(self):
+        X = Rng(17).generator.standard_normal((300, 4))
+        X[150:, 0] += 1e3  # no kernel weight survives between the halves
+        g = gauss_kernel_graph(X, BandwidthSpec.adaptive(10))
+        b = fourier_basis(g)
+        assert b.lam[1] >= 1.0 - 1e-12 > b.lam[2]  # eigenvalue 1, twice
+        self.assert_accurate(g, b)
 
 
 class TestLanczosMatvec:
