@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 
-from .core import DataMatrix, as_values
+from .core import DataMatrix, as_values, check_count
 from .filters import bandlimiting_weights
 from .graph import (
     BandwidthSpec,
@@ -81,9 +81,10 @@ class AlignmentParams:
         When set, the neighborhood fraction shared by every dataset in place
         of the one ``knn`` gives.
     rank : int, optional
-        Eigenpairs computed per dataset, the trivial one included; ``None``
-        is :func:`~harmalign.spectral.fourier_basis`'s default, all N up to
-        ``FULL_DECOMPOSITION_LIMIT`` points and ``RANK_AUTO`` beyond.
+        Eigenpairs computed per dataset, the trivial one included, so at
+        least 2; ``None`` is :func:`~harmalign.spectral.fourier_basis`'s
+        default, all N up to ``FULL_DECOMPOSITION_LIMIT`` points and
+        ``RANK_AUTO`` beyond.
     """
 
     n_bands: int = 8
@@ -95,22 +96,20 @@ class AlignmentParams:
     rank: int | None = None
 
     def __post_init__(self):
-        if self.n_bands < 1:
-            raise ValueError(f"band count must be >= 1, got {self.n_bands}")
+        check_count("n_bands", self.n_bands)
         if self.t < 0 or self.t != int(self.t):
             raise ValueError(f"diffusion time must be a non-negative integer, got {self.t}")
         if self.kernel not in ("adaptive", "fixed", "anisotropic"):
             raise ValueError(f"unknown kernel {self.kernel!r}")
-        if self.knn < 1:
-            raise ValueError(f"knn must be >= 1, got {self.knn}")
+        check_count("knn", self.knn)
         if self.knn_fraction is not None and not 0 < self.knn_fraction < 1:
             raise ValueError(f"knn_fraction must lie in (0, 1), got {self.knn_fraction}")
         if self.sigma is not None and not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.sigma is None and self.kernel != "adaptive":
             raise ValueError(f"{self.kernel} kernel requires sigma")
-        if self.rank is not None and self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
+        if self.rank is not None:  # the trivial pair is dropped: keep one more
+            check_count("rank", self.rank, 2)
 
 
 @dataclass(frozen=True)
@@ -189,7 +188,8 @@ def unified_diffusion_map(bases, maps, t: int) -> np.ndarray:
     Block (i, j) is ``Phi0_i T(i->j) Lam_j^t`` with ``Phi0_i = D_i^{-1/2}
     Psi_i``; diagonal blocks use the identity map.  Dataset i's rows come
     i-th and the columns in dataset j's spectrum j-th.  ``Phi0_i`` is formed
-    in place, in its diagonal block.
+    in place, in its diagonal block, and once every product is done each
+    column block j is scaled by ``Lam_j^t`` in one pass.
 
     Parameters
     ----------
@@ -210,9 +210,8 @@ def unified_diffusion_map(bases, maps, t: int) -> np.ndarray:
         np.multiply(b.degrees[:, None] ** -0.5, b.psi, out=phi[r, c])
     for i, j in itertools.permutations(range(len(bases)), 2):
         np.matmul(phi[rows[i], cols[i]], maps[(i, j)], out=phi[rows[i], cols[j]])
-        phi[rows[i], cols[j]] *= bases[j].lam ** int(t)
-    for b, r, c in zip(bases, rows, cols):
-        phi[r, c] *= b.lam ** int(t)
+    for b, c in zip(bases, cols):
+        phi[:, c] *= b.lam ** int(t)
     return phi
 
 

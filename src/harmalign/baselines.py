@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .core import as_values
+from .core import as_values, check_count
 from .graph import nearest
 
 
@@ -41,8 +41,7 @@ class MnnParams:
     sigma: float | None = None
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        check_count("k", self.k)
         if self.sigma is not None and self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 

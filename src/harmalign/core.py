@@ -111,6 +111,15 @@ def as_values(X) -> np.ndarray:
     return X.values if isinstance(X, DataMatrix) else np.asarray(X, dtype=np.float64)
 
 
+def check_count(name: str, value, minimum: int = 1) -> None:
+    """Raise ValueError, naming the field, unless ``value`` is an integer of
+    at least ``minimum``."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 @dataclass
 class Report:
     """Key-value experiment record: parameters, per-trial rows, aggregates.

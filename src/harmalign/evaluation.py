@@ -34,7 +34,7 @@ import numpy as np
 from .align import (AlignmentParams, PreparedDataset, align_prepared, neighborhood_fraction,
                     prepare_dataset)
 from .baselines import MnnParams, mnn_correct
-from .core import DataMatrix, Report, Rng, load_matrix
+from .core import DataMatrix, Report, Rng, check_count, load_matrix
 from .graph import _row_blocks, nearest
 
 
@@ -285,9 +285,8 @@ class ExperimentConfig:
     ratios: tuple[int, ...] = (1, 2, 4)
 
     def __post_init__(self):
-        for name in ("trials", "n2", "classes", "dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("n1", "n2", "trials", "classes", "dim", "knn_k"):
+            check_count(name, getattr(self, name))
         for name in ("methods", "preserved_sweep", "ratios"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be non-empty")
@@ -296,7 +295,7 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {m!r}")
         if any(r < 1 for r in self.ratios):
             raise ValueError(f"test sets are at least the reference's size: ratios {self.ratios}")
-        if not 1 <= self.knn_k <= self.n1:  # the reference is the k-NN training set
+        if self.knn_k > self.n1:  # the reference is the k-NN training set
             raise ValueError(f"knn_k must be >= 1 and at most n1={self.n1}, got {self.knn_k}")
         if not 0 <= self.preserved_pct <= 100:
             raise ValueError(f"preserved_pct must be in [0, 100], got {self.preserved_pct}")
@@ -325,13 +324,11 @@ def _sampler_factory(cfg: ExperimentConfig, rows: int):
 
 
 def _run_methods(report, cfg, row: dict, x_values, x_labels, y_values, y_labels,
-                 x_prep: PreparedDataset | None = None):
+                 x_prep: PreparedDataset | None, f: float | None):
     """Append to ``report.trials`` one copy of ``row`` per method, with the
     method's accuracy of label transfer from (x, labels) to corrupted y.
-
-    ``x_prep``, if given, is x prepared for alignment with y.  Returns x
-    prepared, if a method needed it, for the next call with x and a y of at least x's size.
-    """
+    With ``harmonic``, ``x_prep`` is x prepared at x's and y's neighborhood
+    fraction ``f``."""
     params = cfg.align_params
     for method in cfg.methods:
         start = perf_counter()
@@ -342,9 +339,6 @@ def _run_methods(report, cfg, row: dict, x_values, x_labels, y_values, y_labels,
             _, acc = knn_classify(x_values, x_labels, corrected, cfg.knn_k, y_labels)
             del corrected  # freed before the next method runs
         else:
-            f = neighborhood_fraction([x_values.shape[0], y_values.shape[0]], params)
-            if x_prep is None:
-                x_prep = prepare_dataset(x_values, params, f)
             phi = align_prepared(x_prep, prepare_dataset(y_values, params, f), params).phi
             n1 = x_values.shape[0]
             _, acc = knn_classify(phi[:n1], x_labels, phi[n1:], cfg.knn_k, y_labels)
@@ -352,7 +346,6 @@ def _run_methods(report, cfg, row: dict, x_values, x_labels, y_values, y_labels,
         report.trials.append(
             dict(row, method=method, accuracy=acc, seconds=perf_counter() - start)
         )
-    return x_prep
 
 
 def _effective_params(cfg: ExperimentConfig) -> dict:
@@ -375,8 +368,9 @@ def _run_arms(cfg: ExperimentConfig, mode: str, key: str, name: str, arms) -> Re
     percent of columns; each test set ``(level, y_tags, size)`` draws y from
     ``spawn(*y_tags)``.  A row stores ``level`` under ``key``, and the mean
     accuracy per (level, method) is stored under ``name``.  The reference is
-    prepared for alignment once per arm, which an arm of several test sets
-    allows by drawing each at least the reference's size.  Raises ValueError
+    prepared for alignment once per arm, before its test sets, at the
+    neighborhood fraction of its smallest: an arm of several test sets draws
+    each at least the reference's size, so that is each one's.  Raises ValueError
     before any arm runs when a method cannot run at the smallest test size.
     """
     m = min(size for *_, tests in arms for *_, size in tests)
@@ -396,12 +390,14 @@ def _run_arms(cfg: ExperimentConfig, mode: str, key: str, name: str, arms) -> Re
         x_values, x_labels = sampler.draw(cfg.n1, rng.spawn("draw-x"))
         O0 = random_orthogonal(sampler.dim, rng.spawn("orthogonal"))
         Op = partial_corruption(O0, pct, rng.spawn("columns"))
-        x_prep = None
+        x_prep = f = None
+        if "harmonic" in cfg.methods:
+            f = neighborhood_fraction([cfg.n1, min(size for *_, size in tests)], cfg.align_params)
+            x_prep = prepare_dataset(x_values, cfg.align_params, f)
         for level, y_tags, size in tests:
             y_values, y_labels = sampler.draw(size, rng.spawn(*y_tags))
             row = {key: level, "trial": trial}
-            x_prep = _run_methods(report, cfg, row, x_values, x_labels, y_values @ Op,
-                                  y_labels, x_prep)
+            _run_methods(report, cfg, row, x_values, x_labels, y_values @ Op, y_labels, x_prep, f)
     groups = {}
     for row in report.trials:
         groups.setdefault((row[key], row["method"]), []).append(row["accuracy"])

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import as_values
+from .core import as_values, check_count
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,7 @@ class BandwidthSpec:
             if self.sigma is None or self.sigma <= 0:
                 raise ValueError("fixed bandwidth requires sigma > 0")
         elif self.mode == "adaptive":
-            if self.k is None or self.k < 1:
-                raise ValueError("adaptive bandwidth requires k >= 1")
+            check_count("k", self.k)
         else:
             raise ValueError(f"unknown bandwidth mode {self.mode!r}")
 
@@ -75,7 +74,7 @@ class BandwidthSpec:
 
     @classmethod
     def adaptive(cls, k: int) -> "BandwidthSpec":
-        return cls(mode="adaptive", k=int(k))
+        return cls(mode="adaptive", k=k)
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,8 @@ class KernelGraph:
 
     @property
     def L(self) -> np.ndarray:
-        """Symmetric normalized Laplacian ``I - A`` (a new array on each access)."""
+        """Symmetric normalized Laplacian ``I - A``, a new array on each access;
+        documented API, read nowhere in the package."""
         return np.eye(self.n_points) - self.A
 
 

@@ -15,7 +15,8 @@ assembles them (:func:`harmalign.align.unified_diffusion_map`).
 This module alone plans each eigensolve: the rank ``rank=None`` means, the
 route (a dense divide-and-conquer ``eigh`` or Lanczos) and the N x N arrays
 that route holds, which :func:`check_memory` compares with the memory
-available.
+available.  Both solvers return pairs ascending, and one tail turns either
+route's pairs into the basis.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 from scipy.linalg.blas import dsymv
 
-from .core import _available_memory
+from .core import _available_memory, check_count
 from .graph import KernelGraph
 
 _log = logging.getLogger("harmalign")
@@ -72,8 +73,11 @@ def canonical_signs(psi: np.ndarray) -> np.ndarray:
 
 def _plan(n: int, rank: int | None) -> tuple[int | None, bool]:
     """The rank :func:`fourier_basis` keeps of an n-point graph (None: all n)
-    and whether a full ``eigh`` computes it."""
-    if rank is None and n > FULL_DECOMPOSITION_LIMIT:
+    and whether a full ``eigh`` computes it; ValueError unless ``rank`` is
+    None or a positive integer."""
+    if rank is not None:
+        check_count("rank", rank)
+    elif n > FULL_DECOMPOSITION_LIMIT:
         rank = RANK_AUTO
     # Lanczos time grows faster than linearly in rank: with one BLAS thread and
     # dsymv products it matched the divide-and-conquer dense solve at ranks of
@@ -103,18 +107,12 @@ def check_memory(n: int, rank: int | None = None) -> None:
              f"preparing {n} points at rank {rank or 'full'}", "for its N x N arrays")
 
 
-def _dense_top(A: np.ndarray, rank: int | None, *, overwrite_a: bool = False):
-    """The top ``rank`` eigenpairs of the symmetric A from one full
-    divide-and-conquer ``eigh`` (LAPACK ``dsyevd``), descending.
-
-    ``A.T`` is the C-ordered A in F order, so ``dsyevd`` writes the
-    eigenvectors over it in place, beside its 2 N^2 workspace; without
-    ``overwrite_a`` it works on one F-ordered copy and A is left unchanged.
-    The kept columns are copied out so the eigenvector matrix can be freed.
-    """
+def _dense_solve(A: np.ndarray, *, overwrite_a: bool = False):
+    """All eigenpairs of the symmetric A, ascending, by LAPACK ``dsyevd``,
+    beside its 2 N^2 workspace: in A's own buffer when ``overwrite_a`` (``A.T``
+    is the C-ordered A in F order), else in one F-ordered copy of A."""
     a = A.T if overwrite_a else A.T.copy(order="F")
-    lam, psi = scipy.linalg.eigh(a, driver="evd", overwrite_a=True)
-    return lam[::-1][:rank], np.ascontiguousarray(psi[:, ::-1][:, :rank])
+    return scipy.linalg.eigh(a, driver="evd", overwrite_a=True)
 
 
 def fourier_basis(g: KernelGraph, rank: int | None = None, *,
@@ -125,13 +123,15 @@ def fourier_basis(g: KernelGraph, rank: int | None = None, *,
     ----------
     g : KernelGraph
     rank : int, optional
-        Leading eigenpairs to keep, all N at ``rank=N``; ``None`` keeps all N
-        up to ``FULL_DECOMPOSITION_LIMIT`` points, else ``RANK_AUTO``.  Ranks
-        of at least N/8 slice the full dense decomposition, a
-        divide-and-conquer ``eigh``; smaller ranks use an iterative Lanczos
-        solver with a fixed starting vector for determinism, whose products
-        (``dsymv``) read one triangle of A in place.  If Lanczos does not
-        converge, the dense decomposition is sliced instead and the fallback
+        Leading eigenpairs to keep, a positive integer (else ValueError), all
+        N at ``rank=N``; ``None`` keeps all N up to ``FULL_DECOMPOSITION_LIMIT``
+        points, else ``RANK_AUTO``.  Ranks of at least N/8 slice the full
+        dense decomposition, a divide-and-conquer ``eigh``; smaller ranks use
+        an iterative Lanczos solver with a fixed starting vector for
+        determinism, whose products (``dsymv``) read one triangle of A in
+        place.  Both return pairs ascending, and one tail keeps the top
+        ``rank`` of either.  If Lanczos does not converge, the dense
+        decomposition is sliced instead and the fallback
         is logged to the ``harmalign`` logger; when the dense route's further
         N x N arrays would exceed available memory, a MemoryError naming the
         Lanczos failure is raised instead.
@@ -149,11 +149,9 @@ def fourier_basis(g: KernelGraph, rank: int | None = None, *,
         applied.
     """
     n = g.n_points
-    if rank is not None and rank < 1:
-        raise ValueError(f"rank must be positive, got {rank}")
     rank, dense = _plan(n, rank)
     if dense:
-        lam, psi = _dense_top(g.A, rank, overwrite_a=overwrite_a)
+        lam, psi = _dense_solve(g.A, overwrite_a=overwrite_a)
     else:
         v0 = np.full(n, 1.0 / np.sqrt(n))
         # A.T is the symmetric, C-ordered A in F order: dsymv reads it in place
@@ -168,12 +166,10 @@ def fourier_basis(g: KernelGraph, rank: int | None = None, *,
             further = _DENSE_NXN_ARRAYS - 1 if overwrite_a else _DENSE_NXN_ARRAYS
             _require(further * g.A.nbytes, f"{found}, and the dense solver", "more", exc)
             _log.warning("%s; falling back to the dense solver", found)
-            lam, psi = _dense_top(g.A, rank, overwrite_a=overwrite_a)
-        else:
-            order = np.argsort(lam)[::-1]
-            lam, psi = lam[order], psi[:, order]
-    psi = canonical_signs(np.ascontiguousarray(psi))
-    lam = np.clip(lam, 0.0, 1.0)
+            lam, psi = _dense_solve(g.A, overwrite_a=overwrite_a)
+    # the top rank of the ascending pairs, descending, in one contiguous copy
+    psi = canonical_signs(np.ascontiguousarray(psi[:, ::-1][:, :rank]))
+    lam = np.clip(lam[::-1][:rank], 0.0, 1.0)
     return FourierBasis(psi=psi, lam=lam, degrees=g.degrees)
 
 

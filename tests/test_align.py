@@ -19,8 +19,9 @@ from harmalign.align import (
     prepare_dataset,
     unified_diffusion_map,
 )
+from harmalign.baselines import MnnParams
 from harmalign.core import DataMatrix, Rng
-from harmalign.evaluation import ManifoldSampler
+from harmalign.evaluation import ExperimentConfig, ManifoldSampler
 from harmalign.graph import BandwidthSpec, gauss_kernel_graph
 from harmalign.spectral import FourierBasis, degenerate_gaps, fourier_basis
 
@@ -325,8 +326,9 @@ class TestOneCopyFlow:
 
     def test_full_rank_preparation_peaks_at_the_counted_arrays(self):
         # the memory pre-check counts the dense route's N x N arrays: the
-        # graph, eigh's copy of it and the eigenvectors; no copy of the
-        # eigenvectors may come on top
+        # graph, which the eigenvectors overwrite, and dsyevd's 2 N^2
+        # workspace; the kept eigenvectors' copy, made once the workspace is
+        # freed, may not come on top
         n = 1500
         prepared, peak = traced_peak(prepare_dataset, sample_data(60, n, 10), AlignmentParams())
         assert prepared.basis.rank == n - 1
@@ -354,7 +356,7 @@ class TestAlignmentParams:
         ({"sigma": 0.0}, "sigma must be positive, got 0.0"),
         ({"kernel": "fixed"}, "fixed kernel requires sigma"),
         ({"kernel": "anisotropic"}, "anisotropic kernel requires sigma"),
-        ({"rank": 0}, "rank must be >= 1, got 0"),
+        ({"rank": 0}, "rank must be >= 2, got 0"),
     ], ids=["knn-0", "knn_fraction-0", "knn_fraction-negative", "knn_fraction-1",
             "sigma-negative", "sigma-0", "fixed-without-sigma", "anisotropic-without-sigma",
             "rank-0"])
@@ -365,11 +367,37 @@ class TestAlignmentParams:
     @pytest.mark.parametrize("fields", [
         {"knn": 1}, {"knn_fraction": 0.5}, {"sigma": 0.1},
         {"kernel": "fixed", "sigma": 2.0}, {"kernel": "anisotropic", "sigma": 2.0},
-        {"rank": 1},
+        {"rank": 2},
     ])
     def test_valid_values_accepted(self, fields):
         params = AlignmentParams(**fields)
         assert {name: getattr(params, name) for name in fields} == fields
+
+
+class TestCountFields:
+    """A count is refused on construction, naming its field, unless it is an
+    integer in range."""
+
+    @pytest.mark.parametrize("make, fields, message", [
+        (AlignmentParams, {"rank": 1}, "rank must be >= 2, got 1"),
+        (AlignmentParams, {"rank": 2.5}, "rank must be an integer, got 2.5"),
+        (AlignmentParams, {"rank": 100.5}, "rank must be an integer, got 100.5"),
+        (AlignmentParams, {"n_bands": 2.5}, "n_bands must be an integer, got 2.5"),
+        (AlignmentParams, {"knn": 2.5}, "knn must be an integer, got 2.5"),
+        (MnnParams, {"k": 2.5}, "k must be an integer, got 2.5"),
+        (BandwidthSpec.adaptive, {"k": 2.5}, "k must be an integer, got 2.5"),
+        *[(ExperimentConfig, {name: 1.5}, f"{name} must be an integer, got 1.5")
+          for name in ("n1", "n2", "trials", "classes", "dim", "knn_k")],
+    ], ids=["rank-1", "rank-2.5", "rank-100.5", "n_bands", "knn", "mnn-k", "bandwidth-k",
+            "n1", "n2", "trials", "classes", "dim", "knn_k"])
+    def test_rejected_at_construction(self, make, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make(**fields)
+
+    def test_numpy_integers_accepted(self):
+        params = AlignmentParams(rank=np.int64(10), n_bands=np.int32(4), knn=np.int64(7))
+        assert (params.rank, params.n_bands, params.knn) == (10, 4, 7)
+        assert BandwidthSpec.adaptive(np.int64(3)).k == 3
 
 
 class TestNeighborhoodRule:

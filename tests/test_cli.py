@@ -73,6 +73,7 @@ class TestAlign:
     @pytest.mark.parametrize("flags, message", [
         (["--sigma", "-1"], "sigma must be positive, got -1.0"),
         (["--kernel", "eq1"], "anisotropic kernel requires sigma"),
+        (["--rank", "1"], "rank must be >= 2, got 1"),  # refused before any graph
     ])
     def test_bad_parameter_config_error(self, dataset_csv, capsys, flags, message):
         assert run(["align", "--x", dataset_csv, "--y", dataset_csv, *flags]) == 1

@@ -180,7 +180,7 @@ class TestFourierBasis:
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
         monkeypatch.setattr(spectral, "_available_memory", lambda: need - 1)
-        monkeypatch.setattr(spectral, "_dense_top", None)  # never reached
+        monkeypatch.setattr(spectral, "_dense_solve", None)  # never reached
         with pytest.raises(MemoryError) as exc:
             fourier_basis(g, rank=10)
         assert str(exc.value) == (
@@ -282,9 +282,71 @@ class TestLanczosMatvec:
         finally:
             tracemalloc.stop()
         assert peak < 0.25 * g.A.nbytes  # no copy of A, not even of a triangle
-        lam, _ = spectral._dense_top(g.A, 20)
-        assert np.abs(b.lam - lam).max() <= 1e-12
+        lam, _ = spectral._dense_solve(g.A)
+        assert np.abs(b.lam - lam[::-1][:20]).max() <= 1e-12
         assert np.abs(g.A @ b.psi - b.psi * b.lam).max() <= 1e-10
+
+
+class TestSolverTail:
+    """One tail turns the ascending pairs of either solver into the top
+    ``rank`` pairs, descending, in one contiguous array; ``rank`` is None or
+    a positive integer."""
+
+    N = 200
+
+    @pytest.fixture(scope="class")
+    def graph_and_full(self):
+        g = random_graph(n=self.N, seed=13, k=10)
+        full = fourier_basis(g)
+        assert np.diff(full.lam[full.lam > 0]).max() < -1e-10  # a distinct spectrum
+        return g, full
+
+    @staticmethod
+    def assert_descending_and_contiguous(b):
+        assert np.all(np.diff(b.lam) <= 0)
+        assert b.psi.flags.c_contiguous
+
+    @pytest.mark.parametrize("rank", [None, N // 8, 100, N - 1])
+    def test_dense_route_keeps_the_leading_columns(self, graph_and_full, rank):
+        g, full = graph_and_full
+        assert spectral._plan(self.N, rank)[1]  # the dense route
+        b = fourier_basis(g, rank)
+        self.assert_descending_and_contiguous(b)
+        assert np.array_equal(b.psi, full.psi[:, :rank])
+        assert np.array_equal(b.lam, full.lam[:rank])
+
+    @pytest.mark.parametrize("rank", [10, N // 8 - 1])
+    def test_lanczos_route_matches_the_dense_slice(self, graph_and_full, rank):
+        g, full = graph_and_full
+        assert not spectral._plan(self.N, rank)[1]  # the Lanczos route
+        b = fourier_basis(g, rank)
+        self.assert_descending_and_contiguous(b)
+        assert np.abs(b.lam - full.lam[:rank]).max() <= 1e-8
+        assert np.abs(b.psi - full.psi[:, :rank]).max() <= 1e-8
+
+    def test_lanczos_fallback_is_the_dense_slice(self, graph_and_full, monkeypatch):
+        g, full = graph_and_full
+
+        def no_convergence(A, k, **kw):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        b = fourier_basis(g, rank=10)
+        self.assert_descending_and_contiguous(b)
+        assert np.array_equal(b.psi, full.psi[:, :10])
+        assert np.array_equal(b.lam, full.lam[:10])
+
+    @pytest.mark.parametrize("rank, message", [
+        (2.5, "rank must be an integer, got 2.5"),  # the Lanczos route's size
+        (100.5, "rank must be an integer, got 100.5"),  # the dense route's size
+        (0, "rank must be >= 1, got 0"),
+    ])
+    def test_rank_is_a_positive_integer(self, graph_and_full, rank, message):
+        g, _ = graph_and_full
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fourier_basis(g, rank)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            spectral.check_memory(self.N, rank)
 
 
 class TestDropTrivial:
