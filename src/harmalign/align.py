@@ -97,8 +97,7 @@ class AlignmentParams:
 
     def __post_init__(self):
         check_count("n_bands", self.n_bands)
-        if self.t < 0 or self.t != int(self.t):
-            raise ValueError(f"diffusion time must be a non-negative integer, got {self.t}")
+        _check_time(self.t)
         if self.kernel not in ("adaptive", "fixed", "anisotropic"):
             raise ValueError(f"unknown kernel {self.kernel!r}")
         check_count("knn", self.knn)
@@ -163,7 +162,8 @@ def bandlimited_correlation(Xh: np.ndarray, Yh: np.ndarray, w: np.ndarray) -> np
         raise ValueError(
             f"weight shape {w.shape} does not match ({Xh.shape[0]}, {Yh.shape[0]})"
         )
-    return w * (Xh @ Yh.T)
+    C = Xh @ Yh.T
+    return np.multiply(C, w, out=C)
 
 
 def orthogonalize(C: np.ndarray) -> np.ndarray:
@@ -178,7 +178,7 @@ def orthogonalize(C: np.ndarray) -> np.ndarray:
     """
     if not np.all(np.isfinite(C)):
         raise ValueError("correlation matrix contains non-finite entries")
-    U, _, Vt = scipy.linalg.svd(C, full_matrices=False)
+    U, _, Vt = scipy.linalg.svd(C, full_matrices=False, check_finite=False)
     return U @ Vt
 
 
@@ -201,8 +201,7 @@ def unified_diffusion_map(bases, maps, t: int) -> np.ndarray:
     t : int
         Non-negative diffusion time.
     """
-    if t < 0 or t != int(t):
-        raise ValueError(f"diffusion time must be a non-negative integer, got {t}")
+    _check_time(t)
     rows = [slice(*r) for r in _ranges(b.psi.shape[0] for b in bases)]
     cols = [slice(*c) for c in _ranges(b.rank for b in bases)]
     phi = np.empty((rows[-1].stop, cols[-1].stop))
@@ -211,8 +210,13 @@ def unified_diffusion_map(bases, maps, t: int) -> np.ndarray:
     for i, j in itertools.permutations(range(len(bases)), 2):
         np.matmul(phi[rows[i], cols[i]], maps[(i, j)], out=phi[rows[i], cols[j]])
     for b, c in zip(bases, cols):
-        phi[:, c] *= b.lam ** int(t)
+        phi[:, c] *= b.lam ** t
     return phi
+
+
+def _check_time(t) -> None:
+    if not isinstance(t, (int, np.integer)) or t < 0:
+        raise ValueError(f"diffusion time must be a non-negative integer, got {t}")
 
 
 def _ranges(sizes) -> tuple:
@@ -263,7 +267,7 @@ def prepare_dataset(X, params: AlignmentParams, fraction: float | None = None) -
     basis carries its degrees.
     """
     if not isinstance(X, DataMatrix):
-        X = DataMatrix(values=np.asarray(X, dtype=np.float64))
+        X = DataMatrix(values=X)
     if fraction is None:
         fraction = neighborhood_fraction([X.n_points], params)
     check_memory(X.n_points, params.rank)
@@ -280,7 +284,7 @@ def _diagnostics(bases, t: int) -> dict:
         # only ties among eigenvalues the embedding weights make the basis
         # ambiguous where it matters: ties among clamped zeros are artifacts
         # of the clamp, and lam**t scales columns below 1e-6 to nothing
-        ties = degenerate_gaps(lam[(lam > 0) & (lam ** int(t) >= 1e-6)])
+        ties = degenerate_gaps(lam[(lam > 0) & (lam ** t >= 1e-6)])
         if ties:
             diag[f"degenerate_gaps_{i}"] = ties
             warnings.warn(
@@ -364,13 +368,19 @@ def multi_alignment(datasets, params: AlignmentParams | None = None) -> Alignmen
     once; its transpose serves as ``T(j->i)``.  Block (i, j) of the output is
     ``Phi0_i T(i->j) Lam_j^t`` (diagonal blocks use the identity map), each
     dataset's rows scaled to unit mean norm.  One :func:`neighborhood_fraction`
-    serves every dataset; it is checked before any graph is built.
+    serves every dataset.  Every input's values, the fraction, and each
+    dataset's rank and memory are checked before any graph is built.
     """
     params = params or AlignmentParams()
     if len(datasets) < 2:
         raise ValueError(f"need at least 2 datasets, got {len(datasets)}")
-    shapes = [as_values(X).shape for X in datasets]
-    if len({d for _, d in shapes}) != 1:
-        raise ValueError(f"datasets must share a feature space: d={[d for _, d in shapes]}")
-    f = neighborhood_fraction([n for n, _ in shapes], params)
+    datasets = [X if isinstance(X, DataMatrix) else DataMatrix(values=X, name=f"dataset {i}")
+                for i, X in enumerate(datasets)]
+    dims = [X.n_features for X in datasets]
+    if len(set(dims)) != 1:
+        raise ValueError(f"datasets must share a feature space: d={dims}")
+    sizes = [X.n_points for X in datasets]
+    f = neighborhood_fraction(sizes, params)
+    for n in sizes:
+        check_memory(n, params.rank)
     return _align([prepare_dataset(X, params, f) for X in datasets], params)

@@ -84,8 +84,8 @@ def _add_align_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sigma", type=float,
                         help="bandwidth for fixed/anisotropic kernels")
     parser.add_argument("--rank", type=_positive_int,
-                        help=f"spectral truncation (default: full up to "
-                             f"N={FULL_DECOMPOSITION_LIMIT}, else {RANK_AUTO})")
+                        help=f"spectral truncation, 2 to the smallest input's N (default: "
+                             f"full up to N={FULL_DECOMPOSITION_LIMIT}, else {RANK_AUTO})")
     parser.add_argument("--kernel", choices=sorted(_KERNEL_NAMES),
                         help="kernel: alg2 = symmetric adaptive Gaussian, "
                              f"eq1 = anisotropic (default {kernel})")

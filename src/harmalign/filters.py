@@ -15,7 +15,9 @@ The joint bandlimiting weight between two eigenvalue vectors is
 a soft indicator that the two eigenvalues occupy overlapping frequency
 bands: it equals 1 when the eigenvalues coincide and is exactly 0 once they
 differ by 2/n_bands or more.  The sum includes the xi = 0 band, which the
-w = 1 property needs at small eigenvalues.
+w = 1 property needs at small eigenvalues.  The weights are one product of two
+window banks, ``B_x B_y^T`` with ``B[i, xi] = w_xi(lam[i])``, summed in band
+order; at most two windows are nonzero at any eigenvalue.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import numpy as np
 
 
 def itersine_window(lam, xi: int, n_bands: int):
-    """Evaluate the xi-th itersine window at lam (scalar or array).
+    """Evaluate the xi-th itersine window at lam (scalar or array; an array
+    of band indices xi broadcasts against lam).
 
     Returns values in [0, 1]; exactly 0 outside the support interval
     [(xi-1)/n_bands, (xi+1)/n_bands].
@@ -58,11 +61,6 @@ def bandlimiting_weights(lam_x: np.ndarray, lam_y: np.ndarray, n_bands: int) -> 
     -------
     (len(lam_x), len(lam_y)) ndarray with entries in [0, 1].
     """
-    lam_x = np.asarray(lam_x, dtype=np.float64)
-    lam_y = np.asarray(lam_y, dtype=np.float64)
-    w = np.zeros((lam_x.size, lam_y.size))
-    for xi in range(n_bands + 1):
-        wx = itersine_window(lam_x, xi, n_bands)
-        wy = itersine_window(lam_y, xi, n_bands)
-        w += np.outer(wx, wy)
-    return w
+    bank_x, bank_y = (itersine_window(np.reshape(lam, (-1, 1)), np.arange(n_bands + 1), n_bands)
+                      for lam in (lam_x, lam_y))
+    return np.einsum("ik,jk->ij", bank_x, bank_y)

@@ -74,9 +74,11 @@ def canonical_signs(psi: np.ndarray) -> np.ndarray:
 def _plan(n: int, rank: int | None) -> tuple[int | None, bool]:
     """The rank :func:`fourier_basis` keeps of an n-point graph (None: all n)
     and whether a full ``eigh`` computes it; ValueError unless ``rank`` is
-    None or a positive integer."""
+    None or a positive integer of at most n."""
     if rank is not None:
         check_count("rank", rank)
+        if rank > n:
+            raise ValueError(f"rank {rank} exceeds the {n} points of the graph")
     elif n > FULL_DECOMPOSITION_LIMIT:
         rank = RANK_AUTO
     # Lanczos time grows faster than linearly in rank: with one BLAS thread and
@@ -110,9 +112,8 @@ def check_memory(n: int, rank: int | None = None) -> None:
 def _dense_solve(A: np.ndarray, *, overwrite_a: bool = False):
     """All eigenpairs of the symmetric A, ascending, by LAPACK ``dsyevd``,
     beside its 2 N^2 workspace: in A's own buffer when ``overwrite_a`` (``A.T``
-    is the C-ordered A in F order), else in one F-ordered copy of A."""
-    a = A.T if overwrite_a else A.T.copy(order="F")
-    return scipy.linalg.eigh(a, driver="evd", overwrite_a=True)
+    is the C-ordered A in F order), else in the F-ordered copy ``eigh`` makes."""
+    return scipy.linalg.eigh(A.T, driver="evd", overwrite_a=overwrite_a)
 
 
 def fourier_basis(g: KernelGraph, rank: int | None = None, *,
@@ -123,15 +124,15 @@ def fourier_basis(g: KernelGraph, rank: int | None = None, *,
     ----------
     g : KernelGraph
     rank : int, optional
-        Leading eigenpairs to keep, a positive integer (else ValueError), all
-        N at ``rank=N``; ``None`` keeps all N up to ``FULL_DECOMPOSITION_LIMIT``
-        points, else ``RANK_AUTO``.  Ranks of at least N/8 slice the full
-        dense decomposition, a divide-and-conquer ``eigh``; smaller ranks use
-        an iterative Lanczos solver with a fixed starting vector for
-        determinism, whose products (``dsymv``) read one triangle of A in
-        place.  Both return pairs ascending, and one tail keeps the top
-        ``rank`` of either.  If Lanczos does not converge, the dense
-        decomposition is sliced instead and the fallback
+        Leading eigenpairs to keep, a positive integer of at most N (else
+        ValueError), all N at ``rank=N``; ``None`` keeps all N up to
+        ``FULL_DECOMPOSITION_LIMIT`` points, else ``RANK_AUTO``.  Ranks of
+        at least N/8 slice the full dense decomposition, a divide-and-conquer
+        ``eigh``; smaller ranks use an iterative Lanczos solver with a fixed
+        starting vector for determinism, whose products (``dsymv``) read one
+        triangle of A in place.  Both return pairs ascending, and one tail
+        keeps the top ``rank`` of either.  If Lanczos does not converge, the
+        dense decomposition is sliced instead and the fallback
         is logged to the ``harmalign`` logger; when the dense route's further
         N x N arrays would exceed available memory, a MemoryError naming the
         Lanczos failure is raised instead.
@@ -139,8 +140,8 @@ def fourier_basis(g: KernelGraph, rank: int | None = None, *,
         Let a dense decomposition, the Lanczos fallback's included, write its
         eigenvectors over ``g.A``, for a caller that drops the graph.  It then
         peaks at three N x N arrays: A and the solver's 2 N^2 workspace.  By
-        default it solves on one copy of A, peaks at four and leaves ``g.A``
-        unchanged.  Lanczos itself only reads A.
+        default ``eigh`` solves on the one copy of A it makes, peaks at four
+        and leaves ``g.A`` unchanged.  Lanczos itself only reads A.
 
     Returns
     -------

@@ -75,6 +75,14 @@ class TestBandlimitedCorrelation:
         C = bandlimited_correlation(Xh, Yh, w)
         assert np.array_equal(C, [[0.0, 0.5], [0.5, 0.0]])
 
+    def test_inputs_left_unchanged(self):
+        Xh, Yh = sample_data(8, 6, 3), sample_data(9, 5, 3)
+        w = Rng(10).generator.uniform(0, 1, (6, 5))
+        copies = [a.copy() for a in (Xh, Yh, w)]
+        C = bandlimited_correlation(Xh, Yh, w)
+        assert all(np.array_equal(a, b) for a, b in zip((Xh, Yh, w), copies))
+        assert np.array_equal(C, w * (Xh @ Yh.T))
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="weight shape"):
             bandlimited_correlation(np.zeros((3, 2)), np.zeros((4, 2)), np.eye(3))
@@ -357,9 +365,12 @@ class TestAlignmentParams:
         ({"kernel": "fixed"}, "fixed kernel requires sigma"),
         ({"kernel": "anisotropic"}, "anisotropic kernel requires sigma"),
         ({"rank": 0}, "rank must be >= 2, got 0"),
+        ({"t": -1}, "diffusion time must be a non-negative integer, got -1"),
+        ({"t": 2.0}, "diffusion time must be a non-negative integer, got 2.0"),
+        ({"t": 1.5}, "diffusion time must be a non-negative integer, got 1.5"),
     ], ids=["knn-0", "knn_fraction-0", "knn_fraction-negative", "knn_fraction-1",
             "sigma-negative", "sigma-0", "fixed-without-sigma", "anisotropic-without-sigma",
-            "rank-0"])
+            "rank-0", "t-negative", "t-2.0", "t-1.5"])
     def test_rejected_at_construction(self, fields, message):
         with pytest.raises(ValueError, match=message):
             AlignmentParams(**fields)
@@ -395,8 +406,9 @@ class TestCountFields:
             make(**fields)
 
     def test_numpy_integers_accepted(self):
-        params = AlignmentParams(rank=np.int64(10), n_bands=np.int32(4), knn=np.int64(7))
-        assert (params.rank, params.n_bands, params.knn) == (10, 4, 7)
+        params = AlignmentParams(rank=np.int64(10), n_bands=np.int32(4), knn=np.int64(7),
+                                 t=np.int64(2))
+        assert (params.rank, params.n_bands, params.knn, params.t) == (10, 4, 7, 2)
         assert BandwidthSpec.adaptive(np.int64(3)).k == 3
 
 
@@ -448,6 +460,24 @@ class TestNeighborhoodRule:
             f"in the smallest dataset, dataset {small} of {min(sizes)} points; "
             "it must have more points"
         )
+
+    @pytest.fixture
+    def no_graph(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(align, "gauss_kernel_graph", never)
+
+    def test_non_finite_input_refused_before_any_graph(self, no_graph):
+        datasets = [sample_data(81 + i, n, 3) for i, n in enumerate((100, 90, 80))]
+        datasets[2][7, 1] = np.nan
+        with pytest.raises(ValueError, match="^dataset 2: non-finite entry at row 7, column 1$"):
+            multi_alignment(datasets)
+
+    def test_rank_above_a_later_input_refused_before_any_graph(self, no_graph):
+        datasets = [sample_data(84, 120, 3), sample_data(85, 100, 3)]
+        with pytest.raises(ValueError, match="^rank 110 exceeds the 100 points of the graph$"):
+            multi_alignment(datasets, AlignmentParams(rank=110))
 
     def test_fixed_kernel_has_no_neighbor_count(self):
         result = multi_alignment([sample_data(77, 10, 3), sample_data(78, 12, 3)],

@@ -74,6 +74,7 @@ class TestAlign:
         (["--sigma", "-1"], "sigma must be positive, got -1.0"),
         (["--kernel", "eq1"], "anisotropic kernel requires sigma"),
         (["--rank", "1"], "rank must be >= 2, got 1"),  # refused before any graph
+        (["--rank", "81"], "rank 81 exceeds the 80 points of the graph"),
     ])
     def test_bad_parameter_config_error(self, dataset_csv, capsys, flags, message):
         assert run(["align", "--x", dataset_csv, "--y", dataset_csv, *flags]) == 1

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -48,7 +50,37 @@ class TestWindowBank:
         assert np.abs(total - 1.0).max() <= 1e-12
 
 
+def looped_weights(lam_x, lam_y, n_bands):
+    """The weights summed band by band, one outer product per band."""
+    w = np.zeros((lam_x.size, lam_y.size))
+    for xi in range(n_bands + 1):
+        w += np.outer(itersine_window(lam_x, xi, n_bands), itersine_window(lam_y, xi, n_bands))
+    return w
+
+
 class TestBandlimitingWeights:
+    @pytest.mark.parametrize("n_bands", [1, 4, 8, 16])
+    def test_equals_the_band_by_band_sum(self, n_bands):
+        # 0, 1 and every band edge xi/n_bands, where one window peaks and its
+        # neighbours vanish, beside draws between them
+        rng = np.random.default_rng(n_bands)
+        edges = np.arange(n_bands + 1) / n_bands
+        lam_x = np.concatenate([edges, rng.uniform(0, 1, 50)])
+        lam_y = np.concatenate([rng.uniform(0, 1, 31), edges[::-1]])
+        w = bandlimiting_weights(lam_x, lam_y, n_bands)
+        assert np.array_equal(w, looped_weights(lam_x, lam_y, n_bands))
+
+    def test_holds_only_the_weight_matrix(self):
+        rng = np.random.default_rng(3)
+        lam_x, lam_y = rng.uniform(0, 1, 1000), rng.uniform(0, 1, 1000)
+        tracemalloc.start()
+        try:
+            w = bandlimiting_weights(lam_x, lam_y, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * w.nbytes
+
     def test_unit_diagonal(self):
         lam = np.linspace(0, 1, 200)
         w = bandlimiting_weights(lam, lam, 8)

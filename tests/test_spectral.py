@@ -340,6 +340,7 @@ class TestSolverTail:
         (2.5, "rank must be an integer, got 2.5"),  # the Lanczos route's size
         (100.5, "rank must be an integer, got 100.5"),  # the dense route's size
         (0, "rank must be >= 1, got 0"),
+        (N + 1, f"rank {N + 1} exceeds the {N} points of the graph"),
     ])
     def test_rank_is_a_positive_integer(self, graph_and_full, rank, message):
         g, _ = graph_and_full
@@ -406,6 +407,12 @@ class TestDiffusionCoordinates:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             aligned_pair(17, t=-1)
+
+    @pytest.mark.parametrize("t", [2.0, 1.5])
+    def test_non_integer_time_rejected(self, t):
+        with pytest.raises(ValueError, match=f"^diffusion time must be a non-negative "
+                                             f"integer, got {t}$"):
+            aligned_pair(17, t=t)
 
 
 class TestDegenerateGaps:
