@@ -368,17 +368,18 @@ def _run_arms(cfg: ExperimentConfig, mode: str, key: str, name: str, arms) -> Re
     percent of columns; each test set ``(level, y_tags, size)`` draws y from
     ``spawn(*y_tags)``.  A row stores ``level`` under ``key``, and the mean
     accuracy per (level, method) is stored under ``name``.  The reference is
-    prepared for alignment once per arm, before its test sets, at the
-    neighborhood fraction of its smallest: an arm of several test sets draws
-    each at least the reference's size, so that is each one's.  Raises ValueError
+    prepared for alignment once per arm, before its test sets, at the one
+    neighborhood fraction of ``cfg.n1`` and the smallest test size: every arm
+    has the same test sizes, each at least the reference's.  Raises ValueError
     before any arm runs when a method cannot run at the smallest test size.
     """
     m = min(size for *_, tests in arms for *_, size in tests)
     if "mnn" in cfg.methods and cfg.mnn_params.k >= min(cfg.n1, m):
         raise ValueError(f"mnn_params.k={cfg.mnn_params.k} must be < min(n1, smallest test "
                          f"size)={min(cfg.n1, m)}")
+    f = None
     if "harmonic" in cfg.methods:
-        neighborhood_fraction([cfg.n1, m], cfg.align_params)  # raises, naming knn
+        f = neighborhood_fraction([cfg.n1, m], cfg.align_params)  # raises, naming knn
     root = Rng(cfg.seed)
     report = Report(params=_effective_params(cfg))
     report.params["mode"] = mode
@@ -390,10 +391,7 @@ def _run_arms(cfg: ExperimentConfig, mode: str, key: str, name: str, arms) -> Re
         x_values, x_labels = sampler.draw(cfg.n1, rng.spawn("draw-x"))
         O0 = random_orthogonal(sampler.dim, rng.spawn("orthogonal"))
         Op = partial_corruption(O0, pct, rng.spawn("columns"))
-        x_prep = f = None
-        if "harmonic" in cfg.methods:
-            f = neighborhood_fraction([cfg.n1, min(size for *_, size in tests)], cfg.align_params)
-            x_prep = prepare_dataset(x_values, cfg.align_params, f)
+        x_prep = None if f is None else prepare_dataset(x_values, cfg.align_params, f)
         for level, y_tags, size in tests:
             y_values, y_labels = sampler.draw(size, rng.spawn(*y_tags))
             row = {key: level, "trial": trial}

@@ -161,9 +161,9 @@ def adaptive_bandwidth(X, k: int) -> np.ndarray:
 def _finish_graph(W: np.ndarray) -> KernelGraph:
     """Normalize a symmetric kernel matrix in place into the graph's affinity."""
     degrees = W.sum(axis=1)
-    if np.any(degrees <= 0):
-        i = int(np.flatnonzero(degrees <= 0)[0])
-        raise ValueError(f"zero degree at point {i} (kernel underflowed)")
+    if not np.all(degrees > 0):  # NaN fails it too
+        i = int(np.flatnonzero(~(degrees > 0))[0])
+        raise ValueError(f"degree {degrees[i]} at point {i}: the kernel is zero or not finite")
     inv_sqrt = 1.0 / np.sqrt(degrees)
     # one factor inv_i * inv_j per entry keeps A exactly symmetric
     for lo, hi in _row_blocks(W.shape[0]):

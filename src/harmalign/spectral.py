@@ -62,13 +62,14 @@ def canonical_signs(psi: np.ndarray) -> np.ndarray:
     """Flip eigenvector signs so each column's largest-magnitude entry is positive.
 
     Idempotent; applied on construction and again inside the alignment
-    pipeline so externally sign-flipped bases align identically.  Returns
-    ``psi`` itself when no column flips (the first of tied maxima decides).
+    pipeline so externally sign-flipped bases align identically.  Signs come
+    from column extremes: ``psi`` itself when none flips, else one C-ordered product.
     """
-    idx = np.abs(psi.T, order="C").argmax(axis=1)
-    signs = np.sign(psi[idx, np.arange(psi.shape[1])])
-    signs[signs == 0] = 1.0
-    return psi if np.all(signs > 0) else psi * signs
+    hi, lo = psi.max(axis=0), -psi.min(axis=0)
+    signs = np.where(lo > hi, -1.0, 1.0)  # a zero column keeps +
+    for j in np.flatnonzero((hi == lo) & (hi > 0)):  # +m and -m: the first decides
+        signs[j] = np.sign(psi[np.abs(psi[:, j]).argmax(), j])
+    return psi if np.all(signs > 0) else np.multiply(psi, signs, order="C")
 
 
 def _plan(n: int, rank: int | None) -> tuple[int | None, bool]:
@@ -146,14 +147,12 @@ def fourier_basis(g: KernelGraph, rank: int | None = None, *,
     Returns
     -------
     FourierBasis
-        Eigenvalues sorted descending and clamped into [0, 1]; sign convention
-        applied.
+        Eigenvalues sorted descending and clamped into [0, 1]; eigenvectors
+        written once, reversed and signed, into one C-contiguous array.
     """
     n = g.n_points
     rank, dense = _plan(n, rank)
-    if dense:
-        lam, psi = _dense_solve(g.A, overwrite_a=overwrite_a)
-    else:
+    if not dense:
         v0 = np.full(n, 1.0 / np.sqrt(n))
         # A.T is the symmetric, C-ordered A in F order: dsymv reads it in place
         op = scipy.sparse.linalg.LinearOperator((n, n), lambda v: dsymv(1.0, g.A.T, v),
@@ -167,9 +166,11 @@ def fourier_basis(g: KernelGraph, rank: int | None = None, *,
             further = _DENSE_NXN_ARRAYS - 1 if overwrite_a else _DENSE_NXN_ARRAYS
             _require(further * g.A.nbytes, f"{found}, and the dense solver", "more", exc)
             _log.warning("%s; falling back to the dense solver", found)
-            lam, psi = _dense_solve(g.A, overwrite_a=overwrite_a)
-    # the top rank of the ascending pairs, descending, in one contiguous copy
-    psi = canonical_signs(np.ascontiguousarray(psi[:, ::-1][:, :rank]))
+            dense = True
+    if dense:
+        lam, psi = _dense_solve(g.A, overwrite_a=overwrite_a)
+    # the top rank of the ascending pairs, descending: signed as a view, written once
+    psi = np.ascontiguousarray(canonical_signs(psi[:, ::-1][:, :rank]))
     lam = np.clip(lam[::-1][:rank], 0.0, 1.0)
     return FourierBasis(psi=psi, lam=lam, degrees=g.degrees)
 

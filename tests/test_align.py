@@ -314,6 +314,15 @@ class TestHarmonicAlignment:
         assert prepared.basis.rank == 49
         assert held < 1_000_000
 
+    @pytest.mark.parametrize("rank", [None, 10])  # the dense and the Lanczos route
+    def test_nan_kernel_fails_before_the_eigensolve(self, rank):
+        # sigma**2 underflows to 0, so the fixed kernel is NaN
+        X = sample_data(43, 200, 5)
+        params = AlignmentParams(kernel="fixed", sigma=1e-200, rank=rank)
+        with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
+                ValueError, match="^degree nan at point 0: the kernel is zero or not finite$"):
+            harmonic_alignment(X, X.copy(), params)
+
     def test_zero_weight_harmonic_removal(self):
         # a harmonic whose weight row is all zero contributes a zero row to C;
         # deleting it must not change T's action on the remaining harmonics

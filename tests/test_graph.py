@@ -111,6 +111,13 @@ class TestGaussKernelGraph:
         np.testing.assert_allclose(gp.degrees, g.degrees[perm], rtol=1e-14)
         np.testing.assert_allclose(gp.A, g.A[np.ix_(perm, perm)], rtol=1e-14, atol=0)
 
+    def test_nan_kernel_names_the_point(self):
+        # sigma**2 underflows to 0: the diagonal is 0/0 and every degree NaN
+        X = Rng(3).generator.standard_normal((20, 3))
+        with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
+                ValueError, match="^degree nan at point 0: the kernel is zero or not finite$"):
+            gauss_kernel_graph(X, BandwidthSpec.fixed(1e-200))
+
     def test_bandwidth_scaling_keeps_structure(self):
         X = Rng(2).generator.standard_normal((15, 3))
         for scale in (0.5, 2.0):

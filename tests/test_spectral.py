@@ -25,6 +25,17 @@ def reference_signs(psi):
     return psi * signs
 
 
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory it allocated, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
 def random_graph(n=30, d=4, seed=0, k=5):
     X = Rng(seed).generator.standard_normal((n, d))
     return gauss_kernel_graph(X, BandwidthSpec.adaptive(k))
@@ -92,6 +103,20 @@ class TestFourierBasis:
             expected = reference_signs(psi)
             assert np.array_equal(canonical_signs(psi), expected)
             assert np.array_equal(canonical_signs(psi[:, ::-1]), expected[:, ::-1])
+
+    def test_canonical_signs_allocate_nothing_the_size_of_the_basis(self):
+        # the signs come from column reductions; a canonical full-rank view,
+        # as the trivial component's removal leaves it, is returned itself
+        psi = fourier_basis(random_graph(n=1500, d=4, seed=15, k=20)).psi
+        view = psi[:, 1:]
+        out, peak = traced_peak(canonical_signs, view)
+        assert out is view
+        assert peak < 0.01 * view.nbytes
+        # a flip of a reversed F-ordered view writes one C-ordered array
+        flipped = np.asfortranarray(psi * np.where(np.arange(1500) % 2, -1.0, 1.0))[:, ::-1]
+        out, peak = traced_peak(canonical_signs, flipped)
+        assert out.flags.c_contiguous and np.array_equal(out, psi[:, ::-1])
+        assert peak < 1.01 * psi.nbytes
 
     def test_determinism(self):
         g = random_graph(seed=6)
@@ -335,6 +360,19 @@ class TestSolverTail:
         self.assert_descending_and_contiguous(b)
         assert np.array_equal(b.psi, full.psi[:, :10])
         assert np.array_equal(b.lam, full.lam[:10])
+
+    @pytest.mark.parametrize("converges", [True, False])
+    def test_lanczos_and_fallback_write_a_signed_contiguous_basis(self, graph_and_full,
+                                                                  monkeypatch, converges):
+        g, _ = graph_and_full
+        if not converges:
+            def no_convergence(A, k, **kw):
+                raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+            monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        b = fourier_basis(g, rank=10)
+        assert b.psi.flags.c_contiguous
+        assert np.array_equal(b.psi, reference_signs(b.psi))
 
     @pytest.mark.parametrize("rank, message", [
         (2.5, "rank must be an integer, got 2.5"),  # the Lanczos route's size
