@@ -107,6 +107,8 @@ class AlignmentParams:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.sigma is None and self.kernel != "adaptive":
             raise ValueError(f"{self.kernel} kernel requires sigma")
+        if self.kernel == "fixed":
+            BandwidthSpec.fixed(self.sigma)  # refuses a sigma whose square underflows
         if self.rank is not None:  # the trivial pair is dropped: keep one more
             check_count("rank", self.rank, 2)
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .align import AlignmentParams, multi_alignment
 from .baselines import MnnParams
-from .core import Report, atomic_write_text, csv_lines, load_matrix, write_output
+from .core import Report, atomic_write_text, csv_parts, load_matrix, write_output
 from .evaluation import (
     ExperimentConfig,
     corruption_experiment,
@@ -125,9 +125,11 @@ def _field_values(file_values: dict, args) -> dict:
 
 def _write_embedding(path, phi: np.ndarray, ranges) -> None:
     """Embedding rows tagged with dataset id and original row index."""
-    ids = [(ds, i) for ds, (lo, hi) in enumerate(ranges) for i in range(hi - lo)]
+    sizes = [hi - lo for lo, hi in ranges]
+    ids = np.column_stack([np.repeat(np.arange(len(sizes)), sizes),
+                           np.concatenate([np.arange(size) for size in sizes])])
     header = ["dataset", "row"] + [f"c{j + 1}" for j in range(phi.shape[1])]
-    atomic_write_text(path, csv_lines(phi, header, ids=ids))
+    atomic_write_text(path, *csv_parts(phi, header, ids=ids))
 
 
 def _self_match_rate(phi: np.ndarray, lo1, hi1, lo2, hi2) -> float | None:

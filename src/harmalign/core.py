@@ -3,8 +3,12 @@ and the probe of memory available for new allocations.
 
 All numeric data is dense 64-bit real.  CSV is the only matrix file format
 (optional single header line, optional trailing ``label`` column), and this
-module alone reads and writes it.  Writes stream line by line into a temp
-file that is renamed into place, so no output is ever held whole in memory.
+module alone reads and writes it.  A matrix is written in row slices, one per
+usable CPU: the first is formatted by this process into a temp file, each
+other one by a forked child into a sibling temp file, and the slices are then
+concatenated in order and renamed into place.  Each slice streams line by
+line, so no output is ever held whole in memory, and the bytes do not depend
+on the slice count.
 Randomness is counter-based (Philox) so a seed fully determines every
 experiment on every platform.  All containers are immutable by convention
 after construction and safe to share across threads.
@@ -234,25 +238,88 @@ def _first_bad_cell(rows, start: int, path) -> ValueError:
     raise AssertionError(f"{path}: no bad cell among the rows")
 
 
-def atomic_write_text(path, text) -> None:
-    """Write ``text`` (a string or an iterable of strings, written as they
-    come) to ``path`` atomically: into a temp file, then renamed.  If writing
-    fails, neither the temp file nor ``path`` is left behind."""
+def atomic_write_text(path, *parts) -> None:
+    """Write ``parts`` in order to ``path`` atomically: into a temp file, then
+    renamed.  Each part is a string or an iterable of strings, written as they
+    come.
+
+    The first part is written by this process; every later one by an
+    ``os.fork`` child into a sibling temp file, which is then appended with
+    ``os.sendfile``, so iterating the parts (say, formatting a matrix's row
+    slices) runs on as many CPUs as there are parts.  A child only iterates its
+    part and writes it.  A part that fails raises: its own exception in this
+    process, ``OSError`` naming ``path`` in a child.  Then neither ``path`` nor
+    any temp file is left behind, and every child has been reaped."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
         raise OSError(f"cannot write {path}: directory does not exist")
-    if isinstance(text, str):
-        text = (text,)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    temps, pids = [tmp], []
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.writelines(text)
+            try:
+                for part in parts[1:]:
+                    part_fd, part_tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+                    temps.append(part_tmp)
+                    try:
+                        pid = os.fork()
+                        if pid == 0:
+                            _write_part_and_exit(part_fd, part)
+                    finally:
+                        os.close(part_fd)
+                    pids.append(pid)
+                handle.writelines(_lines(parts[0] if parts else ""))
+            finally:
+                failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in pids)
+        if failed:
+            raise OSError(f"cannot write {path}: {failed} of {len(parts)} parts failed")
+        if pids:  # not O_APPEND: it makes sendfile fail with EINVAL
+            with open(tmp, "r+b") as out:
+                out.seek(0, os.SEEK_END)
+                for part_tmp in temps[1:]:
+                    with open(part_tmp, "rb") as part_file:
+                        _append(out.fileno(), part_file.fileno())
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    finally:  # after the rename only the parts' temp files are left
+        for name in temps:
+            if os.path.exists(name):
+                os.unlink(name)
+
+
+def _lines(part):
+    """A part of :func:`atomic_write_text` as an iterable of strings."""
+    return (part,) if isinstance(part, str) else part
+
+
+def _write_part_and_exit(fd: int, part) -> None:
+    """A forked child's whole life: write ``part`` to ``fd`` and exit, with
+    status 1 if that raised.  It never returns into the parent's code and
+    takes no lock another thread may have held at the fork: no BLAS call, no
+    logging, no import."""
+    status = 1
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.writelines(_lines(part))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _append(out: int, src: int) -> None:
+    """Copy the whole of file ``src`` to the current position of ``out``."""
+    size, offset = os.fstat(src).st_size, 0
+    while offset < size:
+        offset += os.sendfile(out, src, offset, size - offset)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where ``os.fork`` is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def csv_lines(values, header=None, ids=None, labels=None):
@@ -262,6 +329,8 @@ def csv_lines(values, header=None, ids=None, labels=None):
     Each row is preceded by its row of integer ``ids`` and followed by its
     integer ``label``, when these are given.  Values are written with 17
     significant digits, so a write/load round trip preserves every float64.
+    Each line depends only on its own row, so row slices written one after
+    another give the same bytes as the whole (see :func:`csv_parts`).
     """
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     ids = np.empty((len(values), 0), int) if ids is None else np.asarray(ids)
@@ -274,8 +343,24 @@ def csv_lines(values, header=None, ids=None, labels=None):
         yield fmt % (*lead, *row.tolist(), *label)
 
 
+def csv_parts(values, header=None, ids=None, labels=None) -> list:
+    """:func:`csv_lines` of ``values`` as row slices, one per usable CPU but
+    at most one per row, for :func:`atomic_write_text`; the header goes with
+    the first slice."""
+    values = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    columns = [None if a is None else np.asarray(a) for a in (ids, labels)]
+    n = len(values)
+    count = max(1, min(_usable_cpus(), n))
+    bounds = [n * i // count for i in range(count + 1)]
+    return [
+        csv_lines(values[lo:hi], header if lo == 0 else None,
+                  *(None if a is None else a[lo:hi] for a in columns))
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+
+
 def write_output(obj, path) -> None:
-    """Write a Report (JSON) or matrix (CSV, see :func:`csv_lines`) to
+    """Write a Report (JSON) or matrix (CSV, see :func:`csv_parts`) to
     ``path`` atomically.
 
     A DataMatrix with labels gets a ``f1,...,fd,label`` header; a matrix
@@ -287,9 +372,9 @@ def write_output(obj, path) -> None:
         header = None
         if obj.labels is not None:
             header = [f"f{j + 1}" for j in range(obj.n_features)] + ["label"]
-        atomic_write_text(path, csv_lines(obj.values, header, labels=obj.labels))
+        atomic_write_text(path, *csv_parts(obj.values, header, labels=obj.labels))
     elif isinstance(obj, np.ndarray):
-        atomic_write_text(path, csv_lines(obj))
+        atomic_write_text(path, *csv_parts(obj))
     else:
         raise TypeError(f"cannot write object of type {type(obj).__name__}")
 

@@ -61,8 +61,11 @@ class BandwidthSpec:
 
     def __post_init__(self):
         if self.mode == "fixed":
-            if self.sigma is None or self.sigma <= 0:
+            if self.sigma is None or not self.sigma > 0:  # NaN fails it too
                 raise ValueError("fixed bandwidth requires sigma > 0")
+            if not self.sigma * self.sigma > 0:  # the kernel divides by sigma**2
+                raise ValueError(f"fixed bandwidth sigma={self.sigma!r} is too small: "
+                                 "its square underflows to 0")
         elif self.mode == "adaptive":
             check_count("k", self.k)
         else:

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 from scipy.spatial.distance import cdist
 
-from harmalign import align, core, spectral
+from harmalign import align, core, graph, spectral
 from harmalign.align import (
     AlignmentParams,
     PreparedDataset,
@@ -315,11 +315,18 @@ class TestHarmonicAlignment:
         assert held < 1_000_000
 
     @pytest.mark.parametrize("rank", [None, 10])  # the dense and the Lanczos route
-    def test_nan_kernel_fails_before_the_eigensolve(self, rank):
-        # sigma**2 underflows to 0, so the fixed kernel is NaN
+    def test_nan_kernel_fails_before_the_eigensolve(self, rank, monkeypatch):
+        # no valid bandwidth makes a NaN kernel, so one is poisoned here
+        def poisoned(values, kernel):
+            W = kernel_matrix(values, kernel)
+            W[0, 0] = np.nan
+            return W
+
+        kernel_matrix = graph._kernel_matrix
+        monkeypatch.setattr(graph, "_kernel_matrix", poisoned)
         X = sample_data(43, 200, 5)
-        params = AlignmentParams(kernel="fixed", sigma=1e-200, rank=rank)
-        with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
+        params = AlignmentParams(kernel="fixed", sigma=1.0, rank=rank)
+        with pytest.raises(
                 ValueError, match="^degree nan at point 0: the kernel is zero or not finite$"):
             harmonic_alignment(X, X.copy(), params)
 
@@ -377,17 +384,21 @@ class TestAlignmentParams:
         ({"t": -1}, "diffusion time must be a non-negative integer, got -1"),
         ({"t": 2.0}, "diffusion time must be a non-negative integer, got 2.0"),
         ({"t": 1.5}, "diffusion time must be a non-negative integer, got 1.5"),
+        ({"kernel": "fixed", "sigma": 1e-200},
+         "fixed bandwidth sigma=1e-200 is too small: its square underflows to 0"),
     ], ids=["knn-0", "knn_fraction-0", "knn_fraction-negative", "knn_fraction-1",
             "sigma-negative", "sigma-0", "fixed-without-sigma", "anisotropic-without-sigma",
-            "rank-0", "t-negative", "t-2.0", "t-1.5"])
+            "rank-0", "t-negative", "t-2.0", "t-1.5", "fixed-sigma-square-underflows"])
     def test_rejected_at_construction(self, fields, message):
-        with pytest.raises(ValueError, match=message):
-            AlignmentParams(**fields)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                AlignmentParams(**fields)
 
     @pytest.mark.parametrize("fields", [
         {"knn": 1}, {"knn_fraction": 0.5}, {"sigma": 0.1},
         {"kernel": "fixed", "sigma": 2.0}, {"kernel": "anisotropic", "sigma": 2.0},
-        {"rank": 2},
+        {"kernel": "anisotropic", "sigma": 1e-200}, {"rank": 2},
     ])
     def test_valid_values_accepted(self, fields):
         params = AlignmentParams(**fields)

@@ -1,11 +1,12 @@
 import argparse
 import json
+import os
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from harmalign import cli
+from harmalign import cli, core
 from harmalign.align import AlignmentParams, harmonic_alignment, multi_alignment
 from harmalign.cli import main
 from harmalign.core import DataMatrix, Report, Rng, load_matrix, write_output
@@ -137,6 +138,20 @@ class TestMultiAlign:
         result = multi_alignment([load_matrix(p) for p in (dataset_csv, *others)], params)
         assert out_path.read_bytes() == embedding_bytes(result.phi, result.row_ranges)
 
+    def test_out_bytes_do_not_depend_on_the_part_count(self, dataset_csv, tmp_path,
+                                                       monkeypatch):
+        # two parts: the second half of the rows is formatted by a forked child
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        other = tmp_path / "y.csv"
+        write_output(DataMatrix(values=Rng(4).generator.standard_normal((61, 40))), other)
+        out_path = tmp_path / "multi.csv"
+        assert run(["multi-align", "--inputs", dataset_csv, str(other), "--knn-bandwidth", "10",
+                    "--out", str(out_path)]) == 0
+        result = multi_alignment([load_matrix(dataset_csv), load_matrix(other)],
+                                 AlignmentParams(knn=10))
+        assert out_path.read_bytes() == embedding_bytes(result.phi, result.row_ranges)
+        assert sorted(os.listdir(tmp_path)) == ["multi.csv", "x.csv", "y.csv"]
+
     def test_single_input_usage_error(self, dataset_csv):
         assert run(["multi-align", "--inputs", dataset_csv]) == 2
 
@@ -231,6 +246,14 @@ class TestExperiment:
         cfg = self.write_config(tmp_path, sigma=-1)
         assert run(["experiment", "--mode", "corruption", "--config", cfg]) == 1
         assert "error: sigma must be positive, got -1.0" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")  # a numpy warning would change the message
+    def test_underflowing_fixed_sigma_rejected_without_warnings(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, kernel="fixed", sigma="1e-200")
+        assert run(["experiment", "--mode", "corruption", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: fixed bandwidth sigma=1e-200 is too small: "
+                       "its square underflows to 0\n")
 
     @pytest.mark.parametrize("key, value, bad", [("ratios", "1,1.5", "'1.5'"),
                                                  ("n1", "many", "'many'")])

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from harmalign import core
 from harmalign.core import (
     DataMatrix,
     Report,
@@ -204,6 +205,76 @@ class TestWriteOutput:
         write_output(np.eye(2), path)
         leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
         assert leftovers == []
+
+
+class TestParts:
+    """Writes in row slices, one per usable CPU, every slice after the first
+    formatted by a forked child."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 7])  # 1 and 2 rows: fewer than the CPUs
+    @pytest.mark.parametrize("header, ids, labels", [
+        (False, False, False), (True, False, False), (True, True, False),
+        (False, True, True), (True, True, True),
+    ])
+    def test_bytes_equal_one_pass(self, tmp_path, monkeypatch, cpus, n, header, ids, labels):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+        values = Rng(9).generator.standard_normal((n, 3)) * [1e-300, 1.0, 1e300]
+        args = (values, ["a", "b", "c", "d", "e", "f"] if header else None,
+                np.arange(2 * n).reshape(n, 2) if ids else None,
+                np.arange(n) % 4 if labels else None)
+        parts = core.csv_parts(*args)
+        assert len(parts) == min(cpus, n)
+        path = tmp_path / "out.csv"
+        atomic_write_text(path, *parts)
+        assert path.read_bytes() == "".join(core.csv_lines(*args)).encode()
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_write_output_bytes_equal_one_pass(self, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+        m = DataMatrix(values=Rng(10).generator.standard_normal((5, 2)), labels=[0, 1, 2, 3, 4])
+        write_output(m, tmp_path / "m.csv")
+        write_output(m.values, tmp_path / "a.csv")
+        header = ["f1", "f2", "label"]
+        labelled = "".join(core.csv_lines(m.values, header, labels=m.labels))
+        assert (tmp_path / "m.csv").read_text() == labelled
+        assert (tmp_path / "a.csv").read_text() == "".join(core.csv_lines(m.values))
+
+    def test_strings_and_iterables_in_order(self, tmp_path):
+        path = tmp_path / "out.txt"
+        atomic_write_text(path, "a\n", iter(["b\n", "c\n"]), "", ["d\n"])
+        assert path.read_text() == "a\nb\nc\nd\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    @pytest.mark.parametrize("failing, error, message", [
+        (0, RuntimeError, "source failed"),  # in this process: its own exception
+        (1, OSError, "1 of 3 parts failed"),
+        (2, OSError, "1 of 3 parts failed"),
+    ])
+    def test_failing_part_leaves_nothing(self, tmp_path, monkeypatch, failing, error, message):
+        def lines():
+            yield "x\n"
+            raise RuntimeError("source failed")
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        pids, real_fork = [], os.fork
+        monkeypatch.setattr(os, "fork", fork)
+        parts = ["a\n", ["b\n"], ["c\n"]]
+        parts[failing] = lines()
+        path = tmp_path / "out.csv"
+        with pytest.raises(error, match=re.escape(message)):
+            atomic_write_text(path, *parts)
+        assert os.listdir(tmp_path) == []
+        assert len(pids) == 2
+        for pid in pids:  # every child was reaped
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
 
 
 class TestRng:

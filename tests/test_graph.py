@@ -1,4 +1,6 @@
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -112,11 +114,28 @@ class TestGaussKernelGraph:
         np.testing.assert_allclose(gp.A, g.A[np.ix_(perm, perm)], rtol=1e-14, atol=0)
 
     def test_nan_kernel_names_the_point(self):
-        # sigma**2 underflows to 0: the diagonal is 0/0 and every degree NaN
-        X = Rng(3).generator.standard_normal((20, 3))
-        with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
-                ValueError, match="^degree nan at point 0: the kernel is zero or not finite$"):
-            gauss_kernel_graph(X, BandwidthSpec.fixed(1e-200))
+        # no valid bandwidth makes such a kernel: the degree check is the last guard
+        W = np.ones((5, 5))
+        W[2, 3] = W[3, 2] = np.nan
+        with pytest.raises(
+                ValueError, match="^degree nan at point 2: the kernel is zero or not finite$"):
+            graph._finish_graph(W)
+        with pytest.raises(
+                ValueError, match="^degree 0.0 at point 1: the kernel is zero or not finite$"):
+            graph._finish_graph(np.diag([1.0, 0.0, 1.0]))
+
+    @pytest.mark.parametrize("sigma, message", [
+        (1e-200, "fixed bandwidth sigma=1e-200 is too small: its square underflows to 0"),
+        (np.nan, "fixed bandwidth requires sigma > 0"),
+        (0.0, "fixed bandwidth requires sigma > 0"),
+    ])
+    def test_unusable_fixed_sigma_refused_at_construction(self, sigma, message):
+        # sigma**2 == 0 would make the kernel's diagonal 0/0: refused before
+        # any array is built, without a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                BandwidthSpec.fixed(sigma)
 
     def test_bandwidth_scaling_keeps_structure(self):
         X = Rng(2).generator.standard_normal((15, 3))
