@@ -16,14 +16,18 @@ after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
+import shutil
 import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 _U64 = (1 << 64) - 1
+_NO_ERRNO = 255  # a child's exit status for a failure with no errno
+_COPY_BYTES = 1 << 20  # chunk of a part file appended at a time
 
 
 class Rng:
@@ -244,12 +248,13 @@ def atomic_write_text(path, *parts) -> None:
     come.
 
     The first part is written by this process; every later one by an
-    ``os.fork`` child into a sibling temp file, which is then appended with
-    ``os.sendfile``, so iterating the parts (say, formatting a matrix's row
-    slices) runs on as many CPUs as there are parts.  A child only iterates its
-    part and writes it.  A part that fails raises: its own exception in this
-    process, ``OSError`` naming ``path`` in a child.  Then neither ``path`` nor
-    any temp file is left behind, and every child has been reaped."""
+    ``os.fork`` child into a sibling temp file, whose bytes are then appended,
+    so iterating the parts (say, formatting a matrix's row slices) runs on as
+    many CPUs as there are parts.  A child only iterates its part and writes
+    it.  A part that fails raises: its own exception in this process;
+    ``OSError`` naming ``path`` in a child, with the child's errno when it
+    failed on one (say, ENOSPC).  Then neither ``path`` nor any temp file is
+    left behind, and every child has been reaped."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
@@ -271,15 +276,17 @@ def atomic_write_text(path, *parts) -> None:
                     pids.append(pid)
                 handle.writelines(_lines(parts[0] if parts else ""))
             finally:
-                failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in pids)
-        if failed:
-            raise OSError(f"cannot write {path}: {failed} of {len(parts)} parts failed")
-        if pids:  # not O_APPEND: it makes sendfile fail with EINVAL
-            with open(tmp, "r+b") as out:
-                out.seek(0, os.SEEK_END)
-                for part_tmp in temps[1:]:
-                    with open(part_tmp, "rb") as part_file:
-                        _append(out.fileno(), part_file.fileno())
+                codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+            failed = [code for code in codes if code]
+            if failed:
+                message = f"cannot write {path}: {len(failed)} of {len(parts)} parts failed"
+                if failed[0] in errno.errorcode:
+                    raise OSError(failed[0], f"{message}: {os.strerror(failed[0])}")
+                raise OSError(message)
+            handle.flush()
+            for part_tmp in temps[1:]:
+                with open(part_tmp, "rb") as part_file:
+                    shutil.copyfileobj(part_file, handle.buffer, _COPY_BYTES)
         os.replace(tmp, path)
     finally:  # after the rename only the parts' temp files are left
         for name in temps:
@@ -294,23 +301,19 @@ def _lines(part):
 
 def _write_part_and_exit(fd: int, part) -> None:
     """A forked child's whole life: write ``part`` to ``fd`` and exit, with
-    status 1 if that raised.  It never returns into the parent's code and
-    takes no lock another thread may have held at the fork: no BLAS call, no
-    logging, no import."""
-    status = 1
+    status 0, the errno of an ``OSError`` it raised, or ``_NO_ERRNO``.  It
+    never returns into the parent's code and takes no lock another thread may
+    have held at the fork: no BLAS call, no logging, no import."""
+    status = _NO_ERRNO
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.writelines(_lines(part))
         status = 0
+    except OSError as error:
+        if error.errno in errno.errorcode:
+            status = error.errno
     finally:
         os._exit(status)
-
-
-def _append(out: int, src: int) -> None:
-    """Copy the whole of file ``src`` to the current position of ``out``."""
-    size, offset = os.fstat(src).st_size, 0
-    while offset < size:
-        offset += os.sendfile(out, src, offset, size - offset)
 
 
 def _usable_cpus() -> int:

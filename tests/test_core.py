@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -247,15 +248,34 @@ class TestParts:
         assert path.read_text() == "a\nb\nc\nd\n"
         assert os.listdir(tmp_path) == ["out.txt"]
 
-    @pytest.mark.parametrize("failing, error, message", [
-        (0, RuntimeError, "source failed"),  # in this process: its own exception
-        (1, OSError, "1 of 3 parts failed"),
-        (2, OSError, "1 of 3 parts failed"),
+    def test_parts_appended_without_sendfile(self, tmp_path, monkeypatch):
+        # os.sendfile copies between regular files on Linux only
+        monkeypatch.delattr(os, "sendfile", raising=False)
+        path = tmp_path / "out.txt"
+        atomic_write_text(path, "a\n", ["b\n"] * 100_000, iter(["c\n"]))
+        assert path.read_text() == "a\n" + "b\n" * 100_000 + "c\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    @pytest.mark.parametrize("failing, cause, error, message, code", [
+        # in this process: its own exception
+        pytest.param(0, RuntimeError("source failed"), RuntimeError, "source failed", None,
+                     id="parent"),
+        pytest.param(1, RuntimeError("source failed"), OSError, "1 of 3 parts failed", None,
+                     id="child1"),
+        pytest.param(2, RuntimeError("source failed"), OSError, "1 of 3 parts failed", None,
+                     id="child2"),
+        # in a child: its errno survives
+        pytest.param(0, OSError(errno.ENOSPC, "disk full"), OSError, "disk full", errno.ENOSPC,
+                     id="parent-enospc"),
+        pytest.param(2, OSError(errno.ENOSPC, "disk full"), OSError,
+                     "1 of 3 parts failed: " + os.strerror(errno.ENOSPC), errno.ENOSPC,
+                     id="child2-enospc"),
     ])
-    def test_failing_part_leaves_nothing(self, tmp_path, monkeypatch, failing, error, message):
+    def test_failing_part_leaves_nothing(self, tmp_path, monkeypatch, failing, cause, error,
+                                         message, code):
         def lines():
             yield "x\n"
-            raise RuntimeError("source failed")
+            raise cause
 
         def fork():
             pid = real_fork()
@@ -268,8 +288,10 @@ class TestParts:
         parts = ["a\n", ["b\n"], ["c\n"]]
         parts[failing] = lines()
         path = tmp_path / "out.csv"
-        with pytest.raises(error, match=re.escape(message)):
+        with pytest.raises(error, match=re.escape(message)) as raised:
             atomic_write_text(path, *parts)
+        assert getattr(raised.value, "errno", None) == code
+        assert str(path) in str(raised.value) or failing == 0
         assert os.listdir(tmp_path) == []
         assert len(pids) == 2
         for pid in pids:  # every child was reaped
