@@ -28,6 +28,7 @@ graph is dropped once its eigendecomposition is done.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 import warnings
 from dataclasses import dataclass, field, replace
@@ -108,7 +109,10 @@ class AlignmentParams:
         if self.sigma is None and self.kernel != "adaptive":
             raise ValueError(f"{self.kernel} kernel requires sigma")
         if self.kernel == "fixed":
-            BandwidthSpec.fixed(self.sigma)  # refuses a sigma whose square underflows
+            BandwidthSpec.fixed(self.sigma)  # refuses a sigma whose square under- or overflows
+        if self.kernel == "anisotropic" and float(self.sigma) * float(self.sigma) == math.inf:
+            raise ValueError(f"anisotropic kernel sigma={self.sigma!r} is too large: "
+                             "its square overflows to inf")
         if self.rank is not None:  # the trivial pair is dropped: keep one more
             check_count("rank", self.rank, 2)
 

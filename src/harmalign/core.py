@@ -1,5 +1,6 @@
 """Shared containers, matrix file I/O, seeded randomness, report handling,
-and the probe of memory available for new allocations.
+the probe of memory available for new allocations, and the one routine that
+runs work in forked children.
 
 All numeric data is dense 64-bit real.  CSV is the only matrix file format
 (optional single header line, optional trailing ``label`` column), and this
@@ -8,7 +9,9 @@ usable CPU: the first is formatted by this process into a temp file, each
 other one by a forked child into a sibling temp file, and the slices are then
 concatenated in order and renamed into place.  Each slice streams line by
 line, so no output is ever held whole in memory, and the bytes do not depend
-on the slice count.
+on the slice count.  :func:`forked` is the only place a child is forked,
+reaped and its temp file removed; the matrix writer and the experiment
+drivers' arms (``evaluation``) both run through it.
 Randomness is counter-based (Philox) so a seed fully determines every
 experiment on every platform.  All containers are immutable by convention
 after construction and safe to share across threads.
@@ -17,10 +20,13 @@ after construction and safe to share across threads.
 from __future__ import annotations
 
 import errno
+import functools
 import json
 import os
 import shutil
+import signal
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -245,53 +251,53 @@ def _first_bad_cell(rows, start: int, path) -> ValueError:
 def atomic_write_text(path, *parts) -> None:
     """Write ``parts`` in order to ``path`` atomically: into a temp file, then
     renamed.  Each part is a string or an iterable of strings, written as they
-    come.
+    come.  A new file gets the mode ``open()`` would give it, 0o666 less the
+    umask.
 
-    The first part is written by this process; every later one by an
-    ``os.fork`` child into a sibling temp file, whose bytes are then appended,
-    so iterating the parts (say, formatting a matrix's row slices) runs on as
-    many CPUs as there are parts.  A child only iterates its part and writes
-    it.  A part that fails raises: its own exception in this process;
-    ``OSError`` naming ``path`` in a child, with the child's errno when it
-    failed on one (say, ENOSPC).  Then neither ``path`` nor any temp file is
-    left behind, and every child has been reaped."""
+    The first part is written by this process; every later one by a
+    :func:`forked` child into a sibling temp file, whose bytes are then
+    appended, so iterating the parts (say, formatting a matrix's row slices)
+    runs on as many CPUs as there are parts.  A part that fails raises: its
+    own exception in this process; ``OSError`` naming ``path`` in a child,
+    with the child's errno when it failed on one (say, ENOSPC).  Then neither
+    ``path`` nor any temp file is left behind, and every child has been
+    reaped."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
         raise OSError(f"cannot write {path}: directory does not exist")
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    temps, pids = [tmp], []
+    fd, tmp = _new_temp(directory)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            try:
-                for part in parts[1:]:
-                    part_fd, part_tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-                    temps.append(part_tmp)
-                    try:
-                        pid = os.fork()
-                        if pid == 0:
-                            _write_part_and_exit(part_fd, part)
-                    finally:
-                        os.close(part_fd)
-                    pids.append(pid)
-                handle.writelines(_lines(parts[0] if parts else ""))
-            finally:
-                codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-            failed = [code for code in codes if code]
-            if failed:
-                message = f"cannot write {path}: {len(failed)} of {len(parts)} parts failed"
-                if failed[0] in errno.errorcode:
-                    raise OSError(failed[0], f"{message}: {os.strerror(failed[0])}")
-                raise OSError(message)
-            handle.flush()
-            for part_tmp in temps[1:]:
-                with open(part_tmp, "rb") as part_file:
-                    shutil.copyfileobj(part_file, handle.buffer, _COPY_BYTES)
+            first = parts[0] if parts else ""
+            tasks = [functools.partial(_write_part, part) for part in parts[1:]]
+            with forked(lambda: handle.writelines(_lines(first)), tasks, directory) as (_, done):
+                failed = [code for code, _ in done if code]
+                if failed:
+                    message = f"cannot write {path}: {len(failed)} of {len(parts)} parts failed"
+                    if failed[0] in errno.errorcode:
+                        raise OSError(failed[0], f"{message}: {os.strerror(failed[0])}")
+                    raise OSError(message)
+                handle.flush()
+                for _, part_tmp in done:
+                    with open(part_tmp, "rb") as part_file:
+                        shutil.copyfileobj(part_file, handle.buffer, _COPY_BYTES)
         os.replace(tmp, path)
-    finally:  # after the rename only the parts' temp files are left
-        for name in temps:
-            if os.path.exists(name):
-                os.unlink(name)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _new_temp(directory: str) -> tuple[int, str]:
+    """A new ``.tmp`` file in ``directory``, open for writing, created as
+    ``open()`` creates a file (mode 0o666 less the umask), unlike
+    ``tempfile.mkstemp`` (0o600): it becomes the output when renamed."""
+    while True:
+        name = os.path.join(directory, f"tmp{os.urandom(6).hex()}.tmp")
+        try:
+            return os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), name
+        except FileExistsError:
+            continue
 
 
 def _lines(part):
@@ -299,15 +305,65 @@ def _lines(part):
     return (part,) if isinstance(part, str) else part
 
 
-def _write_part_and_exit(fd: int, part) -> None:
-    """A forked child's whole life: write ``part`` to ``fd`` and exit, with
-    status 0, the errno of an ``OSError`` it raised, or ``_NO_ERRNO``.  It
-    never returns into the parent's code and takes no lock another thread may
-    have held at the fork: no BLAS call, no logging, no import."""
+def _write_part(part, fd: int) -> None:
+    """Write a part of :func:`atomic_write_text` to ``fd``, and close it."""
+    with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        handle.writelines(_lines(part))
+
+
+@contextmanager
+def forked(here, tasks, directory=None):
+    """Call ``here()`` in this process while each of ``tasks`` runs in its own
+    ``os.fork`` child; yield ``here()``'s value and, in task order, each
+    child's ``(exit code, temp file)``.
+
+    A task is called with the descriptor of a new temp file in ``directory``
+    (the default temp directory when None), writes its result there, and its
+    child exits as :func:`_run_and_exit` says.  Every child is reaped before
+    anything is yielded, and killed first when ``here()`` or a fork raised,
+    since its result is then unused.  Every temp file is removed when the
+    block is left, whatever raised.  With no tasks nothing is forked."""
+    temps, pids = [], []
+    try:
+        try:
+            for task in tasks:
+                fd, name = tempfile.mkstemp(dir=directory, suffix=".tmp")
+                temps.append(name)
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _run_and_exit(fd, task)
+                finally:
+                    os.close(fd)
+                pids.append(pid)
+            result = here()
+        except BaseException:
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+        yield result, list(zip(codes, temps))
+    finally:
+        for name in temps:
+            if os.path.exists(name):
+                os.unlink(name)
+
+
+def _run_and_exit(fd: int, task) -> None:
+    """A forked child's whole life: call ``task(fd)``, then exit with status
+    0, the errno of an ``OSError`` it raised, or ``_NO_ERRNO``.
+
+    It never returns into the parent's code, so no ``except``, ``finally`` or
+    ``atexit`` handler of the parent runs twice and no buffer the parent left
+    unflushed is written twice.  A task may compute with numpy and BLAS, warn
+    and log: the program starts no thread of its own; OpenBLAS's fork handler
+    stops its thread pool before the fork, so the child starts with one
+    thread and builds its own pool; and Python holds its import lock across
+    the fork, as ``logging`` does its locks."""
     status = _NO_ERRNO
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.writelines(_lines(part))
+        task(fd)
         status = 0
     except OSError as error:
         if error.errno in errno.errorcode:

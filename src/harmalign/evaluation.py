@@ -22,20 +22,35 @@ Two synthetic sources are provided:
 The ``harmonic`` method aligns each pair as :func:`harmonic_alignment` does,
 with ``align_params`` as given: both drivers share the neighborhood rule
 (:func:`neighborhood_fraction`) and the block scale of ``align``.
+
+Both drivers run independent seeded arms, one RNG stream per (p, trial) or
+per trial, and run them on every usable CPU: in contiguous slices, one per
+CPU but at most one per arm, and no more than the available memory holds at
+one arm's N x N arrays (those of its largest test set's graph) each.  This
+process runs the first slice and a :func:`harmalign.core.forked` worker each
+other one; the rows come back in arm order, so a report does not depend on
+the CPU count, apart from each row's ``seconds``, measured in the worker that
+ran it.  A single arm is run here, with no fork.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+import pickle
+import warnings
 from dataclasses import asdict, dataclass, field
 from time import perf_counter
 
 import numpy as np
 
+from . import core
 from .align import (AlignmentParams, PreparedDataset, align_prepared, neighborhood_fraction,
                     prepare_dataset)
 from .baselines import MnnParams, mnn_correct
 from .core import DataMatrix, Report, Rng, check_count, load_matrix
 from .graph import _row_blocks, nearest
+from .spectral import nxn_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +338,11 @@ def _sampler_factory(cfg: ExperimentConfig, rows: int):
     return lambda rng: FileSampler(data, rng)
 
 
-def _run_methods(report, cfg, row: dict, x_values, x_labels, y_values, y_labels,
+def _run_methods(rows: list, cfg, row: dict, x_values, x_labels, y_values, y_labels,
                  x_prep: PreparedDataset | None, f: float | None):
-    """Append to ``report.trials`` one copy of ``row`` per method, with the
-    method's accuracy of label transfer from (x, labels) to corrupted y.
-    With ``harmonic``, ``x_prep`` is x prepared at x's and y's neighborhood
+    """Append to ``rows`` one copy of ``row`` per method, with the method's
+    accuracy of label transfer from (x, labels) to corrupted y.  With
+    ``harmonic``, ``x_prep`` is x prepared at x's and y's neighborhood
     fraction ``f``."""
     params = cfg.align_params
     for method in cfg.methods:
@@ -343,9 +358,7 @@ def _run_methods(report, cfg, row: dict, x_values, x_labels, y_values, y_labels,
             n1 = x_values.shape[0]
             _, acc = knn_classify(phi[:n1], x_labels, phi[n1:], cfg.knn_k, y_labels)
             del phi  # freed before the next method runs
-        report.trials.append(
-            dict(row, method=method, accuracy=acc, seconds=perf_counter() - start)
-        )
+        rows.append(dict(row, method=method, accuracy=acc, seconds=perf_counter() - start))
 
 
 def _effective_params(cfg: ExperimentConfig) -> dict:
@@ -372,19 +385,48 @@ def _run_arms(cfg: ExperimentConfig, mode: str, key: str, name: str, arms) -> Re
     neighborhood fraction of ``cfg.n1`` and the smallest test size: every arm
     has the same test sizes, each at least the reference's.  Raises ValueError
     before any arm runs when a method cannot run at the smallest test size.
+
+    The arms run in contiguous slices (:func:`_slices`), the first in this
+    process and each other one in a :func:`core.forked` worker, and their rows
+    are reported in arm order, so the report does not depend on the slice
+    count: only each row's ``seconds``, measured in the worker that ran it.
+    A worker's warnings are re-issued here, in arm order, and the error of
+    the earliest slice that failed is raised, as a serial run would raise it.
     """
-    m = min(size for *_, tests in arms for *_, size in tests)
+    sizes = [size for *_, tests in arms for *_, size in tests]
+    m = min(sizes)
     if "mnn" in cfg.methods and cfg.mnn_params.k >= min(cfg.n1, m):
         raise ValueError(f"mnn_params.k={cfg.mnn_params.k} must be < min(n1, smallest test "
                          f"size)={min(cfg.n1, m)}")
     f = None
     if "harmonic" in cfg.methods:
         f = neighborhood_fraction([cfg.n1, m], cfg.align_params)  # raises, naming knn
-    root = Rng(cfg.seed)
     report = Report(params=_effective_params(cfg))
     report.params["mode"] = mode
-    rows = cfg.n1 + max(sum(size for *_, size in tests) for *_, tests in arms)
-    make_sampler = _sampler_factory(cfg, rows)
+    drawn = cfg.n1 + max(sum(size for *_, size in tests) for *_, tests in arms)
+    run = functools.partial(_arm_rows, cfg, key, f, _sampler_factory(cfg, drawn))
+    rank = cfg.align_params.rank
+    if rank is not None:  # a rank above every set's size fails in the first arm
+        rank = min(rank, max(sizes))
+    slices = _slices(arms, nxn_bytes(max(sizes), rank))
+    tasks = [functools.partial(_pickle_rows, run, part) for part in slices[1:]]
+    with core.forked(lambda: run(slices[0]), tasks) as (rows, done):
+        for code, path in done:
+            rows += _unpickle_rows(code, path)
+    report.trials = rows
+    groups = {}
+    for row in report.trials:
+        groups.setdefault((row[key], row["method"]), []).append(row["accuracy"])
+    report.aggregates = {name.format(method=method, level=level): float(np.mean(accs))
+                         for (level, method), accs in groups.items()}
+    return report
+
+
+def _arm_rows(cfg: ExperimentConfig, key: str, f: float | None, make_sampler, arms) -> list:
+    """The trial rows of ``arms`` (see :func:`_run_arms`), run one after
+    another in this process."""
+    rows = []
+    root = Rng(cfg.seed)
     for tags, trial, pct, tests in arms:
         rng = root.spawn(*tags)
         sampler = make_sampler(rng.spawn("source"))
@@ -395,13 +437,47 @@ def _run_arms(cfg: ExperimentConfig, mode: str, key: str, name: str, arms) -> Re
         for level, y_tags, size in tests:
             y_values, y_labels = sampler.draw(size, rng.spawn(*y_tags))
             row = {key: level, "trial": trial}
-            _run_methods(report, cfg, row, x_values, x_labels, y_values @ Op, y_labels, x_prep, f)
-    groups = {}
-    for row in report.trials:
-        groups.setdefault((row[key], row["method"]), []).append(row["accuracy"])
-    report.aggregates = {name.format(method=method, level=level): float(np.mean(accs))
-                         for (level, method), accs in groups.items()}
-    return report
+            _run_methods(rows, cfg, row, x_values, x_labels, y_values @ Op, y_labels, x_prep, f)
+    return rows
+
+
+def _slices(arms: list, arm_bytes: int) -> list:
+    """``arms`` in contiguous slices, one per worker: as many workers as
+    usable CPUs, at most one per arm, and no more than the available memory
+    holds at ``arm_bytes`` each (one arm at least)."""
+    count = min(core._usable_cpus(), len(arms))
+    available = core._available_memory()
+    if available is not None:
+        count = max(1, min(count, available // arm_bytes))
+    bounds = [len(arms) * i // count for i in range(count + 1)]
+    return [arms[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _pickle_rows(run, arms: list, fd: int) -> None:
+    """A worker's task: pickle to ``fd`` the rows of ``run(arms)`` or the
+    exception it raised, and the warnings it issued on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            rows, error = run(arms), None
+        except Exception as raised:  # re-raised by _unpickle_rows
+            rows, error = None, raised
+    issued = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+    with os.fdopen(fd, "wb") as handle:
+        pickle.dump((rows, error, issued), handle)
+
+
+def _unpickle_rows(code: int, path: str) -> list:
+    """The rows a :func:`_pickle_rows` worker that exited with ``code`` left
+    in ``path``, after re-issuing its warnings; its exception, if it raised one."""
+    if code:
+        raise ChildProcessError(f"an experiment worker exited with status {code}")
+    with open(path, "rb") as handle:
+        rows, error, issued = pickle.load(handle)
+    for message, category, filename, lineno in issued:
+        warnings.warn_explicit(message, category, filename, lineno)
+    if error is not None:
+        raise error
+    return rows
 
 
 def corruption_experiment(cfg: ExperimentConfig) -> Report:

@@ -43,6 +43,7 @@ bandwidths, k-NN evaluation, MNN, the CLI's self-match rate) calls
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,9 +64,13 @@ class BandwidthSpec:
         if self.mode == "fixed":
             if self.sigma is None or not self.sigma > 0:  # NaN fails it too
                 raise ValueError("fixed bandwidth requires sigma > 0")
-            if not self.sigma * self.sigma > 0:  # the kernel divides by sigma**2
+            square = float(self.sigma) * float(self.sigma)  # numpy's product would warn
+            if not square > 0:  # the kernel divides by sigma**2
                 raise ValueError(f"fixed bandwidth sigma={self.sigma!r} is too small: "
                                  "its square underflows to 0")
+            if square == math.inf:  # the kernel would be 1 everywhere
+                raise ValueError(f"fixed bandwidth sigma={self.sigma!r} is too large: "
+                                 "its square overflows to inf")
         elif self.mode == "adaptive":
             check_count("k", self.k)
         else:

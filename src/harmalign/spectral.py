@@ -101,13 +101,17 @@ def _require(need: int, what: str, detail: str, cause: Exception | None = None) 
         ) from cause
 
 
+def nxn_bytes(n: int, rank: int | None = None) -> int:
+    """Bytes of an n-point graph's N x N arrays at ``rank``: the graph, and on
+    the dense route ``dsyevd``'s workspace of two more, as when
+    :func:`fourier_basis` may overwrite the graph (``overwrite_a``)."""
+    return 8 * n * n * (_DENSE_NXN_ARRAYS if _plan(n, rank)[1] else 1)
+
+
 def check_memory(n: int, rank: int | None = None) -> None:
-    """Refuse an n-point graph whose N x N arrays at ``rank`` would not fit:
-    the graph, and on the dense route ``dsyevd``'s workspace of two more, as
-    when :func:`fourier_basis` may overwrite the graph (``overwrite_a``)."""
-    rank, dense = _plan(n, rank)
-    _require(8 * n * n * (_DENSE_NXN_ARRAYS if dense else 1),
-             f"preparing {n} points at rank {rank or 'full'}", "for its N x N arrays")
+    """Refuse an n-point graph whose :func:`nxn_bytes` would not fit."""
+    _require(nxn_bytes(n, rank), f"preparing {n} points at rank {_plan(n, rank)[0] or 'full'}",
+             "for its N x N arrays")
 
 
 def _dense_solve(A: np.ndarray, *, overwrite_a: bool = False):

@@ -386,9 +386,19 @@ class TestAlignmentParams:
         ({"t": 1.5}, "diffusion time must be a non-negative integer, got 1.5"),
         ({"kernel": "fixed", "sigma": 1e-200},
          "fixed bandwidth sigma=1e-200 is too small: its square underflows to 0"),
+        ({"kernel": "fixed", "sigma": 1e200},
+         r"fixed bandwidth sigma=1e\+200 is too large: its square overflows to inf"),
+        ({"kernel": "fixed", "sigma": np.inf},
+         "fixed bandwidth sigma=inf is too large: its square overflows to inf"),
+        ({"kernel": "anisotropic", "sigma": 1e200},
+         r"anisotropic kernel sigma=1e\+200 is too large: its square overflows to inf"),
+        ({"kernel": "anisotropic", "sigma": np.inf},
+         "anisotropic kernel sigma=inf is too large: its square overflows to inf"),
     ], ids=["knn-0", "knn_fraction-0", "knn_fraction-negative", "knn_fraction-1",
             "sigma-negative", "sigma-0", "fixed-without-sigma", "anisotropic-without-sigma",
-            "rank-0", "t-negative", "t-2.0", "t-1.5", "fixed-sigma-square-underflows"])
+            "rank-0", "t-negative", "t-2.0", "t-1.5", "fixed-sigma-square-underflows",
+            "fixed-sigma-square-overflows", "fixed-sigma-inf",
+            "anisotropic-sigma-square-overflows", "anisotropic-sigma-inf"])
     def test_rejected_at_construction(self, fields, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -255,6 +255,49 @@ class TestExperiment:
         assert err == ("error: fixed bandwidth sigma=1e-200 is too small: "
                        "its square underflows to 0\n")
 
+    @pytest.mark.filterwarnings("error")  # a numpy warning would change the message
+    @pytest.mark.parametrize("kernel, sigma, message", [
+        ("fixed", "1e200", "fixed bandwidth sigma=1e+200 is too large: its square overflows"),
+        ("eq1", "inf", "anisotropic kernel sigma=inf is too large: its square overflows"),
+    ])
+    def test_overflowing_sigma_rejected_without_warnings(self, tmp_path, capsys, kernel, sigma,
+                                                         message):
+        cfg = self.write_config(tmp_path, kernel=kernel, sigma=sigma)
+        assert run(["experiment", "--mode", "corruption", "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"error: {message} to inf\n"
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_error_in_a_worker_arm_printed(self, tmp_path, capsys, monkeypatch, cpus):
+        # 11 copies of row 0: the second trial's reference draws 4 of them, at
+        # distance 0 within 3 neighbours; the first trial's does not
+        values = Rng(0).generator.standard_normal((80, 5))
+        values[1:12] = values[0]
+        source = tmp_path / "dup.csv"
+        write_output(DataMatrix(values=values, labels=np.arange(80) % 2), source)
+        cfg = self.write_config(tmp_path, source=source, n1=20, ratios=1, methods="harmonic",
+                                **{"knn-bandwidth": 3, "seed": 6})
+        monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+        assert run(["experiment", "--mode", "transfer", "--config", cfg]) == 1
+        assert capsys.readouterr().err == (
+            "error: zero adaptive bandwidth at point 6 (duplicate points within 3 neighbors); "
+            "use a fixed bandwidth instead, e.g. the anisotropic kernel with a sigma "
+            "(CLI: --kernel eq1 --sigma S)\n")
+
+    def test_outputs_readable_as_open_creates_them(self, tmp_path, dataset_csv):
+        # renamed temp files, created 0o600 by mkstemp, kept that mode
+        cfg = self.write_config(tmp_path)
+        paths = {name: tmp_path / name for name in ("embed.csv", "r.json", "sweep.csv", "e.json")}
+        umask = os.umask(0o022)
+        try:
+            assert run(["align", "--x", dataset_csv, "--y", dataset_csv, "--knn-bandwidth", "10",
+                        "--out", str(paths["embed.csv"]), "--report", str(paths["r.json"])]) == 0
+            assert run(["experiment", "--mode", "corruption", "--config", cfg,
+                        "--csv", str(paths["sweep.csv"]), "--report", str(paths["e.json"])]) == 0
+        finally:
+            os.umask(umask)
+        assert {name: oct(path.stat().st_mode & 0o777) for name, path in paths.items()} == {
+            name: "0o644" for name in paths}
+
     @pytest.mark.parametrize("key, value, bad", [("ratios", "1,1.5", "'1.5'"),
                                                  ("n1", "many", "'many'")])
     def test_unconvertible_value_names_its_key(self, tmp_path, capsys, key, value, bad):

@@ -1,11 +1,14 @@
 import dataclasses
+import os
 import re
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from harmalign import evaluation, graph
+from harmalign import core, evaluation, graph
 from harmalign.align import AlignmentParams, harmonic_alignment
 from harmalign.baselines import MnnParams
 from harmalign.core import Rng, load_matrix
@@ -23,6 +26,7 @@ from harmalign.evaluation import (
     transfer_experiment,
 )
 from harmalign.graph import _BLOCK_ROWS, nearest
+from harmalign.spectral import nxn_bytes
 
 
 class TestRandomOrthogonal:
@@ -520,6 +524,126 @@ class TestFileSource:
             corruption_experiment(cfg)
         assert arms == []  # refused before any arm ran
         assert len(transfer_experiment(dataclasses.replace(cfg, ratios=(1, 1.5))).trials) == 4
+
+
+def _without_seconds(report):
+    """What a report must keep at any worker count: its rows less their
+    ``seconds``, its aggregates and its sweep CSV."""
+    rows = [{k: v for k, v in row.items() if k != "seconds"} for row in report.trials]
+    return rows, report.aggregates, sweep_csv(report)
+
+
+class TestArmWorkers:
+    """Arms run in contiguous slices, one per usable CPU, each slice after
+    the first in a forked worker; the report does not depend on the count."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch, tmp_path):
+        """The pids forked while the test runs, with temp files in a fresh
+        directory; afterwards every child is reaped and no temp file is left."""
+        def fork():
+            pid = real_fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        pids, real_fork = [], os.fork
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        yield pids
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+        assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []
+
+    def config(self, source, **kw):
+        defaults = dict(source=source, n1=30, n2=30, dim=10, trials=2,
+                        methods=("none", "mnn", "harmonic"), preserved_sweep=(50, 100),
+                        ratios=(1, 2), mnn_params=MnnParams(k=5),
+                        align_params=AlignmentParams(knn=5), seed=11)
+        defaults.update(kw)
+        return ExperimentConfig(**defaults)
+
+    @pytest.mark.parametrize("cpus", [2, 3])  # 3: more CPUs than transfer's 2 arms
+    @pytest.mark.parametrize("driver", [corruption_experiment, transfer_experiment])
+    @pytest.mark.parametrize("source", ["synthetic-manifold", "file"])
+    def test_report_equal_at_any_cpu_count(self, tmp_path, monkeypatch, forks, cpus, driver,
+                                           source):
+        if source == "file":
+            source = _write_csv(tmp_path / "labeled.csv", 150)
+        cfg = self.config(source)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
+        serial = driver(cfg)
+        assert forks == []
+        monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+        forked = driver(cfg)
+        arms = 2 * len(cfg.preserved_sweep) if driver is corruption_experiment else 2
+        assert len(forks) == min(cpus, arms) - 1
+        assert _without_seconds(forked) == _without_seconds(serial)
+        assert [row["seconds"] > 0 for row in forked.trials] == [True] * len(serial.trials)
+
+    @pytest.mark.parametrize("fits, trials, forked", [
+        (1, 2, 0),     # memory for one arm only
+        (2, 2, 1),     # for both
+        (None, 2, 1),  # memory unknown: one worker per CPU
+        (4, 1, 0),     # one arm
+    ])
+    def test_workers_limited_by_memory_and_arms(self, monkeypatch, forks, fits, trials, forked):
+        cfg = self.config("synthetic-manifold", trials=trials)
+        arm = nxn_bytes(cfg.n1 * max(cfg.ratios))  # the largest test set's graph
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(core, "_available_memory",
+                            lambda: None if fits is None else (fits + 1) * arm - 1)
+        report = transfer_experiment(cfg)
+        assert len(forks) == forked
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
+        assert _without_seconds(report) == _without_seconds(transfer_experiment(cfg))
+
+    def sweep(self, monkeypatch, act):
+        """A sweep of three one-arm slices whose arm at ``pct`` calls ``act(pct)``."""
+        real = evaluation.partial_corruption
+
+        def corrupt(O0, pct, rng):
+            act(pct)
+            return real(O0, pct, rng)
+
+        monkeypatch.setattr(evaluation, "partial_corruption", corrupt)
+        return self.config("synthetic-manifold", trials=1, methods=("none",),
+                           preserved_sweep=(0, 50, 100))
+
+    @pytest.mark.parametrize("failing, raised", [
+        ((50,), "arm 50.0 failed"),
+        ((50, 100), "arm 50.0 failed"),  # the earliest slice's error wins
+        ((0, 100), "arm 0.0 failed"),    # this process's slice is the earliest
+        ((0, 50, 100), "arm 0.0 failed"),
+    ])
+    def test_earliest_error_raised_with_its_type(self, monkeypatch, forks, failing, raised):
+        def fail(pct):
+            if pct in failing:
+                raise KeyError(f"arm {pct} failed")
+
+        cfg = self.sweep(monkeypatch, fail)
+        for cpus, forked in ((1, 0), (3, 2)):
+            monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+            with pytest.raises(KeyError, match=raised):
+                corruption_experiment(cfg)
+            assert len(forks) == forked
+
+    def test_warnings_reissued_in_arm_order(self, monkeypatch, forks):
+        cfg = self.sweep(monkeypatch, lambda pct: warnings.warn(f"arm {pct}", UserWarning))
+        seen = {}
+        for cpus in (1, 3):
+            monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                corruption_experiment(cfg)
+            seen[cpus] = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+        assert [message for message, *_ in seen[3]] == ["arm 0.0", "arm 50.0", "arm 100.0"]
+        assert seen[3] == seen[1]
+        assert len(forks) == 2
+        with pytest.warns(UserWarning) as recorded:
+            corruption_experiment(cfg)
+        assert [str(w.message) for w in recorded] == ["arm 0.0", "arm 50.0", "arm 100.0"]
 
 
 class TestMethodSizeLimits:

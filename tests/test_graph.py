@@ -126,12 +126,15 @@ class TestGaussKernelGraph:
 
     @pytest.mark.parametrize("sigma, message", [
         (1e-200, "fixed bandwidth sigma=1e-200 is too small: its square underflows to 0"),
+        (1e200, "fixed bandwidth sigma=1e+200 is too large: its square overflows to inf"),
+        (np.inf, "fixed bandwidth sigma=inf is too large: its square overflows to inf"),
         (np.nan, "fixed bandwidth requires sigma > 0"),
         (0.0, "fixed bandwidth requires sigma > 0"),
     ])
     def test_unusable_fixed_sigma_refused_at_construction(self, sigma, message):
-        # sigma**2 == 0 would make the kernel's diagonal 0/0: refused before
-        # any array is built, without a numpy warning
+        # sigma**2 == 0 would make the kernel's diagonal 0/0, and an infinite
+        # sigma**2 every entry 1: refused before any array is built, without a
+        # numpy warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
