@@ -292,10 +292,11 @@ def _new_temp(directory: str) -> tuple[int, str]:
     """A new ``.tmp`` file in ``directory``, open for writing, created as
     ``open()`` creates a file (mode 0o666 less the umask), unlike
     ``tempfile.mkstemp`` (0o600): it becomes the output when renamed."""
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)  # as mkstemp
     while True:
         name = os.path.join(directory, f"tmp{os.urandom(6).hex()}.tmp")
         try:
-            return os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), name
+            return os.open(name, flags, 0o666), name
         except FileExistsError:
             continue
 
