@@ -1,6 +1,6 @@
 """Shared containers, matrix file I/O, seeded randomness, report handling,
-the probe of memory available for new allocations, and the one routine that
-runs work in forked children.
+the probe of memory available for new allocations, and the routines that run
+work in forked children.
 
 All numeric data is dense 64-bit real.  CSV is the only matrix file format
 (optional single header line, optional trailing ``label`` column), and this
@@ -10,8 +10,12 @@ other one by a forked child into a sibling temp file, and the slices are then
 concatenated in order and renamed into place.  Each slice streams line by
 line, so no output is ever held whole in memory, and the bytes do not depend
 on the slice count.  :func:`forked` is the only place a child is forked,
-reaped and its temp file removed; the matrix writer and the experiment
-drivers' arms (``evaluation``) both run through it.
+reaped and its temp file removed.  The matrix writer runs through it, and so
+does :func:`pool_map`, the one worker pool: it maps a function over items on
+as many workers as the usable CPUs, the BLAS threads and the memory allow,
+and returns results, warnings, log records and errors as a serial run gives
+them.  The experiment drivers' arms (``evaluation``) and the datasets of an
+alignment (``align``) run on it.  Nothing is forked off Linux.
 Randomness is counter-based (Philox) so a seed fully determines every
 experiment on every platform.  All containers are immutable by convention
 after construction and safe to share across threads.
@@ -22,10 +26,15 @@ from __future__ import annotations
 import errno
 import functools
 import json
+import logging
 import os
+import pickle
+import re
 import shutil
 import signal
+import sys
 import tempfile
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -351,6 +360,101 @@ def forked(here, tasks, directory=None):
                 os.unlink(name)
 
 
+#: True in a pool worker, and in this process while it runs its own slice of
+#: a pool: a pool opened then runs its items in the calling process
+_pooled = False
+#: the variables OpenBLAS reads its thread count from, in the order it reads them
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def pool_map(func, items, item_bytes: int, min_bytes: int = 0) -> list:
+    """``[func(item) for item in items]``, run on as many workers as the
+    machine can give: the items in contiguous slices, one per worker, the
+    first run by this process and each other one by a :func:`forked` child.
+
+    The workers are the fewest of the items, the usable CPUs divided by the
+    BLAS threads each worker runs (:func:`_blas_threads`), and the items the
+    available memory holds at ``item_bytes`` (the largest item's footprint)
+    each.  Nothing is forked for one worker, for items under ``min_bytes``
+    (too small to pay for a fork), or for a call made in a worker or in this
+    process while it runs its own slice.
+
+    Results come back in item order.  A worker's warnings and ``logging``
+    records are issued again here, in item order, and the earliest item's
+    error is raised with its type and message, as a serial run raises it.
+    """
+    global _pooled
+    items = list(items)
+    count = 1
+    if not _pooled and item_bytes >= min_bytes:
+        count = min(len(items), _usable_cpus() // _blas_threads())
+        available = _available_memory()
+        if available is not None:
+            count = min(count, available // item_bytes)
+    if count <= 1:
+        return [func(item) for item in items]
+    bounds = [len(items) * i // count for i in range(count + 1)]
+    slices = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    tasks = [functools.partial(_run_slice, func, part) for part in slices[1:]]
+    _pooled = True
+    try:
+        with forked(lambda: [func(item) for item in slices[0]], tasks) as (results, done):
+            for code, path in done:
+                results += _slice_results(code, path)
+    finally:
+        _pooled = False
+    return results
+
+
+def _blas_threads() -> int:
+    """The threads each BLAS call runs on, read as OpenBLAS reads them: the
+    first of ``_THREAD_VARIABLES`` whose leading integer (C's ``atoi``) is
+    positive, else the usable CPUs."""
+    for name in _THREAD_VARIABLES:
+        match = re.match(r"\s*[+-]?\d+", os.environ.get(name, ""))
+        if match and int(match.group()) > 0:
+            return int(match.group())
+    return _usable_cpus()
+
+
+def _run_slice(func, items, fd: int) -> None:
+    """A pool worker's task: pickle to ``fd`` the results of ``func`` over
+    ``items`` up to the first exception, that exception, and the warnings
+    and ``logging`` records issued on the way, in the order issued.
+
+    This child's own warning display and log handlers are replaced by the
+    record, so each is handled once, by this process's parent."""
+    issued, results, error = [], [], None
+    warnings.showwarning = lambda message, category, filename, lineno, *_: issued.append(
+        (message, category, filename, lineno))
+    logging.Logger.callHandlers = lambda logger, record: issued.append(record)
+    try:
+        for item in items:
+            results.append(func(item))
+    except Exception as raised:  # raised again by _slice_results
+        error = raised
+    with os.fdopen(fd, "wb") as handle:
+        pickle.dump((results, error, issued), handle, pickle.HIGHEST_PROTOCOL)
+
+
+def _slice_results(code: int, path: str) -> list:
+    """The results a :func:`_run_slice` worker that exited with ``code`` left
+    in ``path``, after issuing its warnings and log records here; the
+    exception it raised, if it raised one."""
+    if code:
+        raise ChildProcessError(f"a pool worker exited with status {code}")
+    with open(path, "rb") as handle:
+        results, error, issued = pickle.load(handle)
+    for event in issued:
+        if isinstance(event, logging.LogRecord):
+            logging.getLogger(event.name).handle(event)
+        else:
+            warnings.warn_explicit(*event)
+    if error is not None:
+        raise error
+    return results
+
+
 def _run_and_exit(fd: int, task) -> None:
     """A forked child's whole life: call ``task(fd)``, then exit with status
     0, the errno of an ``OSError`` it raised, or ``_NO_ERRNO``.
@@ -374,12 +478,8 @@ def _run_and_exit(fd: int, task) -> None:
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where ``os.fork`` is missing."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    """CPUs this process may run on; 1 off Linux, where nothing is forked."""
+    return len(os.sched_getaffinity(0)) if sys.platform.startswith("linux") else 1
 
 
 def csv_lines(values, header=None, ids=None, labels=None):

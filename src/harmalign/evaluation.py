@@ -24,21 +24,19 @@ with ``align_params`` as given: both drivers share the neighborhood rule
 (:func:`neighborhood_fraction`) and the block scale of ``align``.
 
 Both drivers run independent seeded arms, one RNG stream per (p, trial) or
-per trial, and run them on every usable CPU: in contiguous slices, one per
-CPU but at most one per arm, and no more than the available memory holds at
+per trial, on :func:`harmalign.core.pool_map`'s workers: in contiguous slices,
+one per worker, as many workers as the usable CPUs over the BLAS threads
+allow, at most one per arm, and no more than the available memory holds at
 one arm's N x N arrays (those of its largest test set's graph) each.  This
-process runs the first slice and a :func:`harmalign.core.forked` worker each
-other one; the rows come back in arm order, so a report does not depend on
-the CPU count, apart from each row's ``seconds``, measured in the worker that
-ran it.  A single arm is run here, with no fork.
+process runs the first slice and a forked worker each other one; the rows
+come back in arm order, so a report does not depend on the worker count,
+apart from each row's ``seconds``, measured in the worker that ran it.  A
+single arm, or a single worker, runs here with no fork.
 """
 
 from __future__ import annotations
 
 import functools
-import os
-import pickle
-import warnings
 from dataclasses import asdict, dataclass, field
 from time import perf_counter
 
@@ -386,12 +384,11 @@ def _run_arms(cfg: ExperimentConfig, mode: str, key: str, name: str, arms) -> Re
     has the same test sizes, each at least the reference's.  Raises ValueError
     before any arm runs when a method cannot run at the smallest test size.
 
-    The arms run in contiguous slices (:func:`_slices`), the first in this
-    process and each other one in a :func:`core.forked` worker, and their rows
-    are reported in arm order, so the report does not depend on the slice
+    The arms run on :func:`core.pool_map`'s workers, and their rows are
+    reported in arm order, so the report does not depend on the worker
     count: only each row's ``seconds``, measured in the worker that ran it.
-    A worker's warnings are re-issued here, in arm order, and the error of
-    the earliest slice that failed is raised, as a serial run would raise it.
+    A worker's warnings are issued again here, in arm order, and the
+    earliest arm's error is raised, as a serial run would raise it.
     """
     sizes = [size for *_, tests in arms for *_, size in tests]
     m = min(sizes)
@@ -408,12 +405,8 @@ def _run_arms(cfg: ExperimentConfig, mode: str, key: str, name: str, arms) -> Re
     rank = cfg.align_params.rank
     if rank is not None:  # a rank above every set's size fails in the first arm
         rank = min(rank, max(sizes))
-    slices = _slices(arms, nxn_bytes(max(sizes), rank))
-    tasks = [functools.partial(_pickle_rows, run, part) for part in slices[1:]]
-    with core.forked(lambda: run(slices[0]), tasks) as (rows, done):
-        for code, path in done:
-            rows += _unpickle_rows(code, path)
-    report.trials = rows
+    per_arm = core.pool_map(run, arms, nxn_bytes(max(sizes), rank))
+    report.trials = [row for rows in per_arm for row in rows]
     groups = {}
     for row in report.trials:
         groups.setdefault((row[key], row["method"]), []).append(row["accuracy"])
@@ -422,61 +415,20 @@ def _run_arms(cfg: ExperimentConfig, mode: str, key: str, name: str, arms) -> Re
     return report
 
 
-def _arm_rows(cfg: ExperimentConfig, key: str, f: float | None, make_sampler, arms) -> list:
-    """The trial rows of ``arms`` (see :func:`_run_arms`), run one after
-    another in this process."""
+def _arm_rows(cfg: ExperimentConfig, key: str, f: float | None, make_sampler, arm) -> list:
+    """The trial rows of one arm (see :func:`_run_arms`)."""
+    tags, trial, pct, tests = arm
     rows = []
-    root = Rng(cfg.seed)
-    for tags, trial, pct, tests in arms:
-        rng = root.spawn(*tags)
-        sampler = make_sampler(rng.spawn("source"))
-        x_values, x_labels = sampler.draw(cfg.n1, rng.spawn("draw-x"))
-        O0 = random_orthogonal(sampler.dim, rng.spawn("orthogonal"))
-        Op = partial_corruption(O0, pct, rng.spawn("columns"))
-        x_prep = None if f is None else prepare_dataset(x_values, cfg.align_params, f)
-        for level, y_tags, size in tests:
-            y_values, y_labels = sampler.draw(size, rng.spawn(*y_tags))
-            row = {key: level, "trial": trial}
-            _run_methods(rows, cfg, row, x_values, x_labels, y_values @ Op, y_labels, x_prep, f)
-    return rows
-
-
-def _slices(arms: list, arm_bytes: int) -> list:
-    """``arms`` in contiguous slices, one per worker: as many workers as
-    usable CPUs, at most one per arm, and no more than the available memory
-    holds at ``arm_bytes`` each (one arm at least)."""
-    count = min(core._usable_cpus(), len(arms))
-    available = core._available_memory()
-    if available is not None:
-        count = max(1, min(count, available // arm_bytes))
-    bounds = [len(arms) * i // count for i in range(count + 1)]
-    return [arms[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-
-def _pickle_rows(run, arms: list, fd: int) -> None:
-    """A worker's task: pickle to ``fd`` the rows of ``run(arms)`` or the
-    exception it raised, and the warnings it issued on the way."""
-    with warnings.catch_warnings(record=True) as caught:
-        try:
-            rows, error = run(arms), None
-        except Exception as raised:  # re-raised by _unpickle_rows
-            rows, error = None, raised
-    issued = [(w.message, w.category, w.filename, w.lineno) for w in caught]
-    with os.fdopen(fd, "wb") as handle:
-        pickle.dump((rows, error, issued), handle)
-
-
-def _unpickle_rows(code: int, path: str) -> list:
-    """The rows a :func:`_pickle_rows` worker that exited with ``code`` left
-    in ``path``, after re-issuing its warnings; its exception, if it raised one."""
-    if code:
-        raise ChildProcessError(f"an experiment worker exited with status {code}")
-    with open(path, "rb") as handle:
-        rows, error, issued = pickle.load(handle)
-    for message, category, filename, lineno in issued:
-        warnings.warn_explicit(message, category, filename, lineno)
-    if error is not None:
-        raise error
+    rng = Rng(cfg.seed).spawn(*tags)
+    sampler = make_sampler(rng.spawn("source"))
+    x_values, x_labels = sampler.draw(cfg.n1, rng.spawn("draw-x"))
+    O0 = random_orthogonal(sampler.dim, rng.spawn("orthogonal"))
+    Op = partial_corruption(O0, pct, rng.spawn("columns"))
+    x_prep = None if f is None else prepare_dataset(x_values, cfg.align_params, f)
+    for level, y_tags, size in tests:
+        y_values, y_labels = sampler.draw(size, rng.spawn(*y_tags))
+        row = {key: level, "trial": trial}
+        _run_methods(rows, cfg, row, x_values, x_labels, y_values @ Op, y_labels, x_prep, f)
     return rows
 
 

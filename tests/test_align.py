@@ -1,9 +1,11 @@
+import os
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from scipy.spatial.distance import cdist
 
 from harmalign import align, core, graph, spectral
@@ -729,3 +731,79 @@ class TestMemoryPreCheck:
         monkeypatch.setattr(core, "_SELF_CGROUP", str(own_file))
         monkeypatch.setattr(core, "_CGROUP", str(cgroup))
         assert core._available_memory() == expected
+
+
+class TestPooledPrepare:
+    """The datasets of an alignment are prepared on ``core.pool_map``'s
+    workers, with the output of a serial run."""
+
+    def datasets(self, sizes):
+        sampler = ManifoldSampler(Rng(0).spawn("source"), dim=20)
+        return [sampler.draw(n, Rng(n).spawn("draw"))[0] for n in sizes]
+
+    def aligned(self, monkeypatch, cpus, datasets, params):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+        return multi_alignment(datasets, params)
+
+    @pytest.mark.parametrize("sizes, rank", [  # the dense and the Lanczos route
+        ((300, 300), None), ((300, 280, 260), None), ((500, 500), 30), ((500, 480, 460), 30),
+    ])
+    def test_output_equal_to_a_serial_run(self, monkeypatch, forks, sizes, rank):
+        datasets, params = self.datasets(sizes), AlignmentParams(rank=rank)
+        assert spectral._plan(min(sizes), rank)[1] is (rank is None)
+        serial = self.aligned(monkeypatch, 1, datasets, params)
+        assert forks == []
+        pooled = self.aligned(monkeypatch, 2, datasets, params)
+        assert len(forks) == 1
+        assert np.array_equal(pooled.phi, serial.phi)
+        assert pooled.maps.keys() == serial.maps.keys()
+        for key, T in serial.maps.items():
+            assert np.array_equal(pooled.maps[key], T)
+        assert pooled.diagnostics == serial.diagnostics
+
+    @pytest.mark.parametrize("n, forked", [(249, 0), (250, 1)])
+    def test_datasets_under_the_floor_prepared_here(self, monkeypatch, forks, n, forked):
+        self.aligned(monkeypatch, 2, self.datasets((n, n)), AlignmentParams())
+        assert len(forks) == forked
+
+    def test_nan_kernel_in_a_worker(self, monkeypatch, forks):
+        def poisoned(values, kernel):  # dataset 1's, in the worker
+            W = kernel_matrix(values, kernel)
+            if len(values) == 280:
+                W[0, 0] = np.nan
+            return W
+
+        kernel_matrix = graph._kernel_matrix
+        monkeypatch.setattr(graph, "_kernel_matrix", poisoned)
+        with pytest.raises(ValueError,
+                           match="^degree nan at point 0: the kernel is zero or not finite$"):
+            self.aligned(monkeypatch, 2, self.datasets((300, 280)),
+                         AlignmentParams(kernel="fixed", sigma=1.0))
+        assert len(forks) == 1
+
+    def test_memory_error_in_a_worker(self, monkeypatch, forks):
+        parent = os.getpid()
+        monkeypatch.setattr(spectral, "_available_memory",
+                            lambda: None if os.getpid() == parent else 2**20)
+        with pytest.raises(MemoryError) as raised:
+            self.aligned(monkeypatch, 2, self.datasets((300, 280)), AlignmentParams())
+        assert type(raised.value) is MemoryError
+        assert str(raised.value) == ("preparing 280 points at rank full needs about 2 MiB "
+                                     "for its N x N arrays, but only 1 MiB is available")
+        assert len(forks) == 1
+
+    def test_lanczos_fallback_logged_from_a_worker(self, monkeypatch, forks, caplog):
+        def no_convergence(A, k, **kw):
+            raise scipy.sparse.linalg.ArpackNoConvergence(
+                "ARPACK error -1: No convergence", np.zeros(3), np.zeros((A.shape[0], 3)))
+
+        datasets, params = self.datasets((500, 480)), AlignmentParams(rank=30)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        with caplog.at_level("WARNING", logger="harmalign"):
+            pooled = self.aligned(monkeypatch, 2, datasets, params)
+        assert len(forks) == 1
+        assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("harmalign", "WARNING", f"Lanczos found 3 of 30 eigenpairs of a {n}-point graph; "
+                                     "falling back to the dense solver") for n in (500, 480)]
+        serial = self.aligned(monkeypatch, 1, datasets, params)
+        assert np.array_equal(pooled.phi, serial.phi)

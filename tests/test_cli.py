@@ -277,6 +277,7 @@ class TestExperiment:
         cfg = self.write_config(tmp_path, source=source, n1=20, ratios=1, methods="harmonic",
                                 **{"knn-bandwidth": 3, "seed": 6})
         monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # one worker per CPU
         assert run(["experiment", "--mode", "transfer", "--config", cfg]) == 1
         assert capsys.readouterr().err == (
             "error: zero adaptive bandwidth at point 6 (duplicate points within 3 neighbors); "

@@ -1,7 +1,10 @@
 import errno
 import json
+import logging
 import os
 import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -319,3 +322,124 @@ class TestRng:
         a = Rng(9).spawn("trial", 0).generator.standard_normal(100)
         b = Rng(9).spawn("trial", 1).generator.standard_normal(100)
         assert not np.array_equal(a, b)
+
+
+class TestPool:
+    """``pool_map`` runs contiguous slices of its items, the first in this
+    process and each other one in a forked worker, within the CPUs, the BLAS
+    threads and the memory; results, warnings, log records and errors come
+    back as a serial run gives them."""
+
+    ITEM = 1000  # bytes per item
+
+    @pytest.mark.parametrize("cpus, threads, fits, items, workers", [
+        (2, {}, None, 4, 1),  # threads unset: as many as CPUs, one worker
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, None, 4, 2),
+        (4, {"OPENBLAS_NUM_THREADS": "2"}, None, 4, 2),
+        (4, {"OPENBLAS_NUM_THREADS": "3"}, None, 4, 1),
+        (4, {"OPENBLAS_NUM_THREADS": "8"}, None, 4, 1),
+        (4, {"GOTO_NUM_THREADS": "1"}, None, 4, 4),
+        (4, {"OMP_NUM_THREADS": "2"}, None, 4, 2),
+        (4, {"OMP_NUM_THREADS": "2,1"}, None, 4, 2),  # atoi reads the leading integer
+        (4, {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "4"},
+         None, 4, 4),  # OPENBLAS first
+        (4, {"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, None, 4, 4),  # then GOTO
+        (4, {"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "2"}, None, 4, 2),  # 0 is unset
+        (4, {"OPENBLAS_NUM_THREADS": "-1", "OMP_NUM_THREADS": "4"}, None, 4, 1),
+        (4, {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, None, 4, 4),
+        (4, {"OPENBLAS_NUM_THREADS": "1"}, 2, 4, 2),  # memory for two items
+        (4, {"OPENBLAS_NUM_THREADS": "1"}, 0, 4, 1),  # for none: one worker still
+        (4, {"OPENBLAS_NUM_THREADS": "1"}, None, 3, 3),  # at most one per item
+        (4, {"OPENBLAS_NUM_THREADS": "1"}, None, 1, 1),
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, None, 4, 1),
+    ])
+    def test_worker_count(self, monkeypatch, forks, cpus, threads, fits, items, workers):
+        for name in core._THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        for name, value in threads.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(core, "_available_memory",
+                            lambda: None if fits is None else (fits + 1) * self.ITEM - 1)
+        assert core.pool_map(lambda i: i * i, range(items), self.ITEM) == [
+            i * i for i in range(items)]
+        assert len(forks) == workers - 1
+
+    @pytest.mark.parametrize("item_bytes, forked", [(999, 0), (1000, 2), (10**12, 0)])
+    def test_items_under_the_floor_or_memory_run_here(self, monkeypatch, forks, item_bytes,
+                                                      forked):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(core, "_available_memory", lambda: 10**10)
+        assert core.pool_map(str, range(5), item_bytes, min_bytes=1000) == list("01234")
+        assert len(forks) == forked
+
+    def test_nothing_forks_off_linux(self, monkeypatch, forks):
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert core._usable_cpus() == 1
+        assert core.pool_map(abs, range(-2, 2), self.ITEM) == [2, 1, 0, 1]
+        assert len(core.csv_parts(np.eye(4))) == 1
+        assert forks == []
+
+    def test_nested_calls_fork_nothing(self, monkeypatch, forks):
+        def nested(i):  # how many forks a pool opened by item i made
+            before = len(forks)
+            assert core.pool_map(abs, [-i, i, -i], self.ITEM) == [i, i, i]
+            return len(forks) - before
+
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 3)
+        assert core.pool_map(nested, range(6), self.ITEM) == [0] * 6  # in workers and here
+        assert len(forks) == 2
+        assert core.pool_map(nested, range(3), self.ITEM) == [0] * 3  # the next pool forks
+        assert len(forks) == 4
+
+    @pytest.mark.parametrize("failing, raised", [
+        ({3}, "item 3"), ({3, 5}, "item 3"), ({1, 5}, "item 1"), ({4, 0}, "item 0"),
+    ])
+    def test_earliest_error_raised_with_its_type(self, monkeypatch, forks, failing, raised):
+        def run(i):
+            if i in failing:
+                raise KeyError(f"item {i}")
+            return i
+
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 3)
+        with pytest.raises(KeyError, match=raised):
+            core.pool_map(run, range(6), self.ITEM)
+        assert len(forks) == 2
+        assert core.pool_map(abs, range(3), self.ITEM) == [0, 1, 2]  # not left nested
+        assert len(forks) == 4
+
+    def test_worker_that_dies_is_reported(self, monkeypatch, forks):
+        parent = os.getpid()
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        with pytest.raises(ChildProcessError, match="a pool worker exited with status 3"):
+            core.pool_map(lambda i: os.getpid() == parent or os._exit(3), range(2), self.ITEM)
+
+    def test_warnings_and_log_records_issued_once_in_item_order(self, monkeypatch, forks,
+                                                               tmp_path):
+        def run(i):
+            warnings.warn(f"warning {i}", UserWarning)
+            logger.warning("record %d", i)
+            return i
+
+        logger = logging.getLogger("harmalign.test_pool")
+        handler = logging.FileHandler(tmp_path / "log.txt")  # a worker's copy writes too
+        logger.addHandler(handler)
+        seen = {}
+        try:
+            for cpus in (1, 3):
+                monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+                seen[cpus] = []
+                with warnings.catch_warnings():
+                    warnings.simplefilter("always")
+                    warnings.showwarning = lambda message, *_: seen[cpus].append(str(message))
+                    logger.addFilter(lambda record: seen[cpus].append(record.getMessage()) or True)
+                    assert core.pool_map(run, range(6), self.ITEM) == list(range(6))
+                    logger.filters.clear()
+        finally:
+            logger.removeHandler(handler)
+            handler.close()
+        assert seen[3] == seen[1] == [f"{kind} {i}" for i in range(6)
+                                      for kind in ("warning", "record")]
+        assert len(forks) == 2
+        assert (tmp_path / "log.txt").read_text() == "".join(
+            f"record {i}\n" for i in range(6)) * 2

@@ -1,7 +1,8 @@
 import dataclasses
 import os
 import re
-import tempfile
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -537,25 +538,6 @@ class TestArmWorkers:
     """Arms run in contiguous slices, one per usable CPU, each slice after
     the first in a forked worker; the report does not depend on the count."""
 
-    @pytest.fixture
-    def forks(self, monkeypatch, tmp_path):
-        """The pids forked while the test runs, with temp files in a fresh
-        directory; afterwards every child is reaped and no temp file is left."""
-        def fork():
-            pid = real_fork()
-            if pid:
-                pids.append(pid)
-            return pid
-
-        pids, real_fork = [], os.fork
-        monkeypatch.setattr(os, "fork", fork)
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        yield pids
-        for pid in pids:
-            with pytest.raises(ChildProcessError):
-                os.waitpid(pid, os.WNOHANG)
-        assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []
-
     def config(self, source, **kw):
         defaults = dict(source=source, n1=30, n2=30, dim=10, trials=2,
                         methods=("none", "mnn", "harmonic"), preserved_sweep=(50, 100),
@@ -644,6 +626,50 @@ class TestArmWorkers:
         with pytest.warns(UserWarning) as recorded:
             corruption_experiment(cfg)
         assert [str(w.message) for w in recorded] == ["arm 0.0", "arm 50.0", "arm 100.0"]
+
+
+class TestBlasThreadBudget:
+    """Workers times BLAS threads stay within the usable CPUs: at two BLAS
+    threads on two CPUs nothing forks, and the output is a serial run's."""
+
+    SCRIPT = """
+import os
+from harmalign import core, evaluation
+from harmalign.align import AlignmentParams, multi_alignment
+from harmalign.core import Rng
+
+def fork():
+    forks.append(1)
+    return real_fork()
+
+forks, real_fork = [], os.fork
+os.fork = fork
+
+def run(cpus):
+    core._usable_cpus = lambda: cpus
+    cfg = evaluation.ExperimentConfig(n1=30, dim=10, trials=2, methods=("none", "harmonic"),
+                                      ratios=(1, 2), align_params=AlignmentParams(knn=5))
+    report = evaluation.transfer_experiment(cfg)
+    rows = [{k: v for k, v in row.items() if k != "seconds"} for row in report.trials]
+    sampler = evaluation.ManifoldSampler(Rng(0).spawn("source"), dim=20)
+    phi = multi_alignment([sampler.draw(300, Rng(s).spawn("draw"))[0] for s in (1, 2)]).phi
+    return rows, report.aggregates, phi
+
+pooled = run(2)
+assert forks == [], forks
+serial = run(1)
+assert pooled[:2] == serial[:2]
+assert (pooled[2] == serial[2]).all()
+print("equal, no fork")
+"""
+
+    def test_two_threads_on_two_cpus_fork_nothing(self):
+        src = os.path.dirname(os.path.dirname(core.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "equal, no fork\n"
 
 
 class TestMethodSizeLimits:
