@@ -365,9 +365,8 @@ class TestPool:
             i * i for i in range(items)]
         assert len(forks) == workers - 1
 
-    @pytest.mark.parametrize("item_bytes, forked", [(999, 0), (1000, 2), (10**12, 0)])
-    def test_items_under_the_floor_or_memory_run_here(self, monkeypatch, forks, item_bytes,
-                                                      forked):
+    @pytest.mark.parametrize("item_bytes, forked", [(999, 0), (1000, 2)])
+    def test_items_under_the_floor_run_here(self, monkeypatch, forks, item_bytes, forked):
         monkeypatch.setattr(core, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(core, "_available_memory", lambda: 10**10)
         assert core.pool_map(str, range(5), item_bytes, min_bytes=1000) == list("01234")
