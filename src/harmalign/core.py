@@ -14,8 +14,10 @@ reaped and its temp file removed.  The matrix writer runs through it, and so
 does :func:`pool_map`, the one worker pool: it maps a function over items on
 as many workers as the usable CPUs, the BLAS threads and the memory allow,
 and returns results, warnings, log records and errors as a serial run gives
-them.  The experiment drivers' arms (``evaluation``) and the datasets of an
-alignment (``align``) run on it.  Nothing is forked off Linux.
+them.  The experiment drivers' arms (``evaluation``), the datasets of an
+alignment and the pairwise maps of an alignment of three or more (``align``),
+and the multi-align command's self-match rates (``cli``) run on it.  Nothing
+is forked off Linux.
 Randomness is counter-based (Philox) so a seed fully determines every
 experiment on every platform.  All containers are immutable by convention
 after construction and safe to share across threads.
@@ -386,7 +388,7 @@ def pool_map(func, items, item_bytes: int, min_bytes: int = 0) -> list:
     global _pooled
     items = list(items)
     count = 1
-    if not _pooled and item_bytes >= min_bytes:
+    if len(items) > 1 and not _pooled and item_bytes >= min_bytes:
         count = min(len(items), _usable_cpus() // _blas_threads())
         available = _available_memory()
         if available is not None:

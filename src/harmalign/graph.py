@@ -270,3 +270,10 @@ def nearest(test, train, k: int):
             order = np.lexsort((cand, near))[:k]
             idx[lo + r], dist[lo + r] = cand[order], near[order]
     return idx, dist
+
+
+def nearest_bytes(n_test: int, n_train: int) -> int:
+    """Bytes of one block's temporaries in :func:`nearest` of ``n_test`` rows
+    against ``n_train``: the screening GEMM's block, its partitioned copy and
+    the candidate mask."""
+    return min(_BLOCK_ROWS, n_test) * n_train * (8 + 8 + 1)

@@ -807,3 +807,69 @@ class TestPooledPrepare:
                                      "falling back to the dense solver") for n in (500, 480)]
         serial = self.aligned(monkeypatch, 1, datasets, params)
         assert np.array_equal(pooled.phi, serial.phi)
+
+
+class TestPooledPairs:
+    """The pairwise maps of an alignment of n >= 3 datasets are computed on
+    ``core.pool_map``'s workers, with the output of a serial run."""
+
+    def datasets(self, sizes):
+        sampler = ManifoldSampler(Rng(0).spawn("source"), dim=20)
+        return [sampler.draw(n, Rng(n).spawn("draw"))[0] for n in sizes]
+
+    def aligned(self, monkeypatch, cpus, datasets, params):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+        return multi_alignment(datasets, params)
+
+    @pytest.mark.parametrize("sizes, rank, floor", [  # the dense and the Lanczos route
+        ((450, 440, 430), None, None), ((500, 480, 460), 30, 0),
+    ])
+    def test_output_equal_to_a_serial_run(self, monkeypatch, forks, sizes, rank, floor):
+        if floor is not None:  # Lanczos pairs above the floor need thousands of points
+            monkeypatch.setattr(align, "_PAIR_POOL_MIN_BYTES", floor)
+        datasets, params = self.datasets(sizes), AlignmentParams(rank=rank)
+        assert spectral._plan(min(sizes), rank)[1] is (rank is None)
+        serial = self.aligned(monkeypatch, 1, datasets, params)
+        assert forks == []
+        pooled = self.aligned(monkeypatch, 2, datasets, params)
+        assert len(forks) == 2  # one for the prepares, one for the pairs
+        assert np.array_equal(pooled.phi, serial.phi)
+        assert list(pooled.maps) == list(serial.maps)
+        for key, T in serial.maps.items():
+            assert np.array_equal(pooled.maps[key], T)
+        assert pooled.diagnostics == serial.diagnostics
+
+    @pytest.mark.parametrize("floor", [None, 0])
+    def test_one_pair_computed_here(self, monkeypatch, forks, floor):
+        if floor is not None:
+            monkeypatch.setattr(align, "_PAIR_POOL_MIN_BYTES", floor)
+        self.aligned(monkeypatch, 2, self.datasets((450, 440)), AlignmentParams())
+        assert len(forks) == 1  # the prepares
+
+    @pytest.mark.parametrize("n, forked", [(424, 1), (425, 2)])
+    def test_pairs_under_the_floor_computed_here(self, monkeypatch, forks, n, forked):
+        self.aligned(monkeypatch, 2, self.datasets((n, n, n)), AlignmentParams())
+        assert len(forks) == forked
+
+    @pytest.mark.parametrize("m, n", [(300, 300), (300, 200), (80, 300)])
+    def test_map_bytes_bound_what_a_pair_holds(self, m, n):
+        gen = Rng(0).generator
+        C = gen.standard_normal((m, 20)) @ gen.standard_normal((20, n))
+        peak = traced_peak(orthogonalize, C)[1] + C.nbytes
+        # the interpreter's own objects take a few kB beside the arrays
+        assert 0.85 * align._map_bytes(m, n) <= peak <= align._map_bytes(m, n) + 2**14
+
+    def test_nan_correlation_in_a_worker(self, monkeypatch, forks):
+        def poisoned(lam_x, lam_y, n_bands):  # the pair (1, 2), in the worker
+            w = weights(lam_x, lam_y, n_bands)
+            if (len(lam_x), len(lam_y)) == (439, 429):
+                w[0, 0] = np.nan
+            return w
+
+        weights = align.bandlimiting_weights
+        monkeypatch.setattr(align, "bandlimiting_weights", poisoned)
+        with pytest.raises(ValueError) as raised:
+            self.aligned(monkeypatch, 2, self.datasets((450, 440, 430)), AlignmentParams())
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == "correlation matrix contains non-finite entries"
+        assert len(forks) == 2

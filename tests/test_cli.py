@@ -10,7 +10,7 @@ from harmalign import cli, core
 from harmalign.align import AlignmentParams, harmonic_alignment, multi_alignment
 from harmalign.cli import main
 from harmalign.core import DataMatrix, Report, Rng, load_matrix, write_output
-from harmalign.evaluation import ExperimentConfig
+from harmalign.evaluation import ExperimentConfig, ManifoldSampler, random_orthogonal
 
 
 @pytest.fixture
@@ -151,6 +151,48 @@ class TestMultiAlign:
                                  AlignmentParams(knn=10))
         assert out_path.read_bytes() == embedding_bytes(result.phi, result.row_ranges)
         assert sorted(os.listdir(tmp_path)) == ["multi.csv", "x.csv", "y.csv"]
+
+    @pytest.mark.parametrize("sizes, rates, forked", [
+        # prepares, pairs, rates and the embedding's second part fork
+        ((480, 480, 480), ["self_match_rate_0_1", "self_match_rate_0_2",
+                           "self_match_rate_1_2"], 4),
+        ((480, 480, 470), ["self_match_rate_0_1"], 3),  # one rate runs here
+    ])
+    def test_pooled_run_equal_to_a_serial_one(self, tmp_path, monkeypatch, forks,
+                                              sizes, rates, forked):
+        sampler = ManifoldSampler(Rng(0).spawn("source"), dim=20)
+        x = sampler.draw(sizes[0], Rng(1).spawn("draw"))[0]
+        views = [x, x @ random_orthogonal(20, Rng(2)),
+                 sampler.draw(sizes[2], Rng(3).spawn("draw"))[0] if sizes[2] != sizes[0]
+                 else x @ random_orthogonal(20, Rng(3))]
+        inputs = [str(tmp_path / f"in{i}.csv") for i in range(3)]
+        for path, values in zip(inputs, views):
+            write_output(DataMatrix(values=values), path)
+        forks.clear()  # the inputs' second parts
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+            out, report = tmp_path / f"out{cpus}.csv", tmp_path / f"report{cpus}.json"
+            assert run(["multi-align", "--inputs", *inputs, "--out", str(out),
+                        "--report", str(report)]) == 0
+            runs.append((out.read_bytes(), json.loads(report.read_text())))
+            assert len(forks) == (0 if cpus == 1 else forked)
+        (serial_out, serial), (pooled_out, pooled) = runs
+        assert pooled_out == serial_out
+        assert sorted(k for k in pooled["aggregates"] if k.startswith("self_match")) == rates
+        for report in (serial, pooled):
+            del report["aggregates"]["seconds"]
+        assert pooled == serial
+
+    @pytest.mark.parametrize("n, forked", [(474, 0), (475, 1)])
+    def test_rates_under_the_floor_computed_here(self, monkeypatch, forks, n, forked):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        phi = Rng(5).generator.standard_normal((3 * n, 12))
+        ranges = [(0, n), (n, 2 * n), (2 * n, 3 * n)]
+        rates = cli._self_match_rates(phi, ranges)
+        assert list(rates) == ["self_match_rate_0_1", "self_match_rate_0_2",
+                               "self_match_rate_1_2"]
+        assert len(forks) == forked
 
     def test_single_input_usage_error(self, dataset_csv):
         assert run(["multi-align", "--inputs", dataset_csv]) == 2

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,7 +27,7 @@ from harmalign.evaluation import (
     sweep_csv,
     transfer_experiment,
 )
-from harmalign.graph import _BLOCK_ROWS, nearest
+from harmalign.graph import _BLOCK_ROWS, nearest, nearest_bytes
 from harmalign.spectral import nxn_bytes
 
 
@@ -178,6 +179,21 @@ class TestNearest:
         ):
             with pytest.raises(ValueError, match="finite values"):
                 call()
+
+    @pytest.mark.parametrize("n_test, n_train", [(300, 300), (100, 300), (300, 80)])
+    def test_nearest_bytes_bound_a_query(self, n_test, n_train):
+        gen = Rng(59).generator
+        train = gen.standard_normal((n_train, 100))
+        test = train[gen.integers(0, n_train, n_test)] + 0.01 * gen.standard_normal((n_test, 100))
+        tracemalloc.start()
+        try:
+            nearest(test, train, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the norms, the result and a row's candidates take a few kB beside the block
+        block = nearest_bytes(n_test, n_train)
+        assert 0.9 * block <= peak <= block + 2**14
 
     def test_cdist_scores_each_pair_apart_from_the_other_rows(self):
         # the re-scoring relies on it: one row against a subset of columns
