@@ -7,17 +7,21 @@ All numeric data is dense 64-bit real.  CSV is the only matrix file format
 module alone reads and writes it.  A matrix is written in row slices, one per
 usable CPU: the first is formatted by this process into a temp file, each
 other one by a forked child into a sibling temp file, and the slices are then
-concatenated in order and renamed into place.  Each slice streams line by
-line, so no output is ever held whole in memory, and the bytes do not depend
-on the slice count.  :func:`forked` is the only place a child is forked,
-reaped and its temp file removed.  The matrix writer runs through it, and so
-does :func:`pool_map`, the one worker pool: it maps a function over items on
-as many workers as the usable CPUs, the BLAS threads and the memory allow,
-and returns results, warnings, log records and errors as a serial run gives
-them.  The experiment drivers' arms (``evaluation``), the datasets of an
-alignment and the pairwise maps of an alignment of three or more (``align``),
-and the multi-align command's self-match rates (``cli``) run on it.  Nothing
-is forked off Linux.
+concatenated in order and renamed into place.  Each slice streams in blocks
+of 16384 cells that numpy formats, so no output is ever held whole in
+memory, and the bytes do not depend on the slice count.  Every cell reads as
+Python's ``format(v, ".17g")``: a cell's 17 digits come from a double-double
+product whose fraction is within 4e-15 of the exact one, and a cell within
+1e-9 of a rounding tie is left to Python (:func:`csv_lines`).
+
+:func:`forked` is the only place a child is forked, reaped and its temp file
+removed.  The matrix writer runs through it, and so does :func:`pool_map`,
+the one worker pool: it maps a function over items on as many workers as the
+usable CPUs, the BLAS threads and the memory allow, and returns results,
+warnings, log records and errors as a serial run gives them.  The experiment
+drivers' arms (``evaluation``), the datasets of an alignment and the pairwise
+maps of an alignment of three or more (``align``), and the multi-align
+command's self-match rates (``cli``) run on it.  Nothing is forked off Linux.
 Randomness is counter-based (Philox) so a seed fully determines every
 experiment on every platform.  All containers are immutable by convention
 after construction and safe to share across threads.
@@ -36,6 +40,7 @@ import shutil
 import signal
 import sys
 import tempfile
+import types
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -484,25 +489,245 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if sys.platform.startswith("linux") else 1
 
 
+#: cells :func:`csv_lines` formats at a time; a block's numpy temporaries
+#: peak at about 180 bytes a cell (``tracemalloc``)
+_BLOCK_CELLS = 1 << 14
+#: a cell whose scaled value's fraction lies this close to 1/2 is left to
+#: Python (:func:`_decimal`): far above the fraction's error, under 4e-15
+_TIE_TOLERANCE = 1e-9
+_SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a float64 into 26-bit halves
+#: the decimal exponents of finite non-zero float64 (-324 to 308), widened by
+#: one either side for a first guess off by one
+_E_MIN, _E_MAX = -325, 309
+#: cell layouts, each with 17 rows of :func:`_csv_tables`' masks (one per
+#: count of significant digits): 0-20 are fixed notation at exponents -4 to
+#: 16, then exponent notation with two and three exponent digits, zero, and
+#: cells Python formats
+_EXP2, _EXP3, _ZERO, _PYTHON = 21, 22, 23, 24
+
+
 def csv_lines(values, header=None, ids=None, labels=None):
-    """Yield a matrix as CSV lines: ``header`` (a list of names) if given,
-    then one line per row of ``values``.
+    """Yield a matrix as CSV text: ``header`` (a list of names) if given,
+    then one line per row of ``values``, in blocks of at most
+    ``_BLOCK_CELLS`` cells (whole lines, or part of a line wider than that).
 
     Each row is preceded by its row of integer ``ids`` and followed by its
-    integer ``label``, when these are given.  Values are written with 17
-    significant digits, so a write/load round trip preserves every float64.
-    Each line depends only on its own row, so row slices written one after
-    another give the same bytes as the whole (see :func:`csv_parts`).
+    integer ``label``, when these are given.  Every value reads as Python's
+    ``format(v, ".17g")`` and every id and label as ``"%d"``: 17 significant
+    digits, so a write/load round trip preserves every float64.  numpy
+    formats the cells (:func:`_format_cells`); the few whose rounding it
+    cannot decide within ``_TIE_TOLERANCE``, NaN, ±inf and integers beyond
+    2**53 fall back to Python.  Each line depends only on its own row, so row
+    slices written one after another give the same bytes as the whole (see
+    :func:`csv_parts`).
     """
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    ids = np.empty((len(values), 0), int) if ids is None else np.asarray(ids)
-    tail = np.empty((len(values), 0), int) if labels is None else np.asarray(labels)[:, None]
-    fmt = ["%d"] * ids.shape[1] + ["%.17g"] * values.shape[1] + ["%d"] * tail.shape[1]
-    fmt = ",".join(fmt) + "\n"
+    n = len(values)
+    lead = np.empty((n, 0), np.int64) if ids is None else np.asarray(ids)
+    tail = np.empty((n, 0), np.int64) if labels is None else np.asarray(labels)[:, None]
     if header is not None:
         yield ",".join(header) + "\n"
-    for lead, row, label in zip(ids.tolist(), values, tail.tolist()):
-        yield fmt % (*lead, *row.tolist(), *label)
+    columns = (lead, values, tail)
+    width = sum(column.shape[1] for column in columns)
+    if width == 0:
+        yield "\n" * n
+        return
+    rows = max(1, _BLOCK_CELLS // width)
+    for lo in range(0, n, rows):
+        block = [column[lo:lo + rows] for column in columns]
+        cells = np.hstack(block, dtype=np.float64)
+        for ints, at in ((block[0], 0), (block[2], width - tail.shape[1])):
+            # an integer float64 cannot hold exactly is formatted from the original
+            cells[:, at:at + ints.shape[1]][(ints < -2**53) | (ints > 2**53)] = np.nan
+
+        def python(i):
+            row, col = divmod(i, width)
+            for part, fmt in zip(block, ("%d", "%.17g", "%d")):
+                if col < part.shape[1]:
+                    return fmt % part[row, col]
+                col -= part.shape[1]
+
+        cells = cells.ravel()
+        for start in range(0, len(cells), _BLOCK_CELLS):
+            yield _format_cells(cells[start:start + _BLOCK_CELLS], width, start, python)
+
+
+def _format_cells(x, width: int, start: int, python) -> str:
+    """CSV text of the cells ``x`` of a row-major matrix ``width`` cells
+    wide, the first at flat index ``start``: each cell as
+    ``format(v, ".17g")``, then "," or, after a row's last cell, a newline.
+    Where :func:`_decimal` leaves a cell (at flat index ``start + i``)
+    undecided, or it is NaN or ±inf, its text is ``python(start + i)``.
+
+    Each cell is laid out in 32 bytes, eight little-endian words::
+
+        sign "0.0" | "00" d0 "." | d1-d4 | d5-d8 | d9-d12 | d13-d16 | "e" sign h t | o sep
+
+    (the 17 digits d0-d16 and the exponent's h, t and o digits).  A mask per
+    layout and digit count keeps the bytes the cell prints, as printf's
+    ``%.17g`` does: fixed notation for exponents -4 to 16, no trailing
+    zeros, and a point only before a digit.  The others become NUL and are
+    deleted.  A zero is ``0`` or ``-0`` and takes no digit arithmetic.
+    """
+    t = _csv_tables()
+    a = np.abs(x)
+    finite = np.isfinite(a)
+    nonzero = np.flatnonzero(finite & (a != 0))
+    key = np.where(finite, _ZERO * 17, _PYTHON * 17)
+    cells = np.empty((len(x), 8), "<u4")
+    cells[:, 0] = np.take(t.sign, np.signbit(x).view(np.uint8))
+    last = np.zeros(len(x), np.uint8)
+    last[(width - 1 - start) % width::width] = 1
+    cells[:, 7] = np.take(t.sep, last)
+    if len(nonzero):
+        d, e, undecided = _decimal(a[nonzero], t)
+        d0 = d // 10**16
+        rest = d - d0 * 10**16
+        hi8 = rest // 10**8
+        lo8 = rest - hi8 * 10**8
+        groups = np.empty((len(d), 4), np.intp)  # d1-d4, d5-d8, d9-d12, d13-d16
+        groups[:, 0] = hi8 // 10**4
+        groups[:, 1] = hi8 - groups[:, 0] * 10**4
+        groups[:, 2] = lo8 // 10**4
+        groups[:, 3] = lo8 - groups[:, 2] * 10**4
+        zeros = np.take(t.trailing, groups)
+        trailing = zeros[:, 3] + (zeros[:, 3] == 4) * (
+            zeros[:, 2] + (zeros[:, 2] == 4) * (zeros[:, 1] + (zeros[:, 1] == 4) * zeros[:, 0]))
+        fixed = (e >= -4) & (e <= 16)
+        layout = np.where(fixed, e + 4, np.where(np.abs(e) < 100, _EXP2, _EXP3))
+        key[nonzero] = np.where(undecided, _PYTHON * 17, layout * 17 + 16 - trailing)
+        words = np.empty((len(d), 7), "<u4")
+        words[:, 0] = np.take(t.lead, d0)
+        words[:, 1:5] = np.take(t.quad, groups)
+        words[:, 5] = np.take(t.exp, e - _E_MIN)
+        words[:, 6] = np.take(t.ones, e - _E_MIN) | np.take(cells[:, 7], nonzero)
+        cells[nonzero, 1:] = words
+        # fixed notation with digits after the point: d0 "." d1 ... becomes
+        # d0 ... d(e) "." d(e+1) ...
+        inner = np.flatnonzero(fixed & (e >= 0) & (16 - trailing > e))
+        if len(inner):
+            rows = cells.view(np.uint8)
+            at = nonzero[inner]
+            rows[at, 6:24] = np.take_along_axis(rows[at, 6:24], t.point[e[inner]], axis=1)
+    np.bitwise_and(cells, np.take(t.mask, key, axis=0), out=cells)
+    text = cells.tobytes().translate(None, b"\0").decode("ascii")
+    left = np.flatnonzero(key == _PYTHON * 17)
+    if not len(left):
+        return text
+    # each such cell printed its separator only: insert its text before it
+    ends = np.cumsum(np.count_nonzero(cells.view(np.uint8), axis=1))
+    pieces, done = [], 0
+    for i in left.tolist():
+        pieces += [text[done:ends[i] - 1], python(start + i)]
+        done = ends[i] - 1
+    pieces.append(text[done:])
+    return "".join(pieces)
+
+
+def _decimal(a, t):
+    """``(d, e, undecided)`` for finite non-zero magnitudes ``a``: the 17
+    significant digits ``d`` (an integer in [10**16, 10**17)) and decimal
+    exponent ``e`` of ``a`` correctly rounded, ``a ≈ d * 10**(e - 16)``.
+
+    The scaled value ``y = a * 10**(16 - e)`` is a double-double (Dekker's
+    exact product, no FMA needed), and its fraction is within 4e-15 of the
+    exact one: rounding is decided unless it lies within ``_TIE_TOLERANCE``
+    of 1/2, where ``undecided`` is set (exact ties included).  ``e`` starts
+    as ``floor(log10(a))`` and is corrected where ``floor(y)`` has 16 or 18
+    digits; a carry to 10**17 moves to the next exponent."""
+    e = np.floor(np.log10(a)).astype(np.int64)
+    d, frac = _scaled(a, e, t)
+    off = np.flatnonzero((d < 10**16) | (d >= 10**17))
+    if len(off):
+        e[off] += np.where(d[off] < 10**16, -1, 1)
+        d[off], frac[off] = _scaled(a[off], e[off], t)
+    d += frac > 0.5
+    carry = d == 10**17
+    d[carry] = 10**16
+    e[carry] += 1
+    undecided = (np.abs(frac - 0.5) < _TIE_TOLERANCE) | (d < 10**16) | (d >= 10**17)
+    return d, e, undecided
+
+
+def _scaled(a, e, t):
+    """``floor(y)`` and ``y - floor(y)`` for ``y = a * 10**(16 - e)``.
+
+    With ``10**p = 2**s * (hi + lo)`` from the table, ``a * 2**s`` is exact
+    (subnormals included) and lies near 10**16, so its product with ``hi``
+    splits into 26-bit halves without overflow, and ``x + err`` is that
+    product exactly.  The fraction's error is the rounding of
+    ``err + a * 2**s * lo`` and of ``lo``: under 4e-15 for ``y`` below
+    2**57."""
+    i = _E_MAX - e  # the row of 10**(16 - e)
+    a = np.ldexp(a, np.take(t.shift, i))
+    hi, lo, hi1, hi2 = (np.take(column, i) for column in t.power)
+    c = a * _SPLIT
+    a1 = c - (c - a)
+    a2 = a - a1
+    x = a * hi
+    err = a2 * hi2 - (((x - a1 * hi1) - a2 * hi1) - a1 * hi2)
+    tail = err + a * lo
+    whole = np.floor(tail)
+    return x.astype(np.int64) + whole.astype(np.int64), tail - whole
+
+
+@functools.cache
+def _csv_tables():
+    """The look-up tables of :func:`_format_cells`, built from exact integers
+    on the first write (not at import, which the CLI pays for)."""
+    shift, hi, lo = [], [], []
+    for p in range(16 - _E_MAX, 17 - _E_MIN):  # 10**p = 2**s * (hi + lo), hi in [1, 2)
+        num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
+        s = num.bit_length() - den.bit_length()
+        num, den = (num, den << s) if s >= 0 else (num << -s, den)
+        if num < den:
+            num, s = num << 1, s - 1
+        h = num / den  # correctly rounded, as is the remainder below
+        hn, hd = h.as_integer_ratio()
+        shift.append(s)
+        hi.append(h)
+        lo.append((num * hd - hn * den) / (den * hd))
+    hi = np.array(hi)
+    c = hi * _SPLIT
+    hi1 = c - (c - hi)
+
+    def words(texts):
+        return np.array([int.from_bytes(w.encode().ljust(4, b"\0"), "little") for w in texts],
+                        dtype="<u4")
+
+    group = np.arange(10**4)  # four digits, and their trailing zeros (four for 0)
+    exponents = [f"{e:+04d}" for e in range(_E_MIN, _E_MAX + 1)]
+    digit = [6] + list(range(8, 24))  # byte of each of d0-d16
+    mask = np.zeros((25 * 17, 32), np.uint8)
+    for layout in range(25):
+        for n in range(1, 18):
+            e = layout - 4
+            if 0 <= e <= 16:
+                keep = list(range(6, 7 + n)) if n > e + 1 else digit[:e + 1]
+            elif e < 0:
+                keep = list(range(1, 2 - e)) + digit[:n]  # "0." and -e-1 zeros
+            elif layout in (_EXP2, _EXP3):
+                keep = digit[:1] + [7] * (n > 1) + digit[1:n] + [24, 25, 27, 28]
+                keep += [26] * (layout == _EXP3)
+            else:
+                keep = [1] * (layout == _ZERO)
+            mask[layout * 17 + n - 1, keep + [0, 29] if layout != _PYTHON else [29]] = 0xFF
+    point = np.tile(np.arange(18), (17, 1))
+    for e in range(16):  # d0 "." d1 ... d16 -> d0 ... d(e) "." d(e+1) ... d16
+        point[e] = [0, *range(2, e + 2), 1, *range(e + 2, 18)]
+    return types.SimpleNamespace(
+        shift=np.array(shift, np.int32),
+        power=(hi, np.array(lo), hi1, hi - hi1),
+        sign=words(["\0" + "0.0", "-0.0"]),
+        sep=words(["\0,", "\0\n"]),
+        lead=words([f"00{d}." for d in range(10)]),
+        quad=sum((48 + group // 10**(3 - k) % 10) << 8 * k for k in range(4)).astype("<u4"),
+        trailing=sum((group % 10**k == 0).astype(np.int8) for k in range(1, 5)),
+        exp=words(["e" + x[:3] for x in exponents]),
+        ones=words([x[3] for x in exponents]),
+        mask=mask.view("<u4"),
+        point=point,
+    )
 
 
 def csv_parts(values, header=None, ids=None, labels=None) -> list:

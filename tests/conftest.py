@@ -7,9 +7,15 @@ import pytest
 @pytest.fixture
 def forks(monkeypatch, tmp_path):
     """The pids forked while the test runs, with temp files in a fresh
-    directory and the BLAS thread count read as one, so a pool runs one
-    worker per usable CPU; afterwards every child is reaped and no temp file
-    is left."""
+    directory and ``OPENBLAS_NUM_THREADS`` set to one; afterwards every child
+    is reaped and no temp file is left.
+
+    The variable changes only what ``core.pool_map`` reads, so a pool runs
+    one worker per usable CPU.  OpenBLAS keeps the thread count it read when
+    numpy was imported: in a run with no thread pin, each worker still runs
+    that many BLAS threads, and the usable CPUs are oversubscribed (a pooled
+    alignment test took 3.58 s unpinned against 0.18 s with the whole run
+    pinned to one thread, on two CPUs)."""
     def fork():
         pid = real_fork()
         if pid:

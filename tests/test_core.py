@@ -8,6 +8,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from harmalign import core
 from harmalign.core import (
@@ -300,6 +303,68 @@ class TestParts:
         for pid in pids:  # every child was reaped
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)
+
+
+def per_cell(values, ids=None, labels=None):
+    """The CSV text of ``csv_lines``, one Python ``format`` call per cell."""
+    lines = []
+    for i, row in enumerate(np.atleast_2d(values).tolist()):
+        cells = [format(v, ".17g") for v in row]
+        if ids is not None:
+            cells = ["%d" % j for j in ids[i].tolist()] + cells
+        if labels is not None:
+            cells.append("%d" % labels[i])
+        lines.append(",".join(cells) + "\n")
+    return "".join(lines)
+
+
+POWERS = [float(f"1e{k}") for k in range(-320, 309)]
+EDGES = [
+    0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, np.nan, np.inf,
+    1e-05, 0.0001, 1e16, 1e17,  # fixed and exponent notation either side of the switch
+    9.99999999999999999e16, 99999999999999999.0,  # carries to the next exponent
+    1e15 + 0.25, 1e15 + 0.75,  # exact ties at the 17th digit, to even below and above
+    0.5, 12345.0, 1e-100, 1.5e-99,
+    *POWERS, *np.nextafter(POWERS, 0.0), *np.nextafter(POWERS, np.inf),
+]
+
+
+class TestCellFormat:
+    """``csv_lines`` formats cells in numpy blocks; every byte must be that of
+    Python's ``format(v, ".17g")`` (``"%d"`` for ids and labels)."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 3)),
+                  elements=st.floats(width=64)))
+    def test_any_float64(self, values):
+        assert "".join(core.csv_lines(values)) == per_cell(values)
+
+    def test_random_bit_patterns_over_many_blocks(self):
+        bits = Rng(23).generator.integers(0, 2**64, 10**6, dtype=np.uint64, endpoint=False)
+        values = bits.view(np.float64).reshape(-1, 4)
+        assert values.size > 40 * core._BLOCK_CELLS
+        assert "".join(core.csv_lines(values)) == per_cell(values)
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_edge_values(self, width):
+        edges = np.array(EDGES + [-v for v in EDGES])
+        values = np.resize(edges, (-(-len(edges) // width), width))
+        assert "".join(core.csv_lines(values)) == per_cell(values)
+
+    def test_fallback_cells_keep_their_place(self):
+        tie = 1e15 + 0.75  # 1000000000000000.75, printed ...0.8
+        assert core._decimal(np.array([tie, 0.75]), core._csv_tables())[2].tolist() == [True, False]
+        values = Rng(24).generator.standard_normal((4000, 3))
+        values[::7, 0] = np.nan
+        values[3::11, 1] = -tie
+        values[5::13, 2] = np.inf
+        ids = np.arange(8000).reshape(4000, 2)
+        ids[::17, 1] = 2**62 + 1  # beyond what a float64 holds exactly
+        labels = np.arange(4000) % 5
+        labels[::19] = -(2**60) - 1
+        rows = core._BLOCK_CELLS // 6
+        assert 0 < rows < 4000  # several blocks, each mixing both kinds of cell
+        assert "".join(core.csv_lines(values, None, ids, labels)) == per_cell(values, ids, labels)
 
 
 class TestRng:
