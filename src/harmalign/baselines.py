@@ -42,7 +42,7 @@ class MnnParams:
 
     def __post_init__(self):
         check_count("k", self.k)
-        if self.sigma is not None and self.sigma <= 0:
+        if self.sigma is not None and not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
 

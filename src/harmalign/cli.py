@@ -274,8 +274,6 @@ def main(argv=None) -> int:
                 parser.error("multi-align needs at least 2 inputs")
             return _cmd_align(args, args.inputs)
         return _cmd_experiment(args, parser)
-    except SystemExit:
-        raise
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -237,9 +237,13 @@ def load_matrix(path, name: str | None = None) -> DataMatrix:
     labels = None
     if has_labels:
         labels = values[:, -1]
-        if np.any(labels != np.rint(labels)):
-            bad = np.flatnonzero(labels != np.rint(labels))[0]
-            raise ValueError(f"{path}: non-integer label at row {bad + start}")
+        # float64 holds every integer up to 2**53; above it, parsing has rounded
+        bad = np.flatnonzero((labels != np.rint(labels)) | (labels < 0) | (labels > 2**53))
+        if bad.size:
+            label = labels[bad[0]]
+            problem = ("non-integer label" if label != np.rint(label)
+                       else "negative label" if label < 0 else "label above 2**53")
+            raise ValueError(f"{path}: {problem} at row {bad[0] + start}")
         labels = labels.astype(np.int64)
         values = values[:, :-1]
     return DataMatrix(values=values, labels=labels, name=name)
@@ -282,12 +286,12 @@ def atomic_write_text(path, *parts) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
         raise OSError(f"cannot write {path}: directory does not exist")
+    parts = [(part,) if isinstance(part, str) else part for part in parts or ("",)]
     fd, tmp = _new_temp(directory)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            first = parts[0] if parts else ""
             tasks = [functools.partial(_write_part, part) for part in parts[1:]]
-            with forked(lambda: handle.writelines(_lines(first)), tasks, directory) as (_, done):
+            with forked(lambda: handle.writelines(parts[0]), tasks, directory) as (_, done):
                 failed = [code for code, _ in done if code]
                 if failed:
                     message = f"cannot write {path}: {len(failed)} of {len(parts)} parts failed"
@@ -317,15 +321,11 @@ def _new_temp(directory: str) -> tuple[int, str]:
             continue
 
 
-def _lines(part):
-    """A part of :func:`atomic_write_text` as an iterable of strings."""
-    return (part,) if isinstance(part, str) else part
-
-
 def _write_part(part, fd: int) -> None:
-    """Write a part of :func:`atomic_write_text` to ``fd``, and close it."""
+    """Write a part of :func:`atomic_write_text`, an iterable of strings, to
+    ``fd``, and close it."""
     with os.fdopen(fd, "w", encoding="utf-8") as handle:
-        handle.writelines(_lines(part))
+        handle.writelines(part)
 
 
 @contextmanager
@@ -400,8 +400,7 @@ def pool_map(func, items, item_bytes: int, min_bytes: int = 0) -> list:
             count = min(count, available // item_bytes)
     if count <= 1:
         return [func(item) for item in items]
-    bounds = [len(items) * i // count for i in range(count + 1)]
-    slices = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    slices = [items[part] for part in _slices(len(items), count)]
     tasks = [functools.partial(_run_slice, func, part) for part in slices[1:]]
     _pooled = True
     try:
@@ -411,6 +410,13 @@ def pool_map(func, items, item_bytes: int, min_bytes: int = 0) -> list:
     finally:
         _pooled = False
     return results
+
+
+def _slices(n: int, count: int) -> list:
+    """``count`` contiguous slices of ``range(n)``, in order, whose lengths
+    differ by at most one."""
+    bounds = [n * i // count for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _blas_threads() -> int:
@@ -737,12 +743,10 @@ def csv_parts(values, header=None, ids=None, labels=None) -> list:
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     columns = [None if a is None else np.asarray(a) for a in (ids, labels)]
     n = len(values)
-    count = max(1, min(_usable_cpus(), n))
-    bounds = [n * i // count for i in range(count + 1)]
     return [
-        csv_lines(values[lo:hi], header if lo == 0 else None,
-                  *(None if a is None else a[lo:hi] for a in columns))
-        for lo, hi in zip(bounds, bounds[1:])
+        csv_lines(values[rows], header if rows.start == 0 else None,
+                  *(None if a is None else a[rows] for a in columns))
+        for rows in _slices(n, max(1, min(_usable_cpus(), n)))
     ]
 
 

@@ -43,8 +43,7 @@ from time import perf_counter
 import numpy as np
 
 from . import core
-from .align import (AlignmentParams, PreparedDataset, align_prepared, neighborhood_fraction,
-                    prepare_dataset)
+from .align import AlignmentParams, align_prepared, neighborhood_fraction, prepare_dataset
 from .baselines import MnnParams, mnn_correct
 from .core import DataMatrix, Report, Rng, check_count, load_matrix
 from .graph import _row_blocks, nearest
@@ -336,53 +335,26 @@ def _sampler_factory(cfg: ExperimentConfig, rows: int):
     return lambda rng: FileSampler(data, rng)
 
 
-def _run_methods(rows: list, cfg, row: dict, x_values, x_labels, y_values, y_labels,
-                 x_prep: PreparedDataset | None, f: float | None):
-    """Append to ``rows`` one copy of ``row`` per method, with the method's
-    accuracy of label transfer from (x, labels) to corrupted y.  With
-    ``harmonic``, ``x_prep`` is x prepared at x's and y's neighborhood
-    fraction ``f``."""
-    params = cfg.align_params
-    for method in cfg.methods:
-        start = perf_counter()
-        if method == "none":
-            _, acc = knn_classify(x_values, x_labels, y_values, cfg.knn_k, y_labels)
-        elif method == "mnn":
-            corrected = mnn_correct(x_values, y_values, cfg.mnn_params)
-            _, acc = knn_classify(x_values, x_labels, corrected, cfg.knn_k, y_labels)
-            del corrected  # freed before the next method runs
-        else:
-            phi = align_prepared(x_prep, prepare_dataset(y_values, params, f), params).phi
-            n1 = x_values.shape[0]
-            _, acc = knn_classify(phi[:n1], x_labels, phi[n1:], cfg.knn_k, y_labels)
-            del phi  # freed before the next method runs
-        rows.append(dict(row, method=method, accuracy=acc, seconds=perf_counter() - start))
+#: each driver's report ``mode``: the key a trial row stores its level under,
+#: and the name of a mean accuracy per (level, method)
+_MODES = {"corruption": ("p", "{method}@p{level:g}"),
+          "transfer": ("ratio", "{method}@ratio{level}")}
 
 
-def _effective_params(cfg: ExperimentConfig) -> dict:
-    params = asdict(cfg)
-    params["align_params"] = asdict(cfg.align_params)
-    params["mnn_params"] = asdict(cfg.mnn_params)
-    params["mnn_note"] = (
-        "approximate reimplementation: no cosine normalization, no per-feature "
-        "scaling; smoothing bandwidth defaults to median pairwise distance"
-    )
-    return params
-
-
-def _run_arms(cfg: ExperimentConfig, mode: str, key: str, name: str, arms) -> Report:
+def _run_arms(cfg: ExperimentConfig, mode: str, arms) -> Report:
     """Run every arm and report each trial row and each mean accuracy.
 
     An arm is ``(tags, trial, pct, tests)``: its RNG is
     ``Rng(cfg.seed).spawn(*tags)``, which draws the sampler, the labeled
     reference x of ``cfg.n1`` points and the corruption keeping ``pct``
     percent of columns; each test set ``(level, y_tags, size)`` draws y from
-    ``spawn(*y_tags)``.  A row stores ``level`` under ``key``, and the mean
-    accuracy per (level, method) is stored under ``name``.  The reference is
-    prepared for alignment once per arm, before its test sets, at the one
-    neighborhood fraction of ``cfg.n1`` and the smallest test size: every arm
-    has the same test sizes, each at least the reference's.  Raises ValueError
-    before any arm runs when a method cannot run at the smallest test size.
+    ``spawn(*y_tags)``.  A row stores ``level`` under ``mode``'s key, and the
+    mean accuracy per (level, method) is stored under ``mode``'s name
+    (``_MODES``).  The reference is prepared for alignment once per arm,
+    before its test sets, at the one neighborhood fraction of ``cfg.n1`` and
+    the smallest test size: every arm has the same test sizes, each at least
+    the reference's.  Raises ValueError before any arm runs when a method
+    cannot run at the smallest test size.
 
     The arms run on :func:`core.pool_map`'s workers, and their rows are
     reported in arm order, so the report does not depend on the worker
@@ -390,6 +362,7 @@ def _run_arms(cfg: ExperimentConfig, mode: str, key: str, name: str, arms) -> Re
     A worker's warnings are issued again here, in arm order, and the
     earliest arm's error is raised, as a serial run would raise it.
     """
+    key, name = _MODES[mode]
     sizes = [size for *_, tests in arms for *_, size in tests]
     m = min(sizes)
     if "mnn" in cfg.methods and cfg.mnn_params.k >= min(cfg.n1, m):
@@ -398,8 +371,11 @@ def _run_arms(cfg: ExperimentConfig, mode: str, key: str, name: str, arms) -> Re
     f = None
     if "harmonic" in cfg.methods:
         f = neighborhood_fraction([cfg.n1, m], cfg.align_params)  # raises, naming knn
-    report = Report(params=_effective_params(cfg))
-    report.params["mode"] = mode
+    report = Report(params=dict(
+        asdict(cfg),  # the parameter dataclasses as dicts too
+        mnn_note="approximate reimplementation: no cosine normalization, no per-feature "
+                 "scaling; smoothing bandwidth defaults to median pairwise distance",
+        mode=mode))
     drawn = cfg.n1 + max(sum(size for *_, size in tests) for *_, tests in arms)
     run = functools.partial(_arm_rows, cfg, key, f, _sampler_factory(cfg, drawn))
     rank = cfg.align_params.rank
@@ -416,19 +392,36 @@ def _run_arms(cfg: ExperimentConfig, mode: str, key: str, name: str, arms) -> Re
 
 
 def _arm_rows(cfg: ExperimentConfig, key: str, f: float | None, make_sampler, arm) -> list:
-    """The trial rows of one arm (see :func:`_run_arms`)."""
+    """The trial rows of one arm (see :func:`_run_arms`): per test set, one
+    per method, with the method's accuracy of label transfer from x to the
+    corrupted y.  With ``harmonic``, x is prepared once, at the fraction
+    ``f``."""
     tags, trial, pct, tests = arm
+    params = cfg.align_params
     rows = []
     rng = Rng(cfg.seed).spawn(*tags)
     sampler = make_sampler(rng.spawn("source"))
     x_values, x_labels = sampler.draw(cfg.n1, rng.spawn("draw-x"))
     O0 = random_orthogonal(sampler.dim, rng.spawn("orthogonal"))
     Op = partial_corruption(O0, pct, rng.spawn("columns"))
-    x_prep = None if f is None else prepare_dataset(x_values, cfg.align_params, f)
+    x_prep = None if f is None else prepare_dataset(x_values, params, f)
     for level, y_tags, size in tests:
         y_values, y_labels = sampler.draw(size, rng.spawn(*y_tags))
-        row = {key: level, "trial": trial}
-        _run_methods(rows, cfg, row, x_values, x_labels, y_values @ Op, y_labels, x_prep, f)
+        y_values = y_values @ Op
+        for method in cfg.methods:
+            start = perf_counter()
+            if method == "none":
+                _, acc = knn_classify(x_values, x_labels, y_values, cfg.knn_k, y_labels)
+            elif method == "mnn":
+                corrected = mnn_correct(x_values, y_values, cfg.mnn_params)
+                _, acc = knn_classify(x_values, x_labels, corrected, cfg.knn_k, y_labels)
+                del corrected  # freed before the next method runs
+            else:
+                phi = align_prepared(x_prep, prepare_dataset(y_values, params, f), params).phi
+                _, acc = knn_classify(phi[:cfg.n1], x_labels, phi[cfg.n1:], cfg.knn_k, y_labels)
+                del phi  # freed before the next method runs
+            rows.append({key: level, "trial": trial, "method": method, "accuracy": acc,
+                         "seconds": perf_counter() - start})
     return rows
 
 
@@ -443,7 +436,7 @@ def corruption_experiment(cfg: ExperimentConfig) -> Report:
     """
     arms = [(("corruption", p, trial), trial, p, [(p, ("draw-y",), cfg.n2)])
             for p in map(float, cfg.preserved_sweep) for trial in range(cfg.trials)]
-    return _run_arms(cfg, "corruption", "p", "{method}@p{level:g}", arms)
+    return _run_arms(cfg, "corruption", arms)
 
 
 def transfer_experiment(cfg: ExperimentConfig) -> Report:
@@ -455,12 +448,13 @@ def transfer_experiment(cfg: ExperimentConfig) -> Report:
     """
     tests = [(ratio, ("draw-y", ratio), int(cfg.n1 * ratio)) for ratio in cfg.ratios]
     arms = [(("transfer", trial), trial, cfg.preserved_pct, tests) for trial in range(cfg.trials)]
-    return _run_arms(cfg, "transfer", "ratio", "{method}@ratio{level}", arms)
+    return _run_arms(cfg, "transfer", arms)
 
 
 def sweep_csv(report: Report) -> str:
-    """Plot-ready CSV of per-trial rows ('p' or 'ratio' first column)."""
-    key = "p" if report.params.get("mode") == "corruption" else "ratio"
+    """Plot-ready CSV of per-trial rows, the mode's key first ('ratio' in a
+    report without a known mode)."""
+    key = _MODES.get(report.params.get("mode"), _MODES["transfer"])[0]
     lines = [f"{key},method,trial,accuracy"]
     for row in report.trials:
         lines.append(

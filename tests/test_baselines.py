@@ -122,6 +122,8 @@ class TestMnnCorrect:
             MnnParams(k=0)
         with pytest.raises(ValueError):
             MnnParams(sigma=-1.0)
+        with pytest.raises(ValueError, match="sigma must be positive, got nan"):
+            MnnParams(sigma=float("nan"))  # would correct every row to NaN
 
     def test_ties_go_to_the_lower_index(self):
         # integer points: most distances tie, many at the k-th place

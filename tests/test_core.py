@@ -117,6 +117,24 @@ class TestLoadMatrix:
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_matrix(path)
 
+    @pytest.mark.filterwarnings("error")  # a float-to-int cast warns above int64
+    @pytest.mark.parametrize("label, message", [
+        ("-2", "negative label at row 2"),
+        ("1e20", "label above 2**53 at row 2"),
+        ("9007199254740994", "label above 2**53 at row 2"),  # 2**53 + 2
+    ])
+    def test_label_out_of_range_names_path_and_row(self, tmp_path, label, message):
+        # the first bad row is named, whatever a later one holds
+        path = tmp_path / "m.csv"
+        path.write_text(f"f1,label\n0,1\n2,{label}\n4,-1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_matrix(path)
+
+    def test_labels_up_to_two_to_the_53(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(f"f1,label\n0,0\n2,{2**53}\n")
+        assert load_matrix(path).labels.tolist() == [0, 2**53]
+
     @pytest.mark.parametrize("header, fields", [("f1,label", 2), ("f1,f2,f3,label", 4)])
     def test_header_width_must_match_rows(self, tmp_path, header, fields):
         # a short header would silently make the last feature the label

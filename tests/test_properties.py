@@ -1,4 +1,5 @@
-"""Invariances of the alignment under dataset swap and row permutation.
+"""Invariances of the alignment under dataset swap, row permutation and a
+rotation of the feature space common to every dataset.
 
 Inputs are drawn from a seed and sizes, with more features than points so
 that every correlation matrix has full rank and the orthogonal maps are
@@ -9,11 +10,13 @@ correlation's null directions and only its action on the rest is defined.
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmalign.align import AlignmentParams, harmonic_alignment, multi_alignment
 from harmalign.core import Rng
+from harmalign.evaluation import random_orthogonal
 
 PARAMS = AlignmentParams(knn=5)
 D = 60
@@ -107,3 +110,17 @@ def test_multi_row_permutation(seed, ns, which):
     expected = base.phi.copy()
     expected[lo:hi] = base.phi[lo:hi][perm]
     assert_close(alt.phi, expected)
+
+
+@pytest.mark.parametrize("count", [2, 3])
+@cases
+@given(seed=seeds, ns=st.tuples(sizes, sizes, sizes))
+def test_common_feature_rotation(count, seed, ns):
+    # Q keeps every distance, hence each graph, and (X Q)(Y Q)^T = X Y^T
+    data = draw(seed, ns[:count])
+    Q = random_orthogonal(D, Rng(seed).spawn("rotation"))
+    base = quiet(multi_alignment, data, PARAMS)
+    alt = quiet(multi_alignment, [X @ Q for X in data], PARAMS)
+    for key, T in base.maps.items():
+        assert_close(alt.maps[key], T)
+    assert_close(alt.phi, base.phi)
