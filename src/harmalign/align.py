@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import sys
 import warnings
 from dataclasses import dataclass, field, replace
@@ -46,6 +45,7 @@ from .filters import bandlimiting_weights
 from .graph import (
     BandwidthSpec,
     KernelGraph,
+    _check_anisotropic_sigma,
     _row_blocks,
     anisotropic_kernel_graph,
     gauss_kernel_graph,
@@ -121,9 +121,8 @@ class AlignmentParams:
             raise ValueError(f"{self.kernel} kernel requires sigma")
         if self.kernel == "fixed":
             BandwidthSpec.fixed(self.sigma)  # refuses a sigma whose square under- or overflows
-        if self.kernel == "anisotropic" and float(self.sigma) * float(self.sigma) == math.inf:
-            raise ValueError(f"anisotropic kernel sigma={self.sigma!r} is too large: "
-                             "its square overflows to inf")
+        if self.kernel == "anisotropic":
+            _check_anisotropic_sigma(self.sigma)
         if self.rank is not None:  # the trivial pair is dropped: keep one more
             check_count("rank", self.rank, 2)
 
@@ -420,12 +419,11 @@ def multi_alignment(datasets, params: AlignmentParams | None = None) -> Alignmen
     each other one, as many at once as the usable CPUs over the BLAS threads
     and the available memory at the largest dataset's N x N arrays allow.
     Datasets smaller than a full-rank 250-point graph's arrays, where a fork
-    costs more than it saves, are prepared here, as is every dataset of a call
-    made inside a worker.  With n >= 3 the maps of the pairs then run on the
-    same pool, as many at once as the CPUs, the BLAS threads and the memory at
-    the largest pair's SVD allow, when that pair's correlation is at least
-    that of two full-rank 425-point datasets (424 x 424); the one pair of two
-    datasets is computed here.
+    costs more than it saves, are prepared here.  With n >= 3 the maps of the
+    pairs then run on the same pool, as many at once as the CPUs, the BLAS
+    threads and the memory at the largest pair's SVD allow, when that pair's
+    correlation is at least that of two full-rank 425-point datasets
+    (424 x 424); the one pair of two datasets is computed here.
     The output does not depend on the worker count, and a worker's log
     records and errors reach the caller as in a serial run.
     """

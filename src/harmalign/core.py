@@ -44,6 +44,7 @@ import types
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 import numpy as np
 
@@ -238,12 +239,13 @@ def load_matrix(path, name: str | None = None) -> DataMatrix:
     if has_labels:
         labels = values[:, -1]
         # float64 holds every integer up to 2**53; above it, parsing has rounded
-        bad = np.flatnonzero((labels != np.rint(labels)) | (labels < 0) | (labels > 2**53))
-        if bad.size:
-            label = labels[bad[0]]
-            problem = ("non-integer label" if label != np.rint(label)
-                       else "negative label" if label < 0 else "label above 2**53")
-            raise ValueError(f"{path}: {problem} at row {bad[0] + start}")
+        # (2**53 + 1 onto 2**53), so a cell that may be bad is read exactly
+        for i in np.flatnonzero((labels != np.rint(labels)) | (labels < 0) | (labels >= 2**53)):
+            label = Decimal(rows[i].rsplit(",", 1)[1])
+            if label != 2**53:
+                problem = ("non-integer label" if label != label.to_integral_value()
+                           else "negative label" if label < 0 else "label above 2**53")
+                raise ValueError(f"{path}: {problem} at row {i + start}")
         labels = labels.astype(np.int64)
         values = values[:, :-1]
     return DataMatrix(values=values, labels=labels, name=name)
@@ -367,9 +369,6 @@ def forked(here, tasks, directory=None):
                 os.unlink(name)
 
 
-#: True in a pool worker, and in this process while it runs its own slice of
-#: a pool: a pool opened then runs its items in the calling process
-_pooled = False
 #: the variables OpenBLAS reads its thread count from, in the order it reads them
 _THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -382,18 +381,16 @@ def pool_map(func, items, item_bytes: int, min_bytes: int = 0) -> list:
     The workers are the fewest of the items, the usable CPUs divided by the
     BLAS threads each worker runs (:func:`_blas_threads`), and the items the
     available memory holds at ``item_bytes`` (the largest item's footprint)
-    each.  Nothing is forked for one worker, for items under ``min_bytes``
-    (too small to pay for a fork), or for a call made in a worker or in this
-    process while it runs its own slice.
+    each.  Nothing is forked for one worker or for items under ``min_bytes``
+    (too small to pay for a fork).
 
     Results come back in item order.  A worker's warnings and ``logging``
     records are issued again here, in item order, and the earliest item's
     error is raised with its type and message, as a serial run raises it.
     """
-    global _pooled
     items = list(items)
     count = 1
-    if len(items) > 1 and not _pooled and item_bytes >= min_bytes:
+    if len(items) > 1 and item_bytes >= min_bytes:
         count = min(len(items), _usable_cpus() // _blas_threads())
         available = _available_memory()
         if available is not None:
@@ -402,13 +399,9 @@ def pool_map(func, items, item_bytes: int, min_bytes: int = 0) -> list:
         return [func(item) for item in items]
     slices = [items[part] for part in _slices(len(items), count)]
     tasks = [functools.partial(_run_slice, func, part) for part in slices[1:]]
-    _pooled = True
-    try:
-        with forked(lambda: [func(item) for item in slices[0]], tasks) as (results, done):
-            for code, path in done:
-                results += _slice_results(code, path)
-    finally:
-        _pooled = False
+    with forked(lambda: [func(item) for item in slices[0]], tasks) as (results, done):
+        for code, path in done:
+            results += _slice_results(code, path)
     return results
 
 

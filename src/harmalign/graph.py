@@ -205,6 +205,16 @@ def gauss_kernel_graph(X, bw: BandwidthSpec) -> KernelGraph:
     return _finish_graph(_kernel_matrix(values, kernel))
 
 
+def _check_anisotropic_sigma(sigma) -> None:
+    """Refuse an anisotropic bandwidth that is not positive or whose square
+    overflows; :class:`~harmalign.align.AlignmentParams` applies it too."""
+    if not sigma > 0:  # NaN fails it too
+        raise ValueError(f"anisotropic kernel requires sigma > 0, got {sigma}")
+    if float(sigma) * float(sigma) == math.inf:  # numpy's product would warn
+        raise ValueError(f"anisotropic kernel sigma={sigma!r} is too large: "
+                         "its square overflows to inf")
+
+
 def anisotropic_kernel_graph(X, sigma: float) -> KernelGraph:
     """Density-normalized Gaussian kernel graph.
 
@@ -212,9 +222,12 @@ def anisotropic_kernel_graph(X, sigma: float) -> KernelGraph:
     is the i-th row sum of G.  The normalization is symmetric in i and j, so
     W stays exactly symmetric; unlike the Gaussian graphs, its diagonal is
     not 1.
+
+    Raises ValueError, before any kernel is built, for a sigma that is not
+    positive (zero, negative or NaN) or whose square overflows to inf (inf,
+    1e200: the kernel would be constant).
     """
-    if sigma <= 0:
-        raise ValueError(f"anisotropic kernel requires sigma > 0, got {sigma}")
+    _check_anisotropic_sigma(sigma)
 
     def kernel(d2, lo):
         d2 /= -sigma

@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from harmalign import core
+from harmalign import align, cli, core
+from harmalign.align import AlignmentParams
+from harmalign.baselines import MnnParams
 from harmalign.core import (
     DataMatrix,
     Report,
@@ -21,6 +23,7 @@ from harmalign.core import (
     load_matrix,
     write_output,
 )
+from harmalign.evaluation import ExperimentConfig, corruption_experiment, transfer_experiment
 
 
 class TestDataMatrix:
@@ -122,6 +125,9 @@ class TestLoadMatrix:
         ("-2", "negative label at row 2"),
         ("1e20", "label above 2**53 at row 2"),
         ("9007199254740994", "label above 2**53 at row 2"),  # 2**53 + 2
+        # float64 rounds these two onto 2**53
+        ("9007199254740993", "label above 2**53 at row 2"),
+        ("9007199254740992.5", "non-integer label at row 2"),
     ])
     def test_label_out_of_range_names_path_and_row(self, tmp_path, label, message):
         # the first bad row is named, whatever a later one holds
@@ -462,17 +468,45 @@ class TestPool:
         assert len(core.csv_parts(np.eye(4))) == 1
         assert forks == []
 
-    def test_nested_calls_fork_nothing(self, monkeypatch, forks):
-        def nested(i):  # how many forks a pool opened by item i made
-            before = len(forks)
-            assert core.pool_map(abs, [-i, i, -i], self.ITEM) == [i, i, i]
-            return len(forks) - before
+    def test_no_pooled_item_opens_a_pool(self, monkeypatch, tmp_path):
+        # at one usable CPU every item runs in this process, where the wrapper
+        # sees each pool an item opens
+        def pool_map(func, items, *args):
+            def run(item):
+                running.append(item)
+                try:
+                    return func(item)
+                finally:
+                    running.pop()
 
-        monkeypatch.setattr(core, "_usable_cpus", lambda: 3)
-        assert core.pool_map(nested, range(6), self.ITEM) == [0] * 6  # in workers and here
-        assert len(forks) == 2
-        assert core.pool_map(nested, range(3), self.ITEM) == [0] * 3  # the next pool forks
-        assert len(forks) == 4
+            items = list(items)
+            if running:
+                nested.append(len(items))
+            return real(run, items, *args)
+
+        real, running, nested = core.pool_map, [], []
+        for module in (core, align, cli):  # evaluation calls core.pool_map
+            monkeypatch.setattr(module, "pool_map", pool_map)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
+        cfg = ExperimentConfig(n1=30, n2=30, dim=10, trials=2, preserved_sweep=(50, 100),
+                               methods=("none", "mnn", "harmonic"), ratios=(1, 2),
+                               mnn_params=MnnParams(k=5), align_params=AlignmentParams(knn=5))
+        corruption_experiment(cfg)
+        transfer_experiment(cfg)
+        gen = Rng(12).generator
+        views = [gen.standard_normal((40, 5)) for _ in range(3)]
+        align.multi_alignment(views, AlignmentParams(knn=5))
+        paths = [str(tmp_path / f"v{i}.csv") for i in range(3)]
+        for view, path in zip(views, paths):
+            write_output(view, path)
+        config = tmp_path / "exp.cfg"
+        config.write_text("n1=30\nn2=30\ndim=10\ntrials=2\nmethods=none,mnn,harmonic\n"
+                          "ratios=1,2\nmnn-k=5\nknn-bandwidth=5\n")
+        for argv in (["align", "--x", paths[0], "--y", paths[1], "--knn-bandwidth", "5"],
+                     ["multi-align", "--inputs", *paths, "--knn-bandwidth", "5"],
+                     ["experiment", "--mode", "transfer", "--config", str(config)]):
+            assert cli.main(argv) == 0
+        assert nested and max(nested) == 1  # an arm's one pair
 
     @pytest.mark.parametrize("failing, raised", [
         ({3}, "item 3"), ({3, 5}, "item 3"), ({1, 5}, "item 1"), ({4, 0}, "item 0"),

@@ -304,6 +304,21 @@ class TestAnisotropicKernelGraph:
         with pytest.raises(ValueError, match="sigma > 0"):
             anisotropic_kernel_graph(line_points(0, 1), -1.0)
 
+    @pytest.mark.parametrize("sigma, message", [
+        (np.nan, "anisotropic kernel requires sigma > 0, got nan"),
+        (np.inf, "anisotropic kernel sigma=inf is too large: its square overflows to inf"),
+        (1e200, "anisotropic kernel sigma=1e+200 is too large: its square overflows to inf"),
+    ])
+    def test_sigma_refused_before_the_kernel(self, monkeypatch, sigma, message):
+        # refused before the N x N kernel is built, which inf and 1e200 would make constant
+        def build(*args):
+            raise AssertionError("kernel built")
+
+        monkeypatch.setattr(graph, "_kernel_matrix", build)
+        X = Rng(13).generator.standard_normal((50, 3))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            anisotropic_kernel_graph(X, sigma)
+
 
 class TestDiffusionOperator:
     def test_all_ones_kernel(self):
