@@ -98,7 +98,8 @@ class DataMatrix:
     values : (N, d) ndarray of float64
         One row per point, one column per feature.  Every entry finite.
     labels : (N,) ndarray of int or None
-        Optional non-negative class labels.
+        Optional non-negative class labels.  Float labels must be whole
+        numbers; they are refused, not truncated.
     name : str
         Identifier used in reports and error messages.
     """
@@ -119,7 +120,12 @@ class DataMatrix:
             raise ValueError(f"{self.name}: non-finite entry at row {i}, column {j}")
         object.__setattr__(self, "values", values)
         if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=np.int64)
+            labels = np.asarray(self.labels)
+            if labels.dtype.kind == "f":
+                # the cast truncates, so a float label must be a finite whole number
+                if not np.all(np.isfinite(labels) & (np.rint(labels) == labels)):
+                    raise ValueError(f"{self.name}: labels must be integers")
+            labels = labels.astype(np.int64, copy=False)
             if labels.shape != (n,):
                 raise ValueError(
                     f"{self.name}: labels length {labels.shape} does not match N={n}"
@@ -189,7 +195,8 @@ def load_matrix(path, name: str | None = None) -> DataMatrix:
     path : path-like
         Comma separated, '.' decimal, optional single header line with one
         field per column; a final header field named ``label``
-        (case-insensitive) marks a label column.  Blank lines are skipped.
+        (case-insensitive) marks a label column, each of whose cells must
+        spell, exactly, an integer from 0 to 2**53.  Blank lines are skipped.
     name : str, optional
         Name for the resulting matrix; defaults to the file stem.
 
@@ -237,16 +244,17 @@ def load_matrix(path, name: str | None = None) -> DataMatrix:
         )
     labels = None
     if has_labels:
-        labels = values[:, -1]
-        # float64 holds every integer up to 2**53; above it, parsing has rounded
-        # (2**53 + 1 onto 2**53), so a cell that may be bad is read exactly
-        for i in np.flatnonzero((labels != np.rint(labels)) | (labels < 0) | (labels >= 2**53)):
-            label = Decimal(rows[i].rsplit(",", 1)[1])
-            if label != 2**53:
-                problem = ("non-integer label" if label != label.to_integral_value()
-                           else "negative label" if label < 0 else "label above 2**53")
-                raise ValueError(f"{path}: {problem} at row {i + start}")
-        labels = labels.astype(np.int64)
+        # each label cell is judged as the exact decimal it spells, since float64
+        # rounds some bad ones onto integers (1.0000000000000001, 2**53 + 1)
+        for i, row in enumerate(rows, start):
+            label = Decimal(row.rsplit(",", 1)[1])
+            problem = ("non-integer label" if label != label.to_integral_value()
+                       else "negative label" if label < 0
+                       else "label above 2**53" if label > 2**53 else None)
+            if problem:
+                raise ValueError(f"{path}: {problem} at row {i}")
+        # float64 holds every integer up to 2**53 exactly
+        labels = values[:, -1].astype(np.int64)
         values = values[:, :-1]
     return DataMatrix(values=values, labels=labels, name=name)
 

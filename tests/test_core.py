@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -48,6 +48,18 @@ class TestDataMatrix:
     def test_rejects_negative_labels(self):
         with pytest.raises(ValueError, match="non-negative"):
             DataMatrix(values=[[0.0], [1.0]], labels=[0, -1])
+
+    @pytest.mark.parametrize("labels", [[0.5, 1.7], [0.0, np.nan], [0.0, np.inf], [-np.inf, 1.0]])
+    def test_rejects_non_integer_labels(self, labels):
+        # refused, not truncated by the cast to int64
+        with pytest.raises(ValueError, match="^data: labels must be integers$"):
+            DataMatrix(values=[[0.0], [1.0]], labels=labels)
+
+    @pytest.mark.parametrize("labels", [[1, 2], [1.0, 2.0], np.array([1, 2], dtype=np.uint8)])
+    def test_integer_labels_kept(self, labels):
+        m = DataMatrix(values=[[0.0], [1.0]], labels=labels)
+        assert m.labels.dtype == np.int64
+        assert m.labels.tolist() == [1, 2]
 
 
 class TestLoadMatrix:
@@ -128,6 +140,9 @@ class TestLoadMatrix:
         # float64 rounds these two onto 2**53
         ("9007199254740993", "label above 2**53 at row 2"),
         ("9007199254740992.5", "non-integer label at row 2"),
+        # and these onto 1 and 0
+        ("1.0000000000000001", "non-integer label at row 2"),
+        ("1e-400", "non-integer label at row 2"),
     ])
     def test_label_out_of_range_names_path_and_row(self, tmp_path, label, message):
         # the first bad row is named, whatever a later one holds
@@ -137,9 +152,31 @@ class TestLoadMatrix:
             load_matrix(path)
 
     def test_labels_up_to_two_to_the_53(self, tmp_path):
+        # any spelling Python's float() takes, if its exact value is an integer
         path = tmp_path / "m.csv"
-        path.write_text(f"f1,label\n0,0\n2,{2**53}\n")
-        assert load_matrix(path).labels.tolist() == [0, 2**53]
+        path.write_text(f"f1,label\n0,0\n2,{2**53}\n4, 2 \n6,1_0\n8,-0\n10,3.0\n")
+        labels = load_matrix(path).labels
+        assert labels.dtype == np.int64
+        assert labels.tolist() == [0, 2**53, 2, 10, 0, 3]
+
+    @settings(deadline=None, max_examples=100,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.integers(0, 2**53), min_size=2, max_size=6))
+    def test_written_integer_labels_reload_equal(self, tmp_path, labels):
+        path = tmp_path / "m.csv"
+        write_output(DataMatrix(values=np.zeros((len(labels), 1)), labels=labels), path)
+        assert load_matrix(path).labels.tolist() == labels
+
+    @settings(deadline=None, max_examples=100,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(0, 2**53), st.integers(0, 30))
+    @example(1, 16)  # float64 rounds 1.00000000000000001 onto 1
+    def test_a_fraction_after_an_integer_is_refused(self, tmp_path, n, p):
+        path = tmp_path / "m.csv"
+        path.write_text(f"f1,label\n0,1\n2,{n}.{'0' * p}1\n")
+        message = f"{path}: non-integer label at row 2"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_matrix(path)
 
     @pytest.mark.parametrize("header, fields", [("f1,label", 2), ("f1,f2,f3,label", 4)])
     def test_header_width_must_match_rows(self, tmp_path, header, fields):
