@@ -28,14 +28,14 @@ import numpy as np
 from . import __version__
 from .align import AlignmentParams, multi_alignment
 from .baselines import MnnParams
-from .core import Report, atomic_write_text, csv_parts, load_matrix, pool_map, write_output
+from .core import Report, atomic_write_text, csv_parts, load_matrix, write_output
 from .evaluation import (
     ExperimentConfig,
     corruption_experiment,
     sweep_csv,
     transfer_experiment,
 )
-from .graph import nearest, nearest_bytes
+from .graph import nearest
 from .spectral import FULL_DECOMPOSITION_LIMIT, RANK_AUTO
 
 _KERNEL_NAMES = {"alg2": "adaptive", "eq1": "anisotropic"}
@@ -133,31 +133,17 @@ def _write_embedding(path, phi: np.ndarray, ranges) -> None:
     atomic_write_text(path, *csv_parts(phi, header, ids=ids))
 
 
-#: the smallest :func:`~harmalign.graph.nearest_bytes` of self-match rates
-#: computed on forked workers.  Three N-row blocks of a full-rank three-view
-#: embedding at one BLAS thread on two CPUs, pooled against serial, won 1, 2,
-#: 7, 11 and 15 of 21 alternating calls at N = 250, 300, 425, 450 and 475, and
-#: 5, 12 and 14 of 15 at 400, 500 and 700: the break-even is at 475
-_RATE_POOL_MIN_BYTES = nearest_bytes(475, 475)
-
-
 def _self_match_rates(phi: np.ndarray, ranges) -> dict:
     """``self_match_rate_i_j`` for every pair i < j of equal-sized datasets:
     the fraction of dataset i's rows whose nearest dataset-j row, by
-    (distance, index), is row-matched.  The pairs run on
-    :func:`harmalign.core.pool_map` when their queries' block temporaries
-    (:func:`~harmalign.graph.nearest_bytes`) reach ``_RATE_POOL_MIN_BYTES``."""
-    def rate(pair):
-        (lo1, hi1), (lo2, hi2) = (ranges[k] for k in pair)
-        idx, _ = nearest(phi[lo1:hi1], phi[lo2:hi2], 1)
-        return float((idx[:, 0] == np.arange(hi1 - lo1)).mean())
-
-    sizes = [hi - lo for lo, hi in ranges]
-    pairs = [(i, j) for i, j in itertools.combinations(range(len(ranges)), 2)
-             if sizes[i] == sizes[j]]
-    item_bytes = max((nearest_bytes(sizes[i], sizes[i]) for i, _ in pairs), default=0)
-    rates = pool_map(rate, pairs, item_bytes, _RATE_POOL_MIN_BYTES)
-    return {f"self_match_rate_{i}_{j}": r for (i, j), r in zip(pairs, rates)}
+    (distance, index), is row-matched.  The pairs run in this process, in
+    order: on three 1000-row views, forked workers did not beat that."""
+    rates = {}
+    for (i, (lo1, hi1)), (j, (lo2, hi2)) in itertools.combinations(enumerate(ranges), 2):
+        if hi1 - lo1 == hi2 - lo2:
+            idx, _ = nearest(phi[lo1:hi1], phi[lo2:hi2], 1)
+            rates[f"self_match_rate_{i}_{j}"] = float((idx[:, 0] == np.arange(hi1 - lo1)).mean())
+    return rates
 
 
 def _cmd_align(args, paths) -> int:

@@ -19,9 +19,9 @@ removed.  The matrix writer runs through it, and so does :func:`pool_map`,
 the one worker pool: it maps a function over items on as many workers as the
 usable CPUs, the BLAS threads and the memory allow, and returns results,
 warnings, log records and errors as a serial run gives them.  The experiment
-drivers' arms (``evaluation``), the datasets of an alignment and the pairwise
-maps of an alignment of three or more (``align``), and the multi-align
-command's self-match rates (``cli``) run on it.  Nothing is forked off Linux.
+drivers' arms (``evaluation``), and the datasets of an alignment and the
+pairwise maps of an alignment of three or more (``align``) run on it.
+Nothing is forked off Linux.
 Randomness is counter-based (Philox) so a seed fully determines every
 experiment on every platform.  All containers are immutable by convention
 after construction and safe to share across threads.
@@ -98,8 +98,9 @@ class DataMatrix:
     values : (N, d) ndarray of float64
         One row per point, one column per feature.  Every entry finite.
     labels : (N,) ndarray of int or None
-        Optional non-negative class labels.  Float labels must be whole
-        numbers; they are refused, not truncated.
+        Optional class labels, integers from 0 to 2**53, the range
+        :func:`load_matrix` reads.  Float labels must be whole numbers; they
+        are refused, not truncated.
     name : str
         Identifier used in reports and error messages.
     """
@@ -125,14 +126,17 @@ class DataMatrix:
                 # the cast truncates, so a float label must be a finite whole number
                 if not np.all(np.isfinite(labels) & (np.rint(labels) == labels)):
                     raise ValueError(f"{self.name}: labels must be integers")
-            labels = labels.astype(np.int64, copy=False)
             if labels.shape != (n,):
                 raise ValueError(
                     f"{self.name}: labels length {labels.shape} does not match N={n}"
                 )
+            # before the cast, which wraps or warns past int64; 2**53 is the
+            # largest label load_matrix reads back
             if np.any(labels < 0):
                 raise ValueError(f"{self.name}: labels must be non-negative")
-            object.__setattr__(self, "labels", labels)
+            if np.any(labels > 2**53):
+                raise ValueError(f"{self.name}: labels must be at most 2**53")
+            object.__setattr__(self, "labels", labels.astype(np.int64, copy=False))
 
     @property
     def n_points(self) -> int:

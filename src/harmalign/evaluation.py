@@ -47,7 +47,7 @@ from .align import AlignmentParams, align_prepared, neighborhood_fraction, prepa
 from .baselines import MnnParams, mnn_correct
 from .core import DataMatrix, Report, Rng, check_count, load_matrix
 from .graph import _row_blocks, nearest
-from .spectral import nxn_bytes
+from .spectral import check_memory, nxn_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +354,9 @@ def _run_arms(cfg: ExperimentConfig, mode: str, arms) -> Report:
     before its test sets, at the one neighborhood fraction of ``cfg.n1`` and
     the smallest test size: every arm has the same test sizes, each at least
     the reference's.  Raises ValueError before any arm runs when a method
-    cannot run at the smallest test size.
+    cannot run at the smallest test size, and with ``harmonic`` refuses a
+    rank above ``cfg.n1`` or a graph too large for memory as the first arm
+    would (:func:`~harmalign.spectral.check_memory`), before any worker forks.
 
     The arms run on :func:`core.pool_map`'s workers, and their rows are
     reported in arm order, so the report does not depend on the worker
@@ -379,7 +381,10 @@ def _run_arms(cfg: ExperimentConfig, mode: str, arms) -> Report:
     drawn = cfg.n1 + max(sum(size for *_, size in tests) for *_, tests in arms)
     run = functools.partial(_arm_rows, cfg, key, f, _sampler_factory(cfg, drawn))
     rank = cfg.align_params.rank
-    if rank is not None:  # a rank above every set's size fails in the first arm
+    if "harmonic" in cfg.methods:  # each size in the order the first arm prepares it
+        for n in dict.fromkeys([cfg.n1, *sizes]):
+            check_memory(n, rank)
+    elif rank is not None:  # no graph is built, so any rank passes
         rank = min(rank, max(sizes))
     per_arm = core.pool_map(run, arms, nxn_bytes(max(sizes), rank))
     report.trials = [row for rows in per_arm for row in rows]

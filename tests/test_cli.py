@@ -153,10 +153,10 @@ class TestMultiAlign:
         assert sorted(os.listdir(tmp_path)) == ["multi.csv", "x.csv", "y.csv"]
 
     @pytest.mark.parametrize("sizes, rates, forked", [
-        # prepares, pairs, rates and the embedding's second part fork
+        # prepares, pairs and the embedding's second part fork; the rates run here
         ((480, 480, 480), ["self_match_rate_0_1", "self_match_rate_0_2",
-                           "self_match_rate_1_2"], 4),
-        ((480, 480, 470), ["self_match_rate_0_1"], 3),  # one rate runs here
+                           "self_match_rate_1_2"], 3),
+        ((480, 480, 470), ["self_match_rate_0_1"], 3),
     ])
     def test_pooled_run_equal_to_a_serial_one(self, tmp_path, monkeypatch, forks,
                                               sizes, rates, forked):
@@ -184,15 +184,15 @@ class TestMultiAlign:
             del report["aggregates"]["seconds"]
         assert pooled == serial
 
-    @pytest.mark.parametrize("n, forked", [(474, 0), (475, 1)])
-    def test_rates_under_the_floor_computed_here(self, monkeypatch, forks, n, forked):
+    @pytest.mark.parametrize("n", [474, 475, 600])
+    def test_rates_computed_here(self, monkeypatch, forks, n):
         monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
         phi = Rng(5).generator.standard_normal((3 * n, 12))
         ranges = [(0, n), (n, 2 * n), (2 * n, 3 * n)]
         rates = cli._self_match_rates(phi, ranges)
         assert list(rates) == ["self_match_rate_0_1", "self_match_rate_0_2",
                                "self_match_rate_1_2"]
-        assert len(forks) == forked
+        assert forks == []
 
     def test_single_input_usage_error(self, dataset_csv):
         assert run(["multi-align", "--inputs", dataset_csv]) == 2

@@ -61,6 +61,22 @@ class TestDataMatrix:
         assert m.labels.dtype == np.int64
         assert m.labels.tolist() == [1, 2]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("labels", [
+        [1e20, 1.0], [2.0**63, 0.0], np.array([2**60, 0]), [2**53 + 1, 0],
+        np.array([2**64 - 1, 0], dtype=np.uint64),
+    ])
+    def test_rejects_labels_above_2_53(self, labels):
+        # refused by name before the cast to int64, which would warn or wrap
+        with pytest.raises(ValueError, match=r"^data: labels must be at most 2\*\*53$"):
+            DataMatrix(values=[[0.0], [1.0]], labels=labels)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("labels", [[2**53, 0], [2.0**53, 0.0]])
+    def test_labels_up_to_2_53_kept(self, labels):
+        # the largest label load_matrix reads back (test_written_integer_labels_reload_equal)
+        assert DataMatrix(values=[[0.0], [1.0]], labels=labels).labels.tolist() == [2**53, 0]
+
 
 class TestLoadMatrix:
     def test_plain_csv(self, tmp_path):
@@ -522,7 +538,7 @@ class TestPool:
             return real(run, items, *args)
 
         real, running, nested = core.pool_map, [], []
-        for module in (core, align, cli):  # evaluation calls core.pool_map
+        for module in (core, align):  # evaluation calls core.pool_map
             monkeypatch.setattr(module, "pool_map", pool_map)
         monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
         cfg = ExperimentConfig(n1=30, n2=30, dim=10, trials=2, preserved_sweep=(50, 100),

@@ -27,7 +27,7 @@ from harmalign.evaluation import (
     sweep_csv,
     transfer_experiment,
 )
-from harmalign.graph import _BLOCK_ROWS, nearest, nearest_bytes
+from harmalign.graph import _BLOCK_ROWS, nearest
 from harmalign.spectral import nxn_bytes
 
 
@@ -191,8 +191,10 @@ class TestNearest:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the norms, the result and a row's candidates take a few kB beside the block
-        block = nearest_bytes(n_test, n_train)
+        # a block's temporaries are the screening GEMM's block, its partitioned
+        # copy and the candidate mask; the norms, the result and a row's
+        # candidates take a few kB beside them
+        block = min(_BLOCK_ROWS, n_test) * n_train * 17
         assert 0.9 * block <= peak <= block + 2**14
 
     def test_cdist_scores_each_pair_apart_from_the_other_rows(self):
@@ -596,6 +598,17 @@ class TestArmWorkers:
         assert len(forks) == forked
         monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
         assert _without_seconds(report) == _without_seconds(transfer_experiment(cfg))
+
+    @pytest.mark.parametrize("driver", [corruption_experiment, transfer_experiment])
+    def test_rank_above_n1_refused_before_any_fork(self, monkeypatch, forks, driver):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        params = AlignmentParams(knn=5, rank=40)
+        with pytest.raises(ValueError, match="^rank 40 exceeds the 30 points of the graph$"):
+            driver(self.config("synthetic-manifold", align_params=params))
+        assert forks == []
+        # no graph is built without harmonic, so the rank does not matter
+        cfg = self.config("synthetic-manifold", methods=("none",), align_params=params)
+        assert len(driver(cfg).trials) == 4
 
     def sweep(self, monkeypatch, act):
         """A sweep of three one-arm slices whose arm at ``pct`` calls ``act(pct)``."""
