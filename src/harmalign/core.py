@@ -122,10 +122,13 @@ class DataMatrix:
         object.__setattr__(self, "values", values)
         if self.labels is not None:
             labels = np.asarray(self.labels)
-            if labels.dtype.kind == "f":
-                # the cast truncates, so a float label must be a finite whole number
-                if not np.all(np.isfinite(labels) & (np.rint(labels) == labels)):
-                    raise ValueError(f"{self.name}: labels must be integers")
+            # strings, objects and complex numbers are no integers (the cast
+            # drops an imaginary part); it truncates, so a float label must
+            # be a finite whole number
+            kind = labels.dtype.kind
+            if kind not in "biuf" or kind == "f" and not np.all(
+                    np.isfinite(labels) & (np.rint(labels) == labels)):
+                raise ValueError(f"{self.name}: labels must be integers")
             if labels.shape != (n,):
                 raise ValueError(
                     f"{self.name}: labels length {labels.shape} does not match N={n}"
@@ -292,8 +295,9 @@ def atomic_write_text(path, *parts) -> None:
     :func:`forked` child into a sibling temp file, whose bytes are then
     appended, so iterating the parts (say, formatting a matrix's row slices)
     runs on as many CPUs as there are parts.  A part that fails raises: its
-    own exception in this process; ``OSError`` naming ``path`` in a child,
-    with the child's errno when it failed on one (say, ENOSPC).  Then neither
+    own exception in this process; ``ChildProcessError`` (an ``OSError``)
+    naming ``path`` in a child, with the child's errno when it failed on one
+    (say, ENOSPC; :func:`_child_error`).  Then neither
     ``path`` nor any temp file is left behind, and every child has been
     reaped."""
     path = os.fspath(path)
@@ -308,10 +312,8 @@ def atomic_write_text(path, *parts) -> None:
             with forked(lambda: handle.writelines(parts[0]), tasks, directory) as (_, done):
                 failed = [code for code, _ in done if code]
                 if failed:
-                    message = f"cannot write {path}: {len(failed)} of {len(parts)} parts failed"
-                    if failed[0] in errno.errorcode:
-                        raise OSError(failed[0], f"{message}: {os.strerror(failed[0])}")
-                    raise OSError(message)
+                    raise _child_error(
+                        failed[0], f"cannot write {path}: {len(failed)} of {len(parts)} parts failed")
                 handle.flush()
                 for _, part_tmp in done:
                     with open(part_tmp, "rb") as part_file:
@@ -399,6 +401,8 @@ def pool_map(func, items, item_bytes: int, min_bytes: int = 0) -> list:
     Results come back in item order.  A worker's warnings and ``logging``
     records are issued again here, in item order, and the earliest item's
     error is raised with its type and message, as a serial run raises it.
+    A worker that cannot hand its results back (say, its disk is full) raises
+    ``ChildProcessError`` with its errno (:func:`_child_error`).
     """
     items = list(items)
     count = 1
@@ -460,7 +464,7 @@ def _slice_results(code: int, path: str) -> list:
     in ``path``, after issuing its warnings and log records here; the
     exception it raised, if it raised one."""
     if code:
-        raise ChildProcessError(f"a pool worker exited with status {code}")
+        raise _child_error(code, f"a pool worker exited with status {code}")
     with open(path, "rb") as handle:
         results, error, issued = pickle.load(handle)
     for event in issued:
@@ -495,6 +499,15 @@ def _run_and_exit(fd: int, task) -> None:
         os._exit(status)
 
 
+def _child_error(code: int, message: str) -> ChildProcessError:
+    """The error for a :func:`forked` child that exited with ``code``, read
+    as :func:`_run_and_exit` sets it: with that errno, and its text after
+    ``message``, when ``code`` is one."""
+    if code in errno.errorcode:
+        return ChildProcessError(code, f"{message}: {os.strerror(code)}")
+    return ChildProcessError(message)
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on; 1 off Linux, where nothing is forked."""
     return len(os.sched_getaffinity(0)) if sys.platform.startswith("linux") else 1
@@ -523,13 +536,16 @@ def csv_lines(values, header=None, ids=None, labels=None):
     ``_BLOCK_CELLS`` cells (whole lines, or part of a line wider than that).
 
     Each row is preceded by its row of integer ``ids`` and followed by its
-    integer ``label``, when these are given.  Every value reads as Python's
-    ``format(v, ".17g")`` and every id and label as ``"%d"``: 17 significant
-    digits, so a write/load round trip preserves every float64.  numpy
-    formats the cells (:func:`_format_cells`); the few whose rounding it
-    cannot decide within ``_TIE_TOLERANCE``, NaN, ±inf and integers beyond
-    2**53 fall back to Python.  Each line depends only on its own row, so row
-    slices written one after another give the same bytes as the whole (see
+    integer ``label``, when these are given; every id and label must lie
+    within [-2**53, 2**53], where float64 holds each integer exactly
+    (:func:`csv_parts` refuses any other).  Every cell, id and label
+    included, is turned into float64 and reads as Python's
+    ``format(v, ".17g")``: 17 significant digits, so a write/load round trip
+    preserves every float64, and an integer prints as ``"%d"`` prints it.
+    numpy formats the cells (:func:`_format_cells`); the few whose rounding
+    it cannot decide within ``_TIE_TOLERANCE``, NaN and ±inf fall back to
+    Python.  Each line depends only on its own row, so row slices written
+    one after another give the same bytes as the whole (see
     :func:`csv_parts`).
     """
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
@@ -545,30 +561,18 @@ def csv_lines(values, header=None, ids=None, labels=None):
         return
     rows = max(1, _BLOCK_CELLS // width)
     for lo in range(0, n, rows):
-        block = [column[lo:lo + rows] for column in columns]
-        cells = np.hstack(block, dtype=np.float64)
-        for ints, at in ((block[0], 0), (block[2], width - tail.shape[1])):
-            # an integer float64 cannot hold exactly is formatted from the original
-            cells[:, at:at + ints.shape[1]][(ints < -2**53) | (ints > 2**53)] = np.nan
-
-        def python(i):
-            row, col = divmod(i, width)
-            for part, fmt in zip(block, ("%d", "%.17g", "%d")):
-                if col < part.shape[1]:
-                    return fmt % part[row, col]
-                col -= part.shape[1]
-
-        cells = cells.ravel()
+        # float64 holds every id and label (within 2**53 of 0) exactly
+        cells = np.hstack([column[lo:lo + rows] for column in columns], dtype=np.float64).ravel()
         for start in range(0, len(cells), _BLOCK_CELLS):
-            yield _format_cells(cells[start:start + _BLOCK_CELLS], width, start, python)
+            yield _format_cells(cells[start:start + _BLOCK_CELLS], width, start)
 
 
-def _format_cells(x, width: int, start: int, python) -> str:
+def _format_cells(x, width: int, start: int) -> str:
     """CSV text of the cells ``x`` of a row-major matrix ``width`` cells
     wide, the first at flat index ``start``: each cell as
     ``format(v, ".17g")``, then "," or, after a row's last cell, a newline.
-    Where :func:`_decimal` leaves a cell (at flat index ``start + i``)
-    undecided, or it is NaN or ±inf, its text is ``python(start + i)``.
+    Where :func:`_decimal` leaves a cell ``x[i]`` undecided, or it is NaN or
+    ±inf, Python prints it, as ``"%.17g" % x[i]``.
 
     Each cell is laid out in 32 bytes, eight little-endian words::
 
@@ -629,7 +633,7 @@ def _format_cells(x, width: int, start: int, python) -> str:
     ends = np.cumsum(np.count_nonzero(cells.view(np.uint8), axis=1))
     pieces, done = [], 0
     for i in left.tolist():
-        pieces += [text[done:ends[i] - 1], python(start + i)]
+        pieces += [text[done:ends[i] - 1], "%.17g" % x[i]]
         done = ends[i] - 1
     pieces.append(text[done:])
     return "".join(pieces)
@@ -744,9 +748,16 @@ def _csv_tables():
 def csv_parts(values, header=None, ids=None, labels=None) -> list:
     """:func:`csv_lines` of ``values`` as row slices, one per usable CPU but
     at most one per row, for :func:`atomic_write_text`; the header goes with
-    the first slice."""
+    the first slice.
+
+    ``ValueError`` if an id or label lies outside [-2**53, 2**53], where
+    float64 no longer holds every integer: raised here, before any temp file
+    is made or child forked, since the slices are formatted lazily."""
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     columns = [None if a is None else np.asarray(a) for a in (ids, labels)]
+    # compared, not np.abs'ed: abs wraps at int64's minimum
+    if any(a is not None and (np.any(a < -2**53) or np.any(a > 2**53)) for a in columns):
+        raise ValueError("ids and labels must lie within [-2**53, 2**53]")
     n = len(values)
     return [
         csv_lines(values[rows], header if rows.start == 0 else None,

@@ -49,9 +49,14 @@ class TestDataMatrix:
         with pytest.raises(ValueError, match="non-negative"):
             DataMatrix(values=[[0.0], [1.0]], labels=[0, -1])
 
-    @pytest.mark.parametrize("labels", [[0.5, 1.7], [0.0, np.nan], [0.0, np.inf], [-np.inf, 1.0]])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("labels", [
+        [0.5, 1.7], [0.0, np.nan], [0.0, np.inf], [-np.inf, 1.0],
+        ["a", "b"], [None, 1], [1 + 2j, 2],
+    ])
     def test_rejects_non_integer_labels(self, labels):
-        # refused, not truncated by the cast to int64
+        # refused, not truncated by the cast to int64 (nor, for a complex
+        # label, stripped of its imaginary part)
         with pytest.raises(ValueError, match="^data: labels must be integers$"):
             DataMatrix(values=[[0.0], [1.0]], labels=labels)
 
@@ -381,6 +386,41 @@ class TestParts:
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)
 
+    @pytest.mark.parametrize("ids, labels", [
+        ([[2**53 + 1], [0]], None),
+        ([[0], [-(2**53) - 1]], None),
+        ([[np.iinfo(np.int64).min], [0]], None),  # where np.abs wraps to itself
+        (None, [0, 2**53 + 1]),
+    ])
+    def test_ids_and_labels_beyond_2_53_refused_here(self, tmp_path, monkeypatch, forks,
+                                                     ids, labels):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        ids = None if ids is None else np.array(ids)
+        with pytest.raises(ValueError, match=re.escape(OUT_OF_RANGE)):
+            atomic_write_text(tmp_path / "out.csv", *core.csv_parts(np.eye(2), None, ids, labels))
+        assert os.listdir(tmp_path) == []
+        assert forks == []
+
+    def test_write_output_refuses_a_label_beyond_2_53(self, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        m = DataMatrix(values=np.eye(2), labels=[0, 1])
+        m.labels[1] = 2**53 + 1  # DataMatrix refuses it, but its array is writable
+        with pytest.raises(ValueError, match=re.escape(OUT_OF_RANGE)):
+            write_output(m, tmp_path / "m.csv")
+        assert os.listdir(tmp_path) == []
+        assert forks == []
+
+    def test_ids_and_labels_at_2_53_written(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        ids = np.array([[2**53, -(2**53)], [2**53 - 1, 0]])
+        labels = np.array([-(2**53), 2**53])
+        path = tmp_path / "out.csv"
+        atomic_write_text(path, *core.csv_parts(np.eye(2), None, ids, labels))
+        assert path.read_text() == per_cell(np.eye(2), ids, labels)
+
+
+OUT_OF_RANGE = "ids and labels must lie within [-2**53, 2**53]"
+
 
 def per_cell(values, ids=None, labels=None):
     """The CSV text of ``csv_lines``, one Python ``format`` call per cell."""
@@ -408,7 +448,8 @@ EDGES = [
 
 class TestCellFormat:
     """``csv_lines`` formats cells in numpy blocks; every byte must be that of
-    Python's ``format(v, ".17g")`` (``"%d"`` for ids and labels)."""
+    Python's ``format(v, ".17g")``, which prints an id or label within 2**53
+    of 0 as ``"%d"`` does."""
 
     @settings(deadline=None, max_examples=300)
     @given(arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 3)),
@@ -436,9 +477,12 @@ class TestCellFormat:
         values[3::11, 1] = -tie
         values[5::13, 2] = np.inf
         ids = np.arange(8000).reshape(4000, 2)
-        ids[::17, 1] = 2**62 + 1  # beyond what a float64 holds exactly
+        # 0 and the edges of what float64 holds exactly, which csv_parts allows
+        ids[::17, 1] = 2**53
+        ids[2::23, 0] = -(2**53)
         labels = np.arange(4000) % 5
-        labels[::19] = -(2**60) - 1
+        labels[::19] = 2**53 - 1
+        labels[4::29] = -(2**53)
         rows = core._BLOCK_CELLS // 6
         assert 0 < rows < 4000  # several blocks, each mixing both kinds of cell
         assert "".join(core.csv_lines(values, None, ids, labels)) == per_cell(values, ids, labels)
@@ -576,6 +620,18 @@ class TestPool:
         assert len(forks) == 2
         assert core.pool_map(abs, range(3), self.ITEM) == [0, 1, 2]  # not left nested
         assert len(forks) == 4
+
+    def test_worker_out_of_space_keeps_its_errno(self, monkeypatch, forks):
+        def dump(*args):  # called by the worker alone
+            raise OSError(errno.ENOSPC, "disk full")
+
+        monkeypatch.setattr(core.pickle, "dump", dump)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        message = f"a pool worker exited with status {errno.ENOSPC}: {os.strerror(errno.ENOSPC)}"
+        with pytest.raises(ChildProcessError, match=re.escape(message)) as raised:
+            core.pool_map(abs, range(2), self.ITEM)
+        assert raised.value.errno == errno.ENOSPC
+        assert len(forks) == 1
 
     def test_worker_that_dies_is_reported(self, monkeypatch, forks):
         parent = os.getpid()
