@@ -50,6 +50,7 @@ import numpy as np
 
 _U64 = (1 << 64) - 1
 _NO_ERRNO = 255  # a child's exit status for a failure with no errno
+_ERRNO_MARK = b"\0harmalign errno "  # a failed child's file holds it and its errno
 _COPY_BYTES = 1 << 20  # chunk of a part file appended at a time
 
 
@@ -310,10 +311,10 @@ def atomic_write_text(path, *parts) -> None:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             tasks = [functools.partial(_write_part, part) for part in parts[1:]]
             with forked(lambda: handle.writelines(parts[0]), tasks, directory) as (_, done):
-                failed = [code for code, _ in done if code]
+                failed = [(code, part_tmp) for code, part_tmp in done if code]
                 if failed:
-                    raise _child_error(
-                        failed[0], f"cannot write {path}: {len(failed)} of {len(parts)} parts failed")
+                    raise _child_error(*failed[0], f"cannot write {path}: "
+                                       f"{len(failed)} of {len(parts)} parts failed")
                 handle.flush()
                 for _, part_tmp in done:
                     with open(part_tmp, "rb") as part_file:
@@ -365,7 +366,7 @@ def forked(here, tasks, directory=None):
                 try:
                     pid = os.fork()
                     if pid == 0:
-                        _run_and_exit(fd, task)
+                        _run_and_exit(fd, name, task)
                 finally:
                     os.close(fd)
                 pids.append(pid)
@@ -402,7 +403,8 @@ def pool_map(func, items, item_bytes: int, min_bytes: int = 0) -> list:
     records are issued again here, in item order, and the earliest item's
     error is raised with its type and message, as a serial run raises it.
     A worker that cannot hand its results back (say, its disk is full) raises
-    ``ChildProcessError`` with its errno (:func:`_child_error`).
+    ``ChildProcessError`` with its errno, and one that dies raises it with
+    none (:func:`_child_error`).
     """
     items = list(items)
     count = 1
@@ -464,7 +466,7 @@ def _slice_results(code: int, path: str) -> list:
     in ``path``, after issuing its warnings and log records here; the
     exception it raised, if it raised one."""
     if code:
-        raise _child_error(code, f"a pool worker exited with status {code}")
+        raise _child_error(code, path, f"a pool worker exited with status {code}")
     with open(path, "rb") as handle:
         results, error, issued = pickle.load(handle)
     for event in issued:
@@ -477,9 +479,12 @@ def _slice_results(code: int, path: str) -> list:
     return results
 
 
-def _run_and_exit(fd: int, task) -> None:
-    """A forked child's whole life: call ``task(fd)``, then exit with status
-    0, the errno of an ``OSError`` it raised, or ``_NO_ERRNO``.
+def _run_and_exit(fd: int, path: str, task) -> None:
+    """A forked child's whole life: call ``task(fd)``, ``fd`` open on the
+    temp file ``path``, then exit with status 0, ``_NO_ERRNO``, or the errno
+    of an ``OSError`` it raised, once it has written that errno over ``path``
+    after ``_ERRNO_MARK`` (else ``_NO_ERRNO``): so :func:`_child_error` tells
+    it from a status the child exited with by itself.
 
     It never returns into the parent's code, so no ``except``, ``finally`` or
     ``atexit`` handler of the parent runs twice and no buffer the parent left
@@ -494,17 +499,22 @@ def _run_and_exit(fd: int, task) -> None:
         status = 0
     except OSError as error:
         if error.errno in errno.errorcode:
+            with open(path, "wb") as handle:
+                handle.write(_ERRNO_MARK + b"%d" % error.errno)
             status = error.errno
     finally:
         os._exit(status)
 
 
-def _child_error(code: int, message: str) -> ChildProcessError:
-    """The error for a :func:`forked` child that exited with ``code``, read
-    as :func:`_run_and_exit` sets it: with that errno, and its text after
-    ``message``, when ``code`` is one."""
-    if code in errno.errorcode:
-        return ChildProcessError(code, f"{message}: {os.strerror(code)}")
+def _child_error(code: int, path: str, message: str) -> ChildProcessError:
+    """The error for a :func:`forked` child that exited with ``code`` and
+    left ``path``: with that errno, and its text after ``message``, when
+    :func:`_run_and_exit` wrote it there; with none for a child that died or
+    exited by itself."""
+    mark = _ERRNO_MARK + b"%d" % code
+    with open(path, "rb") as handle:
+        if handle.read(len(mark) + 1) == mark:
+            return ChildProcessError(code, f"{message}: {os.strerror(code)}")
     return ChildProcessError(message)
 
 

@@ -19,15 +19,18 @@ all points).  The alternative is the anisotropic kernel
 
 which divides out sampling density before any further normalization.
 
-Each graph is one N x N array.  The adaptive bandwidths come first, exactly,
-from :func:`nearest`, the only caller of ``cdist``.  One GEMM of the centered
-rows fills the array; one blocked pass over its upper triangle turns it into
-kernel values and mirrors them below the diagonal; the degrees and ``A`` take
-two more passes (four for the anisotropic kernel).  The other temporaries are
-row blocks of ``_BLOCK_ROWS`` rows, the one block size of every blocked pass
-here and in the evaluation, and the N x d centered copy.  With one BLAS
-thread, a 10000-point, 100-feature dataset prepares at rank 100 in 13 s at a
-peak RSS of 881 MB, of which the graph is 800 MB.
+Each graph is one N x N array, of which only the upper triangle is written
+and read.  The adaptive bandwidths come first, exactly, from :func:`nearest`,
+the only caller of ``cdist``.  One ``dsyrk`` of the centered rows fills the
+triangle; one blocked pass over it turns it into kernel values; the degrees
+and ``A`` take two more passes (four for the anisotropic kernel), each row sum
+over a row block mirrored from the triangle.  The other temporaries are row
+blocks of ``_BLOCK_ROWS`` rows, the one block size of every blocked pass here
+and in the evaluation, and the N x d centered copy.  A graph of at least
+``_OWN_MAPPING_BYTES`` lives in its own anonymous mapping, where the pages only
+the lower triangle covers are never touched, so never resident.  With one BLAS
+thread, a 10000-point, 100-feature dataset prepares at rank 100 in about 8 s
+at a peak RSS of 547 MB, of which the graph's 800 MB mapping keeps about half.
 
 Each squared distance is within ``e_ij = (4d + 7) u (|c_i|^2 + |c_j|^2)`` of
 ``cdist``'s (the bound :func:`nearest` states; ``c`` the centered rows, so a
@@ -44,9 +47,11 @@ bandwidths, k-NN evaluation, MNN, the CLI's self-match rate) calls
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dsyrk
 from scipy.spatial.distance import cdist
 
 from .core import as_values, check_count
@@ -89,16 +94,24 @@ class BandwidthSpec:
 class KernelGraph:
     """Normalized affinity ``A = D^{-1/2} W D^{-1/2}`` and degrees of one dataset.
 
-    Invariants: A is exactly symmetric, ``degrees[i] = sum_j W[i, j]`` is
-    strictly positive, and the eigenvalues of A lie in [-1, 1].
+    ``upper`` holds A's upper triangle, diagonal included; its strict lower
+    part is unspecified (the builder leaves most of it unwritten) and nothing
+    reads it.  Invariants: ``degrees[i] = sum_j W[i, j]`` is strictly
+    positive, and the eigenvalues of A lie in [-1, 1].
     """
 
-    A: np.ndarray
+    upper: np.ndarray
     degrees: np.ndarray
 
     @property
     def n_points(self) -> int:
-        return self.A.shape[0]
+        return self.upper.shape[0]
+
+    @property
+    def A(self) -> np.ndarray:
+        """The exactly symmetric A mirrored from ``upper``, a new array on each
+        access; documented API, read nowhere in the package."""
+        return np.triu(self.upper) + np.triu(self.upper, 1).T
 
     @property
     def L(self) -> np.ndarray:
@@ -128,26 +141,83 @@ def _squared_norms(a: np.ndarray) -> np.ndarray:
     return sq
 
 
+#: a graph of at least this many bytes (N >= 2048) gets its own anonymous
+#: mapping, in which the pages only its unwritten lower triangle covers never
+#: become resident.  Smaller ones come from malloc, which can reuse the heap
+#: pages it keeps (a mapping for the 2000-point graphs raised a transfer
+#: experiment's peak RSS by about 26 MB); 32 MiB is glibc's largest mmap
+#: threshold, at and above which malloc maps fresh pages anyway
+_OWN_MAPPING_BYTES = 32 << 20
+
+
+def _own_mapping(n: int) -> bool:
+    """Whether an n-point graph lives in its own mapping: POSIX only."""
+    return 8 * n * n >= _OWN_MAPPING_BYTES and hasattr(mmap, "MAP_PRIVATE")
+
+
+def _resident_bytes(n: int) -> int:
+    """Bytes an n-point graph keeps resident while only its upper triangle is
+    written: the triangle and a page per row in its own mapping, else all."""
+    if _own_mapping(n):
+        return 4 * n * (n + 1) + n * mmap.PAGESIZE
+    return 8 * n * n
+
+
+def _graph_buffer(n: int) -> np.ndarray:
+    """An uninitialized n x n float64 array, in its own mapping when
+    :func:`_own_mapping` says so."""
+    if not _own_mapping(n):
+        return np.empty((n, n))
+    try:
+        buffer = mmap.mmap(-1, 8 * n * n, flags=mmap.MAP_PRIVATE)
+    except OSError as error:  # ENOMEM: refused, as np.empty refuses with MemoryError
+        raise MemoryError(f"cannot map the {8 * n * n / 2**20:.0f} MiB of "
+                          f"a {n}-point graph") from error
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        # a huge page would make the lower triangle's pages resident too
+        buffer.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buffer).reshape(n, n)
+
+
 def _kernel_matrix(values: np.ndarray, kernel) -> np.ndarray:
-    """``kernel`` of the squared distances of the centered rows, N x N, in one
-    blocked pass after one GEMM: each row block computes and clamps its part
-    right of the diagonal, zeroes the diagonal, calls ``kernel(d2, lo)`` on it
-    in place (``lo`` its first row) and copies its left part from above."""
+    """``kernel`` of the squared distances of the centered rows, the upper
+    triangle of an N x N array, in one blocked pass after one ``dsyrk``: each
+    row block computes and clamps its part right of the diagonal, zeroes the
+    diagonal and calls ``kernel(d2, lo)`` on it in place (``lo`` its first
+    row).  The strict lower triangle is unspecified."""
     c = values - values.mean(axis=0)
     sq = _squared_norms(c)
-    W = c @ c.T
+    W = _graph_buffer(len(c))
+    # W.T is W in F order, whose lower triangle is W's upper: c c^T written there
+    dsyrk(1.0, c.T, trans=1, lower=1, c=W.T, overwrite_c=1)
     del c  # before the blocks' temporaries
     for lo, hi in _row_blocks(len(W)):
         d2 = W[lo:hi, lo:]
+        d2[np.tril_indices(hi - lo, -1)] = 0.0  # unwritten: keep the pass finite
         d2 *= -2.0
         d2 += sq[lo:hi, None]
         d2 += sq[lo:]
         np.maximum(d2, 0.0, out=d2)
         np.fill_diagonal(d2, 0.0)
         kernel(d2, lo)
-        W[lo:hi, :lo] = W[:lo, lo:hi].T
-        W[lo:hi, lo:hi] = np.triu(W[lo:hi, lo:hi]) + np.triu(W[lo:hi, lo:hi], 1).T
     return W
+
+
+def _row_sums(upper: np.ndarray) -> np.ndarray:
+    """Row sums of the symmetric matrix whose upper triangle ``upper`` holds,
+    over full rows mirrored from it a row block at a time: the full matrix's
+    ``sum(axis=1)``, bit for bit."""
+    n = upper.shape[0]
+    sums = np.empty(n)
+    for lo, hi in _row_blocks(n):
+        rows = np.empty((hi - lo, n))
+        rows[:, :lo] = upper[:lo, lo:hi].T
+        rows[:, lo:] = upper[lo:hi, lo:]
+        lower = np.tril_indices(hi - lo, -1)
+        rows[:, lo:hi][lower] = upper[lo:hi, lo:hi].T[lower]
+        sums[lo:hi] = rows.sum(axis=1)
+        del rows  # before the next block's
+    return sums
 
 
 def adaptive_bandwidth(X, k: int) -> np.ndarray:
@@ -167,16 +237,17 @@ def adaptive_bandwidth(X, k: int) -> np.ndarray:
 
 
 def _finish_graph(W: np.ndarray) -> KernelGraph:
-    """Normalize a symmetric kernel matrix in place into the graph's affinity."""
-    degrees = W.sum(axis=1)
+    """Normalize the symmetric kernel matrix whose upper triangle W holds, in
+    place, into the graph's affinity."""
+    degrees = _row_sums(W)
     if not np.all(degrees > 0):  # NaN fails it too
         i = int(np.flatnonzero(~(degrees > 0))[0])
         raise ValueError(f"degree {degrees[i]} at point {i}: the kernel is zero or not finite")
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    # one factor inv_i * inv_j per entry keeps A exactly symmetric
+    # one factor inv_i * inv_j per entry, as for a full, exactly symmetric A
     for lo, hi in _row_blocks(W.shape[0]):
-        W[lo:hi] *= np.multiply.outer(inv_sqrt[lo:hi], inv_sqrt)
-    return KernelGraph(A=W, degrees=degrees)
+        W[lo:hi, lo:] *= np.multiply.outer(inv_sqrt[lo:hi], inv_sqrt[lo:])
+    return KernelGraph(upper=W, degrees=degrees)
 
 
 def gauss_kernel_graph(X, bw: BandwidthSpec) -> KernelGraph:
@@ -234,9 +305,9 @@ def anisotropic_kernel_graph(X, sigma: float) -> KernelGraph:
         np.exp(d2, out=d2)
 
     G = _kernel_matrix(as_values(X), kernel)
-    r = G.sum(axis=1)
+    r = _row_sums(G)
     for lo, hi in _row_blocks(G.shape[0]):
-        G[lo:hi] /= np.multiply.outer(r[lo:hi], r)
+        G[lo:hi, lo:] /= np.multiply.outer(r[lo:hi], r[lo:])
     return _finish_graph(G)
 
 

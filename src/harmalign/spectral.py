@@ -14,9 +14,10 @@ assembles them (:func:`harmalign.align.unified_diffusion_map`).
 
 This module alone plans each eigensolve: the rank ``rank=None`` means, the
 route (a dense divide-and-conquer ``eigh`` or Lanczos) and the N x N arrays
-that route holds, which :func:`check_memory` compares with the memory
-available.  Both solvers return pairs ascending, and one tail turns either
-route's pairs into the basis.
+that route keeps resident, which :func:`check_memory` compares with the
+memory available.  Both solvers read the graph's upper triangle in place and
+return pairs ascending, and one tail turns either route's pairs into the
+basis.
 """
 
 from __future__ import annotations
@@ -30,14 +31,14 @@ import scipy.sparse.linalg
 from scipy.linalg.blas import dsymv
 
 from .core import _available_memory, check_count
-from .graph import KernelGraph
+from .graph import KernelGraph, _resident_bytes
 
 _log = logging.getLogger("harmalign")
 #: graphs larger than this keep RANK_AUTO eigenpairs when no rank is given
 FULL_DECOMPOSITION_LIMIT = 2000
 RANK_AUTO = 100
 #: N x N arrays at the dense route's peak when the solve may consume A: A,
-#: overwritten by the eigenvectors, and dsyevd's 2 N^2 workspace
+#: overwritten whole by the eigenvectors, and dsyevd's 2 N^2 workspace
 _DENSE_NXN_ARRAYS = 3
 
 
@@ -102,23 +103,33 @@ def _require(need: int, what: str, detail: str, cause: Exception | None = None) 
 
 
 def nxn_bytes(n: int, rank: int | None = None) -> int:
-    """Bytes of an n-point graph's N x N arrays at ``rank``: the graph, and on
-    the dense route ``dsyevd``'s workspace of two more, as when
-    :func:`fourier_basis` may overwrite the graph (``overwrite_a``)."""
-    return 8 * n * n * (_DENSE_NXN_ARRAYS if _plan(n, rank)[1] else 1)
+    """Bytes an n-point graph's N x N arrays keep resident at ``rank``.  On the
+    dense route: the graph, written whole by the eigenvectors when
+    :func:`fourier_basis` may overwrite it (``overwrite_a``), and ``dsyevd``'s
+    workspace of two more.  On the Lanczos route: the graph as its triangle
+    leaves it, one N x N array, or in its own mapping the triangle and a page
+    per row (``graph._resident_bytes``, from the rule that allocates it)."""
+    if _plan(n, rank)[1]:
+        return _DENSE_NXN_ARRAYS * 8 * n * n
+    return _resident_bytes(n)
 
 
 def check_memory(n: int, rank: int | None = None) -> None:
-    """Refuse an n-point graph whose :func:`nxn_bytes` would not fit."""
+    """Refuse an n-point graph whose :func:`nxn_bytes` would not fit; the
+    Lanczos fallback checks the dense route's further bytes when it happens."""
     _require(nxn_bytes(n, rank), f"preparing {n} points at rank {_plan(n, rank)[0] or 'full'}",
              "for its N x N arrays")
 
 
-def _dense_solve(A: np.ndarray, *, overwrite_a: bool = False):
-    """All eigenpairs of the symmetric A, ascending, by LAPACK ``dsyevd``,
-    beside its 2 N^2 workspace: in A's own buffer when ``overwrite_a`` (``A.T``
-    is the C-ordered A in F order), else in the F-ordered copy ``eigh`` makes."""
-    return scipy.linalg.eigh(A.T, driver="evd", overwrite_a=overwrite_a)
+def _dense_solve(upper: np.ndarray, *, overwrite_a: bool = False):
+    """All eigenpairs of the symmetric matrix whose upper triangle ``upper``
+    holds, ascending, by LAPACK ``dsyevd``, beside its 2 N^2 workspace: in
+    ``upper``'s own buffer when ``overwrite_a`` (``upper.T`` is it in F order,
+    whose lower triangle ``dsyevd`` reads), else in the F-ordered copy ``eigh``
+    makes.  The other triangle is not read, so it is not checked for finite
+    values either."""
+    return scipy.linalg.eigh(upper.T, lower=True, driver="evd", overwrite_a=overwrite_a,
+                             check_finite=False)
 
 
 def fourier_basis(g: KernelGraph, rank: int | None = None, *,
@@ -134,19 +145,21 @@ def fourier_basis(g: KernelGraph, rank: int | None = None, *,
         ``FULL_DECOMPOSITION_LIMIT`` points, else ``RANK_AUTO``.  Ranks of
         at least N/8 slice the full dense decomposition, a divide-and-conquer
         ``eigh``; smaller ranks use an iterative Lanczos solver with a fixed
-        starting vector for determinism, whose products (``dsymv``) read one
-        triangle of A in place.  Both return pairs ascending, and one tail
-        keeps the top ``rank`` of either.  If Lanczos does not converge, the
+        starting vector for determinism, whose products (``dsymv``) read
+        ``g.upper``'s triangle in place.  Both return pairs ascending, and
+        one tail keeps the top ``rank`` of either.  If Lanczos does not converge, the
         dense decomposition is sliced instead and the fallback
         is logged to the ``harmalign`` logger; when the dense route's further
         N x N arrays would exceed available memory, a MemoryError naming the
         Lanczos failure is raised instead.
     overwrite_a : bool, keyword-only
         Let a dense decomposition, the Lanczos fallback's included, write its
-        eigenvectors over ``g.A``, for a caller that drops the graph.  It then
-        peaks at three N x N arrays: A and the solver's 2 N^2 workspace.  By
-        default ``eigh`` solves on the one copy of A it makes, peaks at four
-        and leaves ``g.A`` unchanged.  Lanczos itself only reads A.
+        eigenvectors over ``g.upper``, for a caller that drops the graph.  It
+        then peaks at three N x N arrays: the graph and the solver's 2 N^2
+        workspace.  By default ``eigh`` solves on the one copy of the graph it
+        makes, peaks at four and leaves ``g.upper`` unchanged.  Lanczos
+        itself only reads the triangle.  No solver reads ``g.upper``'s strict
+        lower part.
 
     Returns
     -------
@@ -158,21 +171,24 @@ def fourier_basis(g: KernelGraph, rank: int | None = None, *,
     rank, dense = _plan(n, rank)
     if not dense:
         v0 = np.full(n, 1.0 / np.sqrt(n))
-        # A.T is the symmetric, C-ordered A in F order: dsymv reads it in place
-        op = scipy.sparse.linalg.LinearOperator((n, n), lambda v: dsymv(1.0, g.A.T, v),
-                                                dtype=float)
+        # upper.T is the graph in F order: dsymv reads its lower triangle in place
+        op = scipy.sparse.linalg.LinearOperator(
+            (n, n), lambda v: dsymv(1.0, g.upper.T, v, lower=1), dtype=float)
         try:
             lam, psi = scipy.sparse.linalg.eigsh(op, k=rank, which="LA", v0=v0)
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             found = (f"Lanczos found {len(exc.eigenvalues)} of {rank} eigenpairs "
                      f"of a {n}-point graph")
-            # A exists already; the copy of it comes on top unless A is consumed
-            further = _DENSE_NXN_ARRAYS - 1 if overwrite_a else _DENSE_NXN_ARRAYS
-            _require(further * g.A.nbytes, f"{found}, and the dense solver", "more", exc)
+            # the dense route's arrays, less the graph's resident part when it
+            # is consumed: its other half becomes resident, a copy comes on top
+            further = _DENSE_NXN_ARRAYS * g.upper.nbytes
+            if overwrite_a:
+                further -= _resident_bytes(n)
+            _require(further, f"{found}, and the dense solver", "more", exc)
             _log.warning("%s; falling back to the dense solver", found)
             dense = True
     if dense:
-        lam, psi = _dense_solve(g.A, overwrite_a=overwrite_a)
+        lam, psi = _dense_solve(g.upper, overwrite_a=overwrite_a)
     # the top rank of the ascending pairs, descending: signed as a view, written once
     psi = np.ascontiguousarray(canonical_signs(psi[:, ::-1][:, :rank]))
     lam = np.clip(lam[::-1][:rank], 0.0, 1.0)

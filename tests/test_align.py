@@ -1,3 +1,4 @@
+import mmap
 import os
 import tracemalloc
 import warnings
@@ -653,7 +654,9 @@ class TestMemoryPreCheck:
     @pytest.mark.parametrize("rank, arrays", [(40000, 3), (5000, 3), (4999, 1)])
     def test_refuses_before_building_the_graph(self, monkeypatch, rank, arrays):
         n = 40000  # 8 * 5000 >= n takes the dense route, 8 * 4999 < n Lanczos
-        need = 8 * n * n * arrays
+        # the dense route's three N x N arrays; Lanczos's one, in its own mapping,
+        # where the upper triangle and a page per row become resident
+        need = 8 * n * n * arrays if arrays == 3 else 4 * n * (n + 1) + n * mmap.PAGESIZE
         monkeypatch.setattr(spectral, "_available_memory", lambda: need // 2)
         monkeypatch.setattr(align, "gauss_kernel_graph", None)  # never reached
         with pytest.raises(MemoryError) as exc:
@@ -663,6 +666,14 @@ class TestMemoryPreCheck:
             f"{need / 2**20:.0f} MiB for its N x N arrays, but only "
             f"{need / 2**21:.0f} MiB is available"
         )
+
+    @pytest.mark.parametrize("n, rank, need", [
+        (2047, 10, 8 * 2047 * 2047),  # under 32 MiB: from malloc, counted whole
+        (2048, 10, 4 * 2048 * 2049 + 2048 * mmap.PAGESIZE),  # its own mapping
+        (2048, 256, 3 * 8 * 2048 * 2048),  # the dense route writes it whole
+    ])
+    def test_counts_what_each_route_keeps_resident(self, n, rank, need):
+        assert spectral.nxn_bytes(n, rank) == need
 
     @pytest.mark.parametrize("available", [8 * 90 * 90 * 3, None])
     def test_runs_when_memory_suffices_or_is_unknown(self, monkeypatch, available):

@@ -636,8 +636,10 @@ class TestPool:
     def test_worker_that_dies_is_reported(self, monkeypatch, forks):
         parent = os.getpid()
         monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
-        with pytest.raises(ChildProcessError, match="a pool worker exited with status 3"):
+        message = "^a pool worker exited with status 3$"
+        with pytest.raises(ChildProcessError, match=message) as raised:
             core.pool_map(lambda i: os.getpid() == parent or os._exit(3), range(2), self.ITEM)
+        assert raised.value.errno is None  # its own status is not an errno
 
     def test_warnings_and_log_records_issued_once_in_item_order(self, monkeypatch, forks,
                                                                tmp_path):

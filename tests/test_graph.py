@@ -1,4 +1,8 @@
+import errno
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -252,6 +256,45 @@ class TestBlockedBuild:
         assert g.n_points == n
         # A itself is 8 N^2 bytes; whole-matrix temporaries would double it
         assert peak < 1.25 * 8 * n * n
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB, Linux")
+class TestResidentGraph:
+    """A graph in its own mapping (N >= 2048) keeps only the pages its upper
+    triangle touches resident, so a Lanczos preparation stays under one
+    N x N array; a full one would be at least that."""
+
+    SCRIPT = """
+import resource
+from harmalign.align import AlignmentParams, prepare_dataset
+from harmalign.core import Rng
+
+X = Rng(0).generator.standard_normal((4000, 100))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+prepare_dataset(X, AlignmentParams(rank=100))
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024)
+"""
+
+    def test_lanczos_preparation_peaks_under_one_n_by_n_array(self):
+        n = 4000
+        src = os.path.dirname(os.path.dirname(graph.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 8 * n * n
+
+
+class TestOwnMapping:
+    def test_a_refused_mapping_is_a_memory_error(self, monkeypatch):
+        # the kernel refuses an address space larger than it would commit
+        def refused(*args, **kwargs):
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        monkeypatch.setattr(graph.mmap, "mmap", refused)
+        X = Rng(9).generator.standard_normal((2048, 2))
+        with pytest.raises(MemoryError, match="^cannot map the 32 MiB of a 2048-point graph$"):
+            gauss_kernel_graph(X, BandwidthSpec.fixed(1.0))
 
 
 class TestBlockSize:

@@ -1,3 +1,4 @@
+import mmap
 import tracemalloc
 
 import numpy as np
@@ -231,6 +232,20 @@ class TestFourierBasis:
         b = fourier_basis(random_graph(n=200, seed=13, k=10), rank=10, overwrite_a=overwrite_a)
         assert np.array_equal(b.psi, full.psi[:, :10])
 
+    def test_lanczos_fallback_counts_the_unwritten_half_of_a_mapped_graph(self, monkeypatch):
+        n = 2048  # in its own mapping, whose triangle and a page per row are resident
+        need = 3 * 8 * n * n - (4 * n * (n + 1) + n * mmap.PAGESIZE)
+
+        def no_convergence(A, k, **kw):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        monkeypatch.setattr(spectral, "_available_memory", lambda: need - 1)
+        monkeypatch.setattr(spectral, "_dense_solve", None)  # never reached
+        g = KernelGraph(upper=np.zeros((n, n)), degrees=np.ones(n))
+        with pytest.raises(MemoryError, match=f"needs about {need / 2**20:.0f} MiB more"):
+            fourier_basis(g, rank=10, overwrite_a=True)
+
     def test_parseval(self):
         g = random_graph(seed=9)
         b = fourier_basis(g)
@@ -264,7 +279,7 @@ class TestGraphOwnership:
     @pytest.mark.parametrize("rank", [None, 10])
     def test_overwriting_gives_the_same_eigenvalues(self, rank):
         g = random_graph(n=200, seed=13, k=10)
-        kept = fourier_basis(KernelGraph(A=g.A.copy(), degrees=g.degrees), rank)
+        kept = fourier_basis(KernelGraph(upper=g.upper.copy(), degrees=g.degrees), rank)
         owned = fourier_basis(g, rank, overwrite_a=True)
         assert np.abs(owned.lam - kept.lam).max() <= 1e-12
 
@@ -310,6 +325,46 @@ class TestLanczosMatvec:
         lam, _ = spectral._dense_solve(g.A)
         assert np.abs(b.lam - lam[::-1][:20]).max() <= 1e-12
         assert np.abs(g.A @ b.psi - b.psi * b.lam).max() <= 1e-10
+
+
+class TestUnwrittenTriangle:
+    """No solver reads the strict lower part of ``upper``, which the graph
+    builder never writes; ``A`` and ``L`` mirror the upper triangle."""
+
+    N = 200
+
+    @staticmethod
+    def poisoned(g):
+        """``g`` with NaN and +inf in the strict lower part of a copy of ``upper``."""
+        upper = g.upper.copy()
+        rows, cols = np.tril_indices(len(upper), -1)
+        upper[rows, cols] = np.where(cols % 2 == 0, np.nan, np.inf)
+        return KernelGraph(upper=upper, degrees=g.degrees)
+
+    @pytest.mark.parametrize("overwrite_a", [False, True])
+    @pytest.mark.parametrize("rank, converges", [(None, True), (10, True), (10, False)],
+                             ids=["dense", "lanczos", "fallback"])
+    def test_every_route_reads_the_upper_triangle(self, monkeypatch, rank, converges,
+                                                  overwrite_a):
+        g = random_graph(n=self.N, seed=13, k=10)
+        if not converges:
+            def no_convergence(A, k, **kw):
+                raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+            monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        clean = fourier_basis(g, rank)
+        b = fourier_basis(self.poisoned(g), rank, overwrite_a=overwrite_a)
+        assert np.all(np.isfinite(b.psi))
+        assert np.array_equal(b.psi, clean.psi)
+        assert np.array_equal(b.lam, clean.lam)
+
+    def test_a_and_l_are_the_exact_mirror(self):
+        g = random_graph(n=self.N, seed=13, k=10)
+        A = self.poisoned(g).A
+        assert np.array_equal(A, A.T)
+        assert np.array_equal(np.triu(A), np.triu(g.upper))
+        assert np.array_equal(A, g.A)
+        assert np.array_equal(self.poisoned(g).L, np.eye(self.N) - A)
 
 
 class TestSolverTail:
