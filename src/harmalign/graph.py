@@ -24,13 +24,17 @@ and read.  The adaptive bandwidths come first, exactly, from :func:`nearest`,
 the only caller of ``cdist``.  One ``dsyrk`` of the centered rows fills the
 triangle; one blocked pass over it turns it into kernel values; the degrees
 and ``A`` take two more passes (four for the anisotropic kernel), each row sum
-over a row block mirrored from the triangle.  The other temporaries are row
+over a row block mirrored from the triangle.  A pass that writes takes each
+row block as the rectangle right of its diagonal square, in place, and that
+square, in a copy of which only the upper triangle is written back, so
+nothing below the diagonal is ever written.  The other temporaries are row
 blocks of ``_BLOCK_ROWS`` rows, the one block size of every blocked pass here
 and in the evaluation, and the N x d centered copy.  A graph of at least
 ``_OWN_MAPPING_BYTES`` lives in its own anonymous mapping, where the pages only
 the lower triangle covers are never touched, so never resident.  With one BLAS
-thread, a 10000-point, 100-feature dataset prepares at rank 100 in about 8 s
-at a peak RSS of 547 MB, of which the graph's 800 MB mapping keeps about half.
+thread, a 10000-point, 100-feature dataset prepares at rank 100 in 8–11 s
+at a peak RSS of about 538 MB, of which the graph's 800 MB mapping keeps about
+half.
 
 Each squared distance is within ``e_ij = (4d + 7) u (|c_i|^2 + |c_j|^2)`` of
 ``cdist``'s (the bound :func:`nearest` states; ``c`` the centered rows, so a
@@ -95,9 +99,9 @@ class KernelGraph:
     """Normalized affinity ``A = D^{-1/2} W D^{-1/2}`` and degrees of one dataset.
 
     ``upper`` holds A's upper triangle, diagonal included; its strict lower
-    part is unspecified (the builder leaves most of it unwritten) and nothing
-    reads it.  Invariants: ``degrees[i] = sum_j W[i, j]`` is strictly
-    positive, and the eigenvalues of A lie in [-1, 1].
+    part is unspecified (the builder never writes it) and nothing reads it.
+    Invariants: ``degrees[i] = sum_j W[i, j]`` is strictly positive, and the
+    eigenvalues of A lie in [-1, 1].
     """
 
     upper: np.ndarray
@@ -157,7 +161,8 @@ def _own_mapping(n: int) -> bool:
 
 def _resident_bytes(n: int) -> int:
     """Bytes an n-point graph keeps resident while only its upper triangle is
-    written: the triangle and a page per row in its own mapping, else all."""
+    written: in its own mapping, an upper bound, the triangle and a page per
+    row (``TestResidentGraph`` reads the mapping's pages against it), else all."""
     if _own_mapping(n):
         return 4 * n * (n + 1) + n * mmap.PAGESIZE
     return 8 * n * n
@@ -179,39 +184,59 @@ def _graph_buffer(n: int) -> np.ndarray:
     return np.frombuffer(buffer).reshape(n, n)
 
 
+def _triangle_pass(W: np.ndarray, update) -> None:
+    """Apply ``update(block, rows, cols)`` in place to the upper triangle of
+    W, one row block at a time, ``rows`` and ``cols`` the slices of W the
+    block covers: first the rectangle right of the block's diagonal square,
+    in W itself, then that square, in a copy whose strict lower part is zero
+    and of which only the upper triangle is written back.  No write falls
+    below the diagonal, and ``update`` never sees the unwritten values there."""
+    n = W.shape[0]
+    for lo, hi in _row_blocks(n):
+        rows = slice(lo, hi)
+        update(W[lo:hi, hi:], rows, slice(hi, n))
+        square = W[lo:hi, lo:hi]
+        tile = np.triu(square)
+        update(tile, rows, rows)
+        np.copyto(square, tile, where=np.tri(hi - lo, dtype=bool).T)
+
+
 def _kernel_matrix(values: np.ndarray, kernel) -> np.ndarray:
     """``kernel`` of the squared distances of the centered rows, the upper
-    triangle of an N x N array, in one blocked pass after one ``dsyrk``: each
-    row block computes and clamps its part right of the diagonal, zeroes the
-    diagonal and calls ``kernel(d2, lo)`` on it in place (``lo`` its first
-    row).  The strict lower triangle is unspecified."""
+    triangle of an N x N array, in one :func:`_triangle_pass` after one
+    ``dsyrk``: each block computes and clamps its squared distances, zeroes
+    those on the diagonal and calls ``kernel(d2, rows, cols)`` on them in
+    place.  The strict lower triangle is unspecified."""
     c = values - values.mean(axis=0)
     sq = _squared_norms(c)
     W = _graph_buffer(len(c))
     # W.T is W in F order, whose lower triangle is W's upper: c c^T written there
     dsyrk(1.0, c.T, trans=1, lower=1, c=W.T, overwrite_c=1)
     del c  # before the blocks' temporaries
-    for lo, hi in _row_blocks(len(W)):
-        d2 = W[lo:hi, lo:]
-        d2[np.tril_indices(hi - lo, -1)] = 0.0  # unwritten: keep the pass finite
+
+    def distances_then_kernel(d2, rows, cols):
         d2 *= -2.0
-        d2 += sq[lo:hi, None]
-        d2 += sq[lo:]
+        d2 += sq[rows, None]
+        d2 += sq[cols]
         np.maximum(d2, 0.0, out=d2)
-        np.fill_diagonal(d2, 0.0)
-        kernel(d2, lo)
+        if cols == rows:
+            np.fill_diagonal(d2, 0.0)
+        kernel(d2, rows, cols)
+
+    _triangle_pass(W, distances_then_kernel)
     return W
 
 
 def _row_sums(upper: np.ndarray) -> np.ndarray:
     """Row sums of the symmetric matrix whose upper triangle ``upper`` holds,
-    over full rows mirrored from it a row block at a time: the full matrix's
-    ``sum(axis=1)``, bit for bit."""
+    over full rows mirrored from it a row block at a time, the strip above
+    the block a tile at a time: the full matrix's ``sum(axis=1)``, bit for bit."""
     n = upper.shape[0]
     sums = np.empty(n)
     for lo, hi in _row_blocks(n):
         rows = np.empty((hi - lo, n))
-        rows[:, :lo] = upper[:lo, lo:hi].T
+        for top, bottom in _row_blocks(lo):
+            rows[:, top:bottom] = upper[top:bottom, lo:hi].T
         rows[:, lo:] = upper[lo:hi, lo:]
         lower = np.tril_indices(hi - lo, -1)
         rows[:, lo:hi][lower] = upper[lo:hi, lo:hi].T[lower]
@@ -244,9 +269,12 @@ def _finish_graph(W: np.ndarray) -> KernelGraph:
         i = int(np.flatnonzero(~(degrees > 0))[0])
         raise ValueError(f"degree {degrees[i]} at point {i}: the kernel is zero or not finite")
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    # one factor inv_i * inv_j per entry, as for a full, exactly symmetric A
-    for lo, hi in _row_blocks(W.shape[0]):
-        W[lo:hi, lo:] *= np.multiply.outer(inv_sqrt[lo:hi], inv_sqrt[lo:])
+
+    def normalize(block, rows, cols):
+        # one factor inv_i * inv_j per entry, as for a full, exactly symmetric A
+        block *= np.multiply.outer(inv_sqrt[rows], inv_sqrt[cols])
+
+    _triangle_pass(W, normalize)
     return KernelGraph(upper=W, degrees=degrees)
 
 
@@ -266,10 +294,10 @@ def gauss_kernel_graph(X, bw: BandwidthSpec) -> KernelGraph:
         sigma = np.full(len(values), bw.sigma, dtype=np.float64)
     scale = -2.0 * sigma**2
 
-    def kernel(d2, lo):
-        row_term = d2 / scale[lo : lo + len(d2), None]
+    def kernel(d2, rows, cols):
+        row_term = d2 / scale[rows, None]
         np.exp(row_term, out=row_term)
-        d2 /= scale[lo:]
+        d2 /= scale[cols]
         np.add(row_term, np.exp(d2, out=d2), out=d2)
         d2 *= 0.5
 
@@ -300,14 +328,17 @@ def anisotropic_kernel_graph(X, sigma: float) -> KernelGraph:
     """
     _check_anisotropic_sigma(sigma)
 
-    def kernel(d2, lo):
+    def kernel(d2, rows, cols):
         d2 /= -sigma
         np.exp(d2, out=d2)
 
     G = _kernel_matrix(as_values(X), kernel)
     r = _row_sums(G)
-    for lo, hi in _row_blocks(G.shape[0]):
-        G[lo:hi, lo:] /= np.multiply.outer(r[lo:hi], r[lo:])
+
+    def divide(block, rows, cols):
+        block /= np.multiply.outer(r[rows], r[cols])
+
+    _triangle_pass(G, divide)
     return _finish_graph(G)
 
 

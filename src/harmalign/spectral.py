@@ -17,7 +17,8 @@ route (a dense divide-and-conquer ``eigh`` or Lanczos) and the N x N arrays
 that route keeps resident, which :func:`check_memory` compares with the
 memory available.  Both solvers read the graph's upper triangle in place and
 return pairs ascending, and one tail turns either route's pairs into the
-basis.
+basis: a full dense basis is ordered inside the buffer the solver wrote, and a
+truncated one is written once into its own array.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import scipy.sparse.linalg
 from scipy.linalg.blas import dsymv
 
 from .core import _available_memory, check_count
-from .graph import KernelGraph, _resident_bytes
+from .graph import KernelGraph, _resident_bytes, _row_blocks
 
 _log = logging.getLogger("harmalign")
 #: graphs larger than this keep RANK_AUTO eigenpairs when no rank is given
@@ -59,6 +60,17 @@ class FourierBasis:
         return self.psi.shape[1]
 
 
+def _signs(psi: np.ndarray) -> np.ndarray:
+    """The canonical sign of each column of ``psi``: that of its
+    largest-magnitude entry, of the first one when +m and -m tie, + for a
+    zero column.  Read from column extremes, with nothing the size of ``psi``."""
+    hi, lo = psi.max(axis=0), -psi.min(axis=0)
+    signs = np.where(lo > hi, -1.0, 1.0)  # a zero column keeps +
+    for j in np.flatnonzero((hi == lo) & (hi > 0)):  # +m and -m: the first decides
+        signs[j] = np.sign(psi[np.abs(psi[:, j]).argmax(), j])
+    return signs
+
+
 def canonical_signs(psi: np.ndarray) -> np.ndarray:
     """Flip eigenvector signs so each column's largest-magnitude entry is positive.
 
@@ -66,11 +78,35 @@ def canonical_signs(psi: np.ndarray) -> np.ndarray:
     pipeline so externally sign-flipped bases align identically.  Signs come
     from column extremes: ``psi`` itself when none flips, else one C-ordered product.
     """
-    hi, lo = psi.max(axis=0), -psi.min(axis=0)
-    signs = np.where(lo > hi, -1.0, 1.0)  # a zero column keeps +
-    for j in np.flatnonzero((hi == lo) & (hi > 0)):  # +m and -m: the first decides
-        signs[j] = np.sign(psi[np.abs(psi[:, j]).argmax(), j])
+    signs = _signs(psi)
     return psi if np.all(signs > 0) else np.multiply(psi, signs, order="C")
+
+
+def _transpose_in_place(a: np.ndarray) -> np.ndarray:
+    """Transpose the square ``a`` in place, swapping it a pair of
+    ``_BLOCK_ROWS``-square tiles at a time through one tile's copy; returns ``a``."""
+    blocks = list(_row_blocks(len(a)))
+    for i, (lo, hi) in enumerate(blocks):
+        square = a[lo:hi, lo:hi]
+        square[...] = square.T.copy()
+        for left, right in blocks[i + 1:]:
+            tile = a[lo:hi, left:right].copy()
+            a[lo:hi, left:right] = a[left:right, lo:hi].T
+            a[left:right, lo:hi] = tile.T
+    return a
+
+
+def _full_basis_in_place(psi: np.ndarray) -> np.ndarray:
+    """The basis of all N ascending eigenvectors in the F-ordered N x N
+    ``psi``, made in ``psi``'s own buffer: transposed in place into C order,
+    its columns reversed a row block at a time and signed by :func:`_signs`.
+    Returns the C-contiguous basis, which shares ``psi``'s memory and equals
+    ``np.ascontiguousarray(canonical_signs(psi[:, ::-1]))``."""
+    basis = _transpose_in_place(psi.T)  # psi's values, in C order
+    for lo, hi in _row_blocks(len(basis)):
+        basis[lo:hi] = basis[lo:hi, ::-1]  # numpy copies the overlapping block first
+    basis *= _signs(basis)
+    return basis
 
 
 def _plan(n: int, rank: int | None) -> tuple[int | None, bool]:
@@ -156,8 +192,9 @@ def fourier_basis(g: KernelGraph, rank: int | None = None, *,
         Let a dense decomposition, the Lanczos fallback's included, write its
         eigenvectors over ``g.upper``, for a caller that drops the graph.  It
         then peaks at three N x N arrays: the graph and the solver's 2 N^2
-        workspace.  By default ``eigh`` solves on the one copy of the graph it
-        makes, peaks at four and leaves ``g.upper`` unchanged.  Lanczos
+        workspace, and a basis of all N pairs is ``g.upper``'s buffer.  By
+        default ``eigh`` solves on the one copy of the graph it makes, peaks
+        at four and leaves ``g.upper`` unchanged.  Lanczos
         itself only reads the triangle.  No solver reads ``g.upper``'s strict
         lower part.
 
@@ -165,7 +202,10 @@ def fourier_basis(g: KernelGraph, rank: int | None = None, *,
     -------
     FourierBasis
         Eigenvalues sorted descending and clamped into [0, 1]; eigenvectors
-        written once, reversed and signed, into one C-contiguous array.
+        reversed and signed into one C-contiguous array: with all N pairs the
+        solver's own N x N buffer, reordered and transposed in place, else
+        the kept columns, written once into their own array, so that the
+        solver's buffer is freed.
     """
     n = g.n_points
     rank, dense = _plan(n, rank)
@@ -189,8 +229,12 @@ def fourier_basis(g: KernelGraph, rank: int | None = None, *,
             dense = True
     if dense:
         lam, psi = _dense_solve(g.upper, overwrite_a=overwrite_a)
-    # the top rank of the ascending pairs, descending: signed as a view, written once
-    psi = np.ascontiguousarray(canonical_signs(psi[:, ::-1][:, :rank]))
+    # the top rank of the ascending pairs, descending: all n ordered in the
+    # solver's own buffer, fewer signed as a view and written once
+    if rank in (None, n):
+        psi = _full_basis_in_place(psi)
+    else:
+        psi = np.ascontiguousarray(canonical_signs(psi[:, ::-1][:, :rank]))
     lam = np.clip(lam[::-1][:rank], 0.0, 1.0)
     return FourierBasis(psi=psi, lam=lam, degrees=g.degrees)
 

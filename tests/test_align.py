@@ -354,8 +354,8 @@ class TestOneCopyFlow:
     def test_full_rank_preparation_peaks_at_the_counted_arrays(self):
         # the memory pre-check counts the dense route's N x N arrays: the
         # graph, which the eigenvectors overwrite, and dsyevd's 2 N^2
-        # workspace; the kept eigenvectors' copy, made once the workspace is
-        # freed, may not come on top
+        # workspace.  At full rank the basis is put in order inside that
+        # buffer, with no copy; nothing may come on top of the three
         n = 1500
         prepared, peak = traced_peak(prepare_dataset, sample_data(60, n, 10), AlignmentParams())
         assert prepared.basis.rank == n - 1

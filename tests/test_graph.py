@@ -1,4 +1,5 @@
 import errno
+import mmap
 import os
 import re
 import subprocess
@@ -258,11 +259,41 @@ class TestBlockedBuild:
         assert peak < 1.25 * 8 * n * n
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB, Linux")
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss in KiB and /proc/self/smaps, Linux")
 class TestResidentGraph:
     """A graph in its own mapping (N >= 2048) keeps only the pages its upper
     triangle touches resident, so a Lanczos preparation stays under one
     N x N array; a full one would be at least that."""
+
+    @staticmethod
+    def mapping_rss(a):
+        """The resident bytes and the size of the mapping that holds ``a``'s
+        first byte, from ``/proc/self/smaps``."""
+        address = a.__array_interface__["data"][0]
+        inside = False
+        with open("/proc/self/smaps") as smaps:
+            for line in smaps:
+                head = line.split()[0]
+                if re.fullmatch(r"[0-9a-f]+-[0-9a-f]+", head):
+                    start, end = (int(x, 16) for x in head.split("-"))
+                    inside = start <= address < end
+                elif inside and head == "Rss:":
+                    return int(line.split()[1]) * 1024, end - start
+        raise AssertionError("no mapping holds the array")
+
+    def test_mapping_holds_no_more_than_counted(self):
+        # no kernel pass writes a page that only the strict lower triangle
+        # covers, so the count spectral.check_memory relies on bounds the pages
+        n = 2100
+        X = Rng(10).generator.standard_normal((n, 100))
+        for build in (lambda: gauss_kernel_graph(X, BandwidthSpec.adaptive(20)),
+                      lambda: anisotropic_kernel_graph(X, 200.0)):
+            g = build()
+            resident, size = self.mapping_rss(g.upper)
+            assert size == -(-g.upper.nbytes // mmap.PAGESIZE) * mmap.PAGESIZE  # its own
+            assert resident <= graph._resident_bytes(n)
+            del g
 
     SCRIPT = """
 import resource

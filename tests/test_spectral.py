@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from harmalign import spectral
+from harmalign import graph, spectral
 from harmalign.align import orthogonalize, unified_diffusion_map
 from harmalign.core import Rng
 from harmalign.graph import BandwidthSpec, KernelGraph, gauss_kernel_graph
@@ -428,6 +428,49 @@ class TestSolverTail:
         b = fourier_basis(g, rank=10)
         assert b.psi.flags.c_contiguous
         assert np.array_equal(b.psi, reference_signs(b.psi))
+
+    @pytest.mark.parametrize("n", [N, N + 1, 300])  # an odd N, and two tiles
+    def test_full_rank_basis_is_the_solvers_buffer(self, n):
+        g = random_graph(n=n, seed=13, k=10)
+        kept = fourier_basis(KernelGraph(upper=g.upper.copy(), degrees=g.degrees))
+        lam, psi = spectral._dense_solve(g.upper)
+        b = fourier_basis(g, overwrite_a=True)
+        assert b.psi.flags.c_contiguous and np.shares_memory(b.psi, g.upper)
+        assert np.array_equal(b.psi, kept.psi)
+        assert np.array_equal(b.lam, kept.lam)
+        assert np.array_equal(b.psi, reference_signs(psi[:, ::-1]))
+
+    @pytest.mark.parametrize("rank, converges", [(N - 1, True), (N // 8, True), (10, False)],
+                             ids=["dense-n-1", "dense-n/8", "fallback"])
+    def test_truncated_bases_are_their_own_arrays(self, graph_and_full, monkeypatch, rank,
+                                                  converges):
+        g, full = graph_and_full
+        owned = KernelGraph(upper=g.upper.copy(), degrees=g.degrees)
+        if not converges:
+            def no_convergence(A, k, **kw):
+                raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+            monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        b = fourier_basis(owned, rank, overwrite_a=True)
+        self.assert_descending_and_contiguous(b)
+        assert not np.shares_memory(b.psi, owned.upper)
+        assert np.array_equal(b.psi, full.psi[:, :rank])
+
+    @pytest.mark.parametrize("block_rows", [256, 2, 1])
+    def test_full_basis_in_place_reverses_signs_and_transposes(self, monkeypatch, block_rows):
+        monkeypatch.setattr(graph, "_BLOCK_ROWS", block_rows)  # ragged tiles too
+        # eigenvectors ascending, as dsyevd returns them; the middle one's
+        # extremes are -2 and +2, and the first of them flips it
+        psi = np.asfortranarray([[1.0, -2.0, 0.5],
+                                 [-3.0, 2.0, 0.0],
+                                 [0.0, 1.0, -0.5]])
+        expected = np.array([[0.5, 2.0, -1.0],
+                             [0.0, -2.0, 3.0],
+                             [-0.5, -1.0, 0.0]])
+        assert np.array_equal(reference_signs(psi[:, ::-1]), expected)
+        out = spectral._full_basis_in_place(psi)
+        assert out.flags.c_contiguous and np.shares_memory(out, psi)
+        assert np.array_equal(out, expected)
 
     @pytest.mark.parametrize("rank, message", [
         (2.5, "rank must be an integer, got 2.5"),  # the Lanczos route's size
