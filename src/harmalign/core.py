@@ -14,8 +14,9 @@ Python's ``format(v, ".17g")``: a cell's 17 digits come from a double-double
 product whose fraction is within 4e-15 of the exact one, and a cell within
 1e-9 of a rounding tie is left to Python (:func:`csv_lines`).
 
-:func:`forked` is the only place a child is forked, reaped and its temp file
-removed.  The matrix writer runs through it, and so does :func:`pool_map`,
+:func:`forked` is the only place a child is forked and reaped; each child
+sends back what its task returned or raised through a pipe, and creates no
+file.  The matrix writer runs through it, and so does :func:`pool_map`,
 the one worker pool: it maps a function over items on as many workers as the
 usable CPUs, the BLAS threads and the memory allow, and returns results,
 warnings, log records and errors as a serial run gives them.  The experiment
@@ -29,7 +30,6 @@ after construction and safe to share across threads.
 
 from __future__ import annotations
 
-import errno
 import functools
 import json
 import logging
@@ -39,18 +39,14 @@ import re
 import shutil
 import signal
 import sys
-import tempfile
 import types
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from decimal import Decimal
 
 import numpy as np
 
 _U64 = (1 << 64) - 1
-_NO_ERRNO = 255  # a child's exit status for a failure with no errno
-_ERRNO_MARK = b"\0harmalign errno "  # a failed child's file holds it and its errno
 _COPY_BYTES = 1 << 20  # chunk of a part file appended at a time
 
 
@@ -295,34 +291,34 @@ def atomic_write_text(path, *parts) -> None:
     The first part is written by this process; every later one by a
     :func:`forked` child into a sibling temp file, whose bytes are then
     appended, so iterating the parts (say, formatting a matrix's row slices)
-    runs on as many CPUs as there are parts.  A part that fails raises: its
-    own exception in this process; ``ChildProcessError`` (an ``OSError``)
-    naming ``path`` in a child, with the child's errno when it failed on one
-    (say, ENOSPC; :func:`_child_error`).  Then neither
-    ``path`` nor any temp file is left behind, and every child has been
-    reaped."""
+    runs on as many CPUs as there are parts.  A part that fails raises its
+    own exception, the earliest part's first, as a serial write would.  Then
+    neither ``path`` nor any temp file is left behind, and every child has
+    been reaped."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
         raise OSError(f"cannot write {path}: directory does not exist")
     parts = [(part,) if isinstance(part, str) else part for part in parts or ("",)]
     fd, tmp = _new_temp(directory)
+    temps = [tmp]
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            tasks = [functools.partial(_write_part, part) for part in parts[1:]]
-            with forked(lambda: handle.writelines(parts[0]), tasks, directory) as (_, done):
-                failed = [(code, part_tmp) for code, part_tmp in done if code]
-                if failed:
-                    raise _child_error(*failed[0], f"cannot write {path}: "
-                                       f"{len(failed)} of {len(parts)} parts failed")
-                handle.flush()
-                for _, part_tmp in done:
-                    with open(part_tmp, "rb") as part_file:
-                        shutil.copyfileobj(part_file, handle.buffer, _COPY_BYTES)
+            for _ in parts[1:]:
+                part_fd, part_tmp = _new_temp(directory)
+                os.close(part_fd)
+                temps.append(part_tmp)
+            forked(lambda: handle.writelines(parts[0]),
+                   [functools.partial(_write_part, *task) for task in zip(parts[1:], temps[1:])])
+            handle.flush()
+            for part_tmp in temps[1:]:
+                with open(part_tmp, "rb") as part_file:
+                    shutil.copyfileobj(part_file, handle.buffer, _COPY_BYTES)
         os.replace(tmp, path)
     finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for name in temps:
+            if os.path.exists(name):
+                os.unlink(name)
 
 
 def _new_temp(directory: str) -> tuple[int, str]:
@@ -338,50 +334,87 @@ def _new_temp(directory: str) -> tuple[int, str]:
             continue
 
 
-def _write_part(part, fd: int) -> None:
+def _write_part(part, name: str) -> None:
     """Write a part of :func:`atomic_write_text`, an iterable of strings, to
-    ``fd``, and close it."""
-    with os.fdopen(fd, "w", encoding="utf-8") as handle:
+    the file ``name``."""
+    with open(name, "w", encoding="utf-8") as handle:
         handle.writelines(part)
 
 
-@contextmanager
-def forked(here, tasks, directory=None):
-    """Call ``here()`` in this process while each of ``tasks`` runs in its own
-    ``os.fork`` child; yield ``here()``'s value and, in task order, each
-    child's ``(exit code, temp file)``.
+def forked(here, tasks) -> tuple:
+    """``(here(), [task() for task in tasks])``, with ``here()`` called in this
+    process while each task runs in its own ``os.fork`` child.
 
-    A task is called with the descriptor of a new temp file in ``directory``
-    (the default temp directory when None), writes its result there, and its
-    child exits as :func:`_run_and_exit` says.  Every child is reaped before
-    anything is yielded, and killed first when ``here()`` or a fork raised,
-    since its result is then unused.  Every temp file is removed when the
-    block is left, whatever raised.  With no tasks nothing is forked."""
-    temps, pids = [], []
+    A child sends back what its task returned or raised through a pipe
+    (:func:`_run_and_exit`), read here in task order once ``here()`` has
+    returned.  Every child is reaped before this returns or raises, and
+    killed first when ``here()``, a fork or a read raised, since its result
+    is then unused.  The first exception is raised as it was raised:
+    ``here()``'s, then each task's in task order; a child that sent nothing
+    whole back raises ``ChildProcessError`` naming its exit status.  With no
+    tasks nothing is forked."""
+    reads, pids, sent = [], [], []
     try:
         try:
             for task in tasks:
-                fd, name = tempfile.mkstemp(dir=directory, suffix=".tmp")
-                temps.append(name)
+                read, write = os.pipe()
+                reads.append(read)
                 try:
                     pid = os.fork()
                     if pid == 0:
-                        _run_and_exit(fd, name, task)
+                        _run_and_exit(reads, write, task)
                 finally:
-                    os.close(fd)
+                    os.close(write)
                 pids.append(pid)
             result = here()
+            for read in reads:
+                with os.fdopen(read, "rb", closefd=False) as pipe:
+                    try:
+                        sent.append(pickle.load(pipe))
+                    except (EOFError, pickle.UnpicklingError):  # cut off, or nothing sent
+                        sent.append(None)
         except BaseException:
             for pid in pids:
                 os.kill(pid, signal.SIGKILL)
             raise
-        finally:
-            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-        yield result, list(zip(codes, temps))
     finally:
-        for name in temps:
-            if os.path.exists(name):
-                os.unlink(name)
+        for read in reads:
+            os.close(read)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for code, outcome in zip(codes, sent):
+        if outcome is None:
+            raise ChildProcessError(f"a forked child exited with status {code}")
+        if outcome[1] is not None:
+            raise outcome[1]
+    return result, [value for value, _ in sent]
+
+
+def _run_and_exit(reads, write: int, task) -> None:
+    """A forked child's whole life: close the pipes' read ends ``reads`` it
+    inherited, call ``task()``, pickle ``(value, None)`` or ``(None,
+    exception)`` into the pipe ``write``, and exit with status 0, or 1 if it
+    could not send.
+
+    It never returns into the parent's code, so no ``except``, ``finally`` or
+    ``atexit`` handler of the parent runs twice and no buffer the parent left
+    unflushed is written twice.  A task may compute with numpy and BLAS, warn
+    and log: the program starts no thread of its own; OpenBLAS's fork handler
+    stops its thread pool before the fork, so the child starts with one
+    thread and builds its own pool; and Python holds its import lock across
+    the fork, as ``logging`` does its locks."""
+    status = 1
+    try:
+        for read in reads:
+            os.close(read)
+        try:
+            outcome = task(), None
+        except Exception as error:
+            outcome = None, error
+        with os.fdopen(write, "wb") as pipe:
+            pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 #: the variables OpenBLAS reads its thread count from, in the order it reads them
@@ -402,9 +435,8 @@ def pool_map(func, items, item_bytes: int, min_bytes: int = 0) -> list:
     Results come back in item order.  A worker's warnings and ``logging``
     records are issued again here, in item order, and the earliest item's
     error is raised with its type and message, as a serial run raises it.
-    A worker that cannot hand its results back (say, its disk is full) raises
-    ``ChildProcessError`` with its errno, and one that dies raises it with
-    none (:func:`_child_error`).
+    A worker that cannot send its results back (say, one of them cannot be
+    pickled) or dies raises ``ChildProcessError`` (:func:`forked`).
     """
     items = list(items)
     count = 1
@@ -417,9 +449,9 @@ def pool_map(func, items, item_bytes: int, min_bytes: int = 0) -> list:
         return [func(item) for item in items]
     slices = [items[part] for part in _slices(len(items), count)]
     tasks = [functools.partial(_run_slice, func, part) for part in slices[1:]]
-    with forked(lambda: [func(item) for item in slices[0]], tasks) as (results, done):
-        for code, path in done:
-            results += _slice_results(code, path)
+    results, sent = forked(lambda: [func(item) for item in slices[0]], tasks)
+    for outcome in sent:
+        results += _slice_results(outcome)
     return results
 
 
@@ -441,10 +473,11 @@ def _blas_threads() -> int:
     return _usable_cpus()
 
 
-def _run_slice(func, items, fd: int) -> None:
-    """A pool worker's task: pickle to ``fd`` the results of ``func`` over
-    ``items`` up to the first exception, that exception, and the warnings
-    and ``logging`` records issued on the way, in the order issued.
+def _run_slice(func, items) -> tuple:
+    """A pool worker's task: ``(results, error, issued)``, the results of
+    ``func`` over ``items`` up to the first exception, that exception (or
+    None), and the warnings and ``logging`` records issued on the way, in
+    the order issued.
 
     This child's own warning display and log handlers are replaced by the
     record, so each is handled once, by this process's parent."""
@@ -457,18 +490,14 @@ def _run_slice(func, items, fd: int) -> None:
             results.append(func(item))
     except Exception as raised:  # raised again by _slice_results
         error = raised
-    with os.fdopen(fd, "wb") as handle:
-        pickle.dump((results, error, issued), handle, pickle.HIGHEST_PROTOCOL)
+    return results, error, issued
 
 
-def _slice_results(code: int, path: str) -> list:
-    """The results a :func:`_run_slice` worker that exited with ``code`` left
-    in ``path``, after issuing its warnings and log records here; the
+def _slice_results(outcome: tuple) -> list:
+    """The results of a :func:`_run_slice` worker's ``(results, error,
+    issued)``, after issuing its warnings and log records here; the
     exception it raised, if it raised one."""
-    if code:
-        raise _child_error(code, path, f"a pool worker exited with status {code}")
-    with open(path, "rb") as handle:
-        results, error, issued = pickle.load(handle)
+    results, error, issued = outcome
     for event in issued:
         if isinstance(event, logging.LogRecord):
             logging.getLogger(event.name).handle(event)
@@ -477,45 +506,6 @@ def _slice_results(code: int, path: str) -> list:
     if error is not None:
         raise error
     return results
-
-
-def _run_and_exit(fd: int, path: str, task) -> None:
-    """A forked child's whole life: call ``task(fd)``, ``fd`` open on the
-    temp file ``path``, then exit with status 0, ``_NO_ERRNO``, or the errno
-    of an ``OSError`` it raised, once it has written that errno over ``path``
-    after ``_ERRNO_MARK`` (else ``_NO_ERRNO``): so :func:`_child_error` tells
-    it from a status the child exited with by itself.
-
-    It never returns into the parent's code, so no ``except``, ``finally`` or
-    ``atexit`` handler of the parent runs twice and no buffer the parent left
-    unflushed is written twice.  A task may compute with numpy and BLAS, warn
-    and log: the program starts no thread of its own; OpenBLAS's fork handler
-    stops its thread pool before the fork, so the child starts with one
-    thread and builds its own pool; and Python holds its import lock across
-    the fork, as ``logging`` does its locks."""
-    status = _NO_ERRNO
-    try:
-        task(fd)
-        status = 0
-    except OSError as error:
-        if error.errno in errno.errorcode:
-            with open(path, "wb") as handle:
-                handle.write(_ERRNO_MARK + b"%d" % error.errno)
-            status = error.errno
-    finally:
-        os._exit(status)
-
-
-def _child_error(code: int, path: str, message: str) -> ChildProcessError:
-    """The error for a :func:`forked` child that exited with ``code`` and
-    left ``path``: with that errno, and its text after ``message``, when
-    :func:`_run_and_exit` wrote it there; with none for a child that died or
-    exited by itself."""
-    mark = _ERRNO_MARK + b"%d" % code
-    with open(path, "rb") as handle:
-        if handle.read(len(mark) + 1) == mark:
-            return ChildProcessError(code, f"{message}: {os.strerror(code)}")
-    return ChildProcessError(message)
 
 
 def _usable_cpus() -> int:

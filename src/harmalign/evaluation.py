@@ -203,11 +203,22 @@ def knn_classify(
         )
     if not 1 <= k <= train.shape[0]:
         raise ValueError(f"need 1 <= k <= N_train, got k={k}, N_train={train.shape[0]}")
+    _check_labels("train_labels", train_labels, "train", train)
+    if test_labels is not None:
+        test_labels = np.asarray(test_labels)
+        _check_labels("test_labels", test_labels, "test", test)
     _, pred = _knn_vote(train, train_labels, test, k)
     accuracy = None
     if test_labels is not None:
-        accuracy = float((pred == np.asarray(test_labels)).mean())
+        accuracy = float((pred == test_labels).mean())
     return pred, accuracy
+
+
+def _check_labels(name: str, labels: np.ndarray, rows_name: str, rows: np.ndarray) -> None:
+    """Raise ValueError, giving both lengths, unless ``labels`` holds one
+    label per row of ``rows``."""
+    if labels.shape != (len(rows),):
+        raise ValueError(f"{name} has length {labels.size}, but {rows_name} has {len(rows)} rows")
 
 
 def neighborhood_overlap(a_embed: np.ndarray, b_embed: np.ndarray, k: int) -> float:
@@ -259,6 +270,7 @@ def class_average_reconstruction(
     train_labels = np.asarray(train_labels)
     if not 1 <= k <= train_aligned.shape[0]:
         raise ValueError(f"need 1 <= k <= N_train, got k={k}")
+    _check_labels("train_labels", train_labels, "train_aligned", train_aligned)
     idx, pred = _knn_vote(train_aligned, train_labels, test_aligned, k)
     member = train_labels[idx] == pred[:, None]
     total = np.where(member[:, :, None], train_data[idx], 0.0).sum(axis=1)

@@ -49,6 +49,8 @@ class FourierBasis:
 
     Eigenvalues are clamped into [0, 1] after decomposition; the degree vector
     of the originating graph is carried along for diffusion-coordinate scaling.
+    :func:`fourier_basis` returns ``psi`` F-contiguous with all N pairs (the
+    dense solver's own buffer) and C-contiguous with fewer.
     """
 
     psi: np.ndarray  # (N, r)
@@ -82,31 +84,19 @@ def canonical_signs(psi: np.ndarray) -> np.ndarray:
     return psi if np.all(signs > 0) else np.multiply(psi, signs, order="C")
 
 
-def _transpose_in_place(a: np.ndarray) -> np.ndarray:
-    """Transpose the square ``a`` in place, swapping it a pair of
-    ``_BLOCK_ROWS``-square tiles at a time through one tile's copy; returns ``a``."""
-    blocks = list(_row_blocks(len(a)))
-    for i, (lo, hi) in enumerate(blocks):
-        square = a[lo:hi, lo:hi]
-        square[...] = square.T.copy()
-        for left, right in blocks[i + 1:]:
-            tile = a[lo:hi, left:right].copy()
-            a[lo:hi, left:right] = a[left:right, lo:hi].T
-            a[left:right, lo:hi] = tile.T
-    return a
-
-
 def _full_basis_in_place(psi: np.ndarray) -> np.ndarray:
     """The basis of all N ascending eigenvectors in the F-ordered N x N
-    ``psi``, made in ``psi``'s own buffer: transposed in place into C order,
-    its columns reversed a row block at a time and signed by :func:`_signs`.
-    Returns the C-contiguous basis, which shares ``psi``'s memory and equals
-    ``np.ascontiguousarray(canonical_signs(psi[:, ::-1]))``."""
-    basis = _transpose_in_place(psi.T)  # psi's values, in C order
-    for lo, hi in _row_blocks(len(basis)):
-        basis[lo:hi] = basis[lo:hi, ::-1]  # numpy copies the overlapping block first
-    basis *= _signs(basis)
-    return basis
+    ``psi``, made in ``psi``'s own buffer: its columns (the rows of the
+    C-ordered ``psi.T``) reversed by swapping ``_BLOCK_ROWS``-row blocks from
+    both ends through one block's copy, then signed by :func:`_signs`.
+    Returns ``psi``, F-contiguous and equal to ``canonical_signs(psi[:, ::-1])``."""
+    rows, n = psi.T, len(psi)
+    for lo, hi in _row_blocks(n // 2):
+        top = rows[lo:hi].copy()
+        rows[lo:hi] = rows[n - hi:n - lo][::-1]
+        rows[n - hi:n - lo] = top[::-1]
+    psi *= _signs(psi)
+    return psi
 
 
 def _plan(n: int, rank: int | None) -> tuple[int | None, bool]:
@@ -202,10 +192,10 @@ def fourier_basis(g: KernelGraph, rank: int | None = None, *,
     -------
     FourierBasis
         Eigenvalues sorted descending and clamped into [0, 1]; eigenvectors
-        reversed and signed into one C-contiguous array: with all N pairs the
-        solver's own N x N buffer, reordered and transposed in place, else
-        the kept columns, written once into their own array, so that the
-        solver's buffer is freed.
+        reversed and signed into one contiguous array: with all N pairs the
+        solver's own F-ordered N x N buffer, its columns reversed in place,
+        else the kept columns, written once into their own C-ordered array,
+        so that the solver's buffer is freed.
     """
     n = g.n_points
     rank, dense = _plan(n, rank)

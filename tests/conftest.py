@@ -6,9 +6,10 @@ import pytest
 
 @pytest.fixture
 def forks(monkeypatch, tmp_path):
-    """The pids forked while the test runs, with temp files in a fresh
-    directory and ``OPENBLAS_NUM_THREADS`` set to one; afterwards every child
-    is reaped and no temp file is left.
+    """The pids forked while the test runs, with the default temp directory
+    one that does not exist (no worker creates a file) and
+    ``OPENBLAS_NUM_THREADS`` set to one; afterwards every child is reaped and
+    no temp file is left in ``tmp_path``, where tests write their outputs.
 
     The variable changes only what ``core.pool_map`` reads, so a pool runs
     one worker per usable CPU.  OpenBLAS keeps the thread count it read when
@@ -24,7 +25,7 @@ def forks(monkeypatch, tmp_path):
 
     pids, real_fork = [], os.fork
     monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     yield pids
     for pid in pids:

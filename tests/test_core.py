@@ -3,7 +3,10 @@ import json
 import logging
 import os
 import re
+import signal
 import sys
+import tempfile
+import time
 import warnings
 
 import numpy as np
@@ -344,23 +347,16 @@ class TestParts:
         assert path.read_text() == "a\n" + "b\n" * 100_000 + "c\n"
         assert os.listdir(tmp_path) == ["out.txt"]
 
-    @pytest.mark.parametrize("failing, cause, error, message, code", [
-        # in this process: its own exception
-        pytest.param(0, RuntimeError("source failed"), RuntimeError, "source failed", None,
-                     id="parent"),
-        pytest.param(1, RuntimeError("source failed"), OSError, "1 of 3 parts failed", None,
-                     id="child1"),
-        pytest.param(2, RuntimeError("source failed"), OSError, "1 of 3 parts failed", None,
-                     id="child2"),
-        # in a child: its errno survives
-        pytest.param(0, OSError(errno.ENOSPC, "disk full"), OSError, "disk full", errno.ENOSPC,
-                     id="parent-enospc"),
-        pytest.param(2, OSError(errno.ENOSPC, "disk full"), OSError,
-                     "1 of 3 parts failed: " + os.strerror(errno.ENOSPC), errno.ENOSPC,
-                     id="child2-enospc"),
+    @pytest.mark.parametrize("failing, cause", [
+        # each part raises its own exception, in this process or a child
+        pytest.param(0, RuntimeError("source failed"), id="parent"),
+        pytest.param(1, RuntimeError("source failed"), id="child1"),
+        pytest.param(2, RuntimeError("source failed"), id="child2"),
+        # its errno included
+        pytest.param(0, OSError(errno.ENOSPC, "disk full"), id="parent-enospc"),
+        pytest.param(2, OSError(errno.ENOSPC, "disk full"), id="child2-enospc"),
     ])
-    def test_failing_part_leaves_nothing(self, tmp_path, monkeypatch, failing, cause, error,
-                                         message, code):
+    def test_failing_part_leaves_nothing(self, tmp_path, monkeypatch, failing, cause):
         def lines():
             yield "x\n"
             raise cause
@@ -376,15 +372,29 @@ class TestParts:
         parts = ["a\n", ["b\n"], ["c\n"]]
         parts[failing] = lines()
         path = tmp_path / "out.csv"
-        with pytest.raises(error, match=re.escape(message)) as raised:
+        with pytest.raises(type(cause)) as raised:
             atomic_write_text(path, *parts)
-        assert getattr(raised.value, "errno", None) == code
-        assert str(path) in str(raised.value) or failing == 0
+        assert raised.value.args == cause.args
+        assert getattr(raised.value, "errno", None) == getattr(cause, "errno", None)
         assert os.listdir(tmp_path) == []
         assert len(pids) == 2
         for pid in pids:  # every child was reaped
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)
+
+    @pytest.mark.parametrize("failing, raised", [
+        ({1, 2}, "part 1"), ({2, 0}, "part 0"), ({3, 2}, "part 2"),
+    ])
+    def test_earliest_failing_part_raises(self, tmp_path, forks, failing, raised):
+        def lines(i):
+            yield f"{i}\n"
+            if i in failing:
+                raise KeyError(f"part {i}")
+
+        with pytest.raises(KeyError, match=raised):
+            atomic_write_text(tmp_path / "out.csv", *map(lines, range(4)))
+        assert os.listdir(tmp_path) == []
+        assert len(forks) == 3
 
     @pytest.mark.parametrize("ids, labels", [
         ([[2**53 + 1], [0]], None),
@@ -621,22 +631,46 @@ class TestPool:
         assert core.pool_map(abs, range(3), self.ITEM) == [0, 1, 2]  # not left nested
         assert len(forks) == 4
 
-    def test_worker_out_of_space_keeps_its_errno(self, monkeypatch, forks):
-        def dump(*args):  # called by the worker alone
-            raise OSError(errno.ENOSPC, "disk full")
-
-        monkeypatch.setattr(core.pickle, "dump", dump)
+    def test_pool_needs_no_temp_directory(self, monkeypatch, forks, tmp_path):
+        # a worker sends its results back through a pipe, and creates no file
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
         monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
-        message = f"a pool worker exited with status {errno.ENOSPC}: {os.strerror(errno.ENOSPC)}"
-        with pytest.raises(ChildProcessError, match=re.escape(message)) as raised:
-            core.pool_map(abs, range(2), self.ITEM)
-        assert raised.value.errno == errno.ENOSPC
+        assert core.pool_map(abs, range(-2, 2), self.ITEM) == [2, 1, 0, 1]
+        assert len(forks) == 1
+        assert os.listdir(tmp_path) == []
+
+    def test_children_killed_and_reaped_when_here_raises(self, monkeypatch, forks):
+        # each child's result fills its pipe, which this process never reads
+        def waitpid(pid, options):
+            reaped = real_waitpid(pid, options)
+            statuses.append(reaped[1])
+            return reaped
+
+        def here():
+            time.sleep(0.2)
+            raise KeyError("here failed")
+
+        statuses, real_waitpid = [], os.waitpid
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        with pytest.raises(KeyError, match="here failed"):
+            core.forked(here, [lambda: bytes(1 << 20)] * 2)
+        assert len(forks) == 2
+        assert [os.WIFSIGNALED(s) and os.WTERMSIG(s) for s in statuses] == [signal.SIGKILL] * 2
+
+    @pytest.mark.parametrize("result", [
+        lambda i: lambda: i,  # nothing sent
+        lambda i: [np.zeros(1 << 17), lambda: i],  # 1 MB sent, then cut off
+    ], ids=["function", "array-then-function"])
+    def test_unpicklable_result_raises(self, monkeypatch, forks, result):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        with pytest.raises(ChildProcessError, match="^a forked child exited with status 1$"):
+            core.pool_map(result, range(2), self.ITEM)
         assert len(forks) == 1
 
     def test_worker_that_dies_is_reported(self, monkeypatch, forks):
         parent = os.getpid()
         monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
-        message = "^a pool worker exited with status 3$"
+        message = "^a forked child exited with status 3$"
         with pytest.raises(ChildProcessError, match=message) as raised:
             core.pool_map(lambda i: os.getpid() == parent or os._exit(3), range(2), self.ITEM)
         assert raised.value.errno is None  # its own status is not an errno

@@ -122,6 +122,20 @@ class TestKnnClassify:
         with pytest.raises(ValueError, match="N_train"):
             knn_classify(np.zeros((3, 2)), [0, 1, 2], np.zeros((1, 2)), 4)
 
+    @pytest.mark.parametrize("train_labels, test_labels, message", [
+        (100, 1, "test_labels has length 1, but test has 20 rows"),  # broadcast
+        (100, 25, "test_labels has length 25, but test has 20 rows"),
+        (100, 15, "test_labels has length 15, but test has 20 rows"),
+        (150, 20, "train_labels has length 150, but train has 100 rows"),
+        (60, 20, "train_labels has length 60, but train has 100 rows"),
+    ])
+    def test_label_lengths_must_match_the_rows(self, train_labels, test_labels, message):
+        gen = Rng(21).generator
+        train, test = gen.standard_normal((100, 3)), gen.standard_normal((20, 3))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            knn_classify(train, gen.integers(0, 3, train_labels), test, 5,
+                         gen.integers(0, 3, test_labels))
+
 
 def _point_sets(name, seed):
     """(train, test) of 300 and 1100 rows: 1100 is not a multiple of _BLOCK_ROWS."""
@@ -325,6 +339,13 @@ class TestClassAverageReconstruction:
         )
         # neighbors of 0.5 are rows 0..3 -> mean of their raw features
         assert recon[0, 0] == pytest.approx(np.mean([0, 2, 4, 6]))
+
+    @pytest.mark.parametrize("labels", [5, 15])
+    def test_label_length_must_match_the_rows(self, labels):
+        train = np.arange(10, dtype=float)[:, None]
+        message = f"^train_labels has length {labels}, but train_aligned has 10 rows$"
+        with pytest.raises(ValueError, match=message):
+            class_average_reconstruction(train[:3], train, train, np.zeros(labels, int), 4)
 
     def test_aligned_reconstruction_beats_unaligned(self):
         # corrupted pair at 25% preserved columns: reconstructions from the

@@ -5,6 +5,8 @@ Inputs are drawn from a seed and sizes, with more features than points so
 that every correlation matrix has full rank and the orthogonal maps are
 unique; with fewer features than points a map is arbitrary in the
 correlation's null directions and only its action on the rest is defined.
+One seeded example checks row permutation with fewer features than points,
+at a truncated rank on the Lanczos route.
 """
 
 import warnings
@@ -14,9 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harmalign import graph, spectral
 from harmalign.align import AlignmentParams, harmonic_alignment, multi_alignment
 from harmalign.core import Rng
-from harmalign.evaluation import random_orthogonal
+from harmalign.evaluation import ManifoldSampler, partial_corruption, random_orthogonal
 
 PARAMS = AlignmentParams(knn=5)
 D = 60
@@ -124,3 +127,21 @@ def test_common_feature_rotation(count, seed, ns):
     for key, T in base.maps.items():
         assert_close(alt.maps[key], T)
     assert_close(alt.phi, base.phi)
+
+
+def test_row_permutation_on_the_lanczos_route_of_an_own_mapping():
+    # N > d at a truncated rank, where the maps are unique: rank 100 of 2100
+    # points takes the Lanczos route (8 * rank < N), on a graph of at least
+    # 32 MiB that lives in its own mapping (the sweep protocol's draw 11)
+    n, params = 2100, AlignmentParams(rank=100)
+    assert graph._own_mapping(n) and not spectral._plan(n, params.rank)[1]
+    rng = Rng(11)
+    sampler = ManifoldSampler(rng.spawn("src"))
+    X, _ = sampler.draw(n, rng.spawn("x"))
+    Y, _ = sampler.draw(n, rng.spawn("y"))
+    Y = Y @ partial_corruption(random_orthogonal(100, rng.spawn("o")), 35.0, rng.spawn("c"))
+    perm = rng.spawn("perm").generator.permutation(n)
+    base = quiet(harmonic_alignment, X, Y, params).phi
+    alt = quiet(harmonic_alignment, X[perm], Y, params).phi
+    expected = np.vstack([base[:n][perm], base[n:]])
+    assert np.abs(alt - expected).max() <= TOL * np.abs(base).max()

@@ -369,8 +369,8 @@ class TestUnwrittenTriangle:
 
 class TestSolverTail:
     """One tail turns the ascending pairs of either solver into the top
-    ``rank`` pairs, descending, in one contiguous array; ``rank`` is None or
-    a positive integer."""
+    ``rank`` pairs, descending, in one contiguous array (F-ordered with all N
+    pairs, else C-ordered); ``rank`` is None or a positive integer."""
 
     N = 200
 
@@ -384,7 +384,8 @@ class TestSolverTail:
     @staticmethod
     def assert_descending_and_contiguous(b):
         assert np.all(np.diff(b.lam) <= 0)
-        assert b.psi.flags.c_contiguous
+        full = b.rank == len(b.psi)
+        assert b.psi.flags.f_contiguous if full else b.psi.flags.c_contiguous
 
     @pytest.mark.parametrize("rank", [None, N // 8, 100, N - 1])
     def test_dense_route_keeps_the_leading_columns(self, graph_and_full, rank):
@@ -435,7 +436,7 @@ class TestSolverTail:
         kept = fourier_basis(KernelGraph(upper=g.upper.copy(), degrees=g.degrees))
         lam, psi = spectral._dense_solve(g.upper)
         b = fourier_basis(g, overwrite_a=True)
-        assert b.psi.flags.c_contiguous and np.shares_memory(b.psi, g.upper)
+        assert b.psi.flags.f_contiguous and np.shares_memory(b.psi, g.upper)
         assert np.array_equal(b.psi, kept.psi)
         assert np.array_equal(b.lam, kept.lam)
         assert np.array_equal(b.psi, reference_signs(psi[:, ::-1]))
@@ -458,7 +459,9 @@ class TestSolverTail:
 
     @pytest.mark.parametrize("block_rows", [256, 2, 1])
     def test_full_basis_in_place_reverses_signs_and_transposes(self, monkeypatch, block_rows):
-        monkeypatch.setattr(graph, "_BLOCK_ROWS", block_rows)  # ragged tiles too
+        # the columns are reversed in psi's F-ordered buffer: swapped in row
+        # blocks of psi.T, so that psi comes back as psi, not transposed
+        monkeypatch.setattr(graph, "_BLOCK_ROWS", block_rows)  # ragged blocks too
         # eigenvectors ascending, as dsyevd returns them; the middle one's
         # extremes are -2 and +2, and the first of them flips it
         psi = np.asfortranarray([[1.0, -2.0, 0.5],
@@ -469,8 +472,12 @@ class TestSolverTail:
                              [-0.5, -1.0, 0.0]])
         assert np.array_equal(reference_signs(psi[:, ::-1]), expected)
         out = spectral._full_basis_in_place(psi)
-        assert out.flags.c_contiguous and np.shares_memory(out, psi)
+        assert out.flags.f_contiguous and np.shares_memory(out, psi)
         assert np.array_equal(out, expected)
+        # an odd N over several blocks, the middle column left in place
+        psi = np.asfortranarray(Rng(16).generator.standard_normal((7, 7)))
+        expected = reference_signs(psi[:, ::-1])
+        assert np.array_equal(spectral._full_basis_in_place(psi), expected)
 
     @pytest.mark.parametrize("rank, message", [
         (2.5, "rank must be an integer, got 2.5"),  # the Lanczos route's size
