@@ -23,10 +23,10 @@ calls :func:`multi_alignment` on ``[X, Y]``, and every entry point returns one
 :class:`AlignmentResult`, whose ``T`` is the map from dataset 0 to dataset 1.
 A prepared dataset keeps only its data and Fourier basis; the N x N kernel
 graph is dropped once its eigendecomposition is done.  Steps 1-2 touch one
-dataset each, and steps 4-5 one pair each, so the datasets of an alignment are
-prepared, and the maps of its pairs computed, on
+dataset each, so the datasets of an alignment are prepared on
 :func:`harmalign.core.pool_map`'s forked workers when they are large enough to
-pay for a fork; the output is bit-identical to a serial run's.
+pay for a fork; the maps of steps 4-5 are computed in the calling process.  The
+output is bit-identical to a serial run's.
 """
 
 from __future__ import annotations
@@ -198,23 +198,6 @@ def orthogonalize(C: np.ndarray) -> np.ndarray:
     return U @ Vt
 
 
-def _map_bytes(m: int, n: int) -> int:
-    """Bytes the map of an m x n correlation holds at its peak: C, the copy of
-    C that ``gesdd`` factors, U, the singular values, V^T, and ``gesdd``'s
-    workspace of ``4 k^2 + 7 k`` floats and ``8 k`` integers at most, k the
-    smaller side.  T takes the copy's place once the SVD returns."""
-    k = min(m, n)
-    return 8 * (2 * m * n + (m + n) * k + k + 4 * k * k + 7 * k) + 4 * 8 * k
-
-
-#: the smallest :func:`_map_bytes` of pairs whose maps run on forked workers.
-#: ``_align`` of three full-rank datasets at one BLAS thread on two CPUs,
-#: pooled against serial, won 5, 5, 10, 16, 18 and 18 of 21 alternating calls
-#: at 300, 350, 375, 425, 450 and 475 points, and 25 of 51 at 400: the
-#: break-even is at 425
-_PAIR_POOL_MIN_BYTES = _map_bytes(424, 424)
-
-
 def unified_diffusion_map(bases, maps, t: int) -> np.ndarray:
     """Assemble the shared-coordinate block embedding of n datasets.
 
@@ -359,24 +342,15 @@ def _align(preps, params: AlignmentParams) -> AlignmentResult:
     Basis signs are canonicalized once per dataset here, so alignment is
     invariant to any sign flips applied to eigenvector columns upstream.
     For every pair i < j the bandlimited correlation ``C`` is orthogonalized
-    into ``T(i->j)`` and dropped; its transpose serves as ``T(j->i)``.  The
-    pairs run on :func:`harmalign.core.pool_map`, at the largest pair's
-    :func:`_map_bytes` each, when that reaches ``_PAIR_POOL_MIN_BYTES``; a
-    single pair (n = 2) runs here.
+    into ``T(i->j)`` and dropped; its transpose serves as ``T(j->i)``.
     """
     bases = [replace(p.basis, psi=canonical_signs(p.basis.psi)) for p in preps]
     features = [gft_features(b.psi, p.data) for b, p in zip(bases, preps)]
-
-    def pair_map(pair):  # the weights are dropped before the SVD
-        i, j = pair
-        return orthogonalize(bandlimited_correlation(
+    maps = {}
+    for i, j in itertools.combinations(range(len(preps)), 2):
+        T = orthogonalize(bandlimited_correlation(  # the weights are dropped before the SVD
             features[i], features[j],
             bandlimiting_weights(bases[i].lam, bases[j].lam, params.n_bands)))
-
-    pairs = list(itertools.combinations(range(len(preps)), 2))
-    item_bytes = max(_map_bytes(bases[i].rank, bases[j].rank) for i, j in pairs)
-    maps = {}
-    for (i, j), T in zip(pairs, pool_map(pair_map, pairs, item_bytes, _PAIR_POOL_MIN_BYTES)):
         maps[(i, j)], maps[(j, i)] = T, T.T
     phi = unified_diffusion_map(bases, maps, params.t)
     row_ranges = _ranges(p.data.n_points for p in preps)
@@ -419,13 +393,10 @@ def multi_alignment(datasets, params: AlignmentParams | None = None) -> Alignmen
     each other one, as many at once as the usable CPUs over the BLAS threads
     and the available memory at the largest dataset's N x N arrays allow.
     Datasets smaller than a full-rank 250-point graph's arrays, where a fork
-    costs more than it saves, are prepared here.  With n >= 3 the maps of the
-    pairs then run on the same pool, as many at once as the CPUs, the BLAS
-    threads and the memory at the largest pair's SVD allow, when that pair's
-    correlation is at least that of two full-rank 425-point datasets
-    (424 x 424); the one pair of two datasets is computed here.
-    The output does not depend on the worker count, and a worker's log
-    records and errors reach the caller as in a serial run.
+    costs more than it saves, are prepared here.  The maps of the pairs are
+    then computed here, one pair after another.  The output does not depend
+    on the worker count, and a worker's log records and errors reach the
+    caller as in a serial run.
     """
     params = params or AlignmentParams()
     if len(datasets) < 2:

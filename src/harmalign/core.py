@@ -20,9 +20,8 @@ file.  The matrix writer runs through it, and so does :func:`pool_map`,
 the one worker pool: it maps a function over items on as many workers as the
 usable CPUs, the BLAS threads and the memory allow, and returns results,
 warnings, log records and errors as a serial run gives them.  The experiment
-drivers' arms (``evaluation``), and the datasets of an alignment and the
-pairwise maps of an alignment of three or more (``align``) run on it.
-Nothing is forked off Linux.
+drivers' arms (``evaluation``) and the datasets of an alignment (``align``)
+run on it.  Nothing is forked off Linux.
 Randomness is counter-based (Philox) so a seed fully determines every
 experiment on every platform.  All containers are immutable by convention
 after construction and safe to share across threads.

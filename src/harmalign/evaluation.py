@@ -197,10 +197,7 @@ def knn_classify(
     train = np.asarray(train, dtype=np.float64)
     test = np.asarray(test, dtype=np.float64)
     train_labels = np.asarray(train_labels)
-    if train.shape[1] != test.shape[1]:
-        raise ValueError(
-            f"embedding widths differ: {train.shape[1]} vs {test.shape[1]}"
-        )
+    _check_widths(train, test)
     if not 1 <= k <= train.shape[0]:
         raise ValueError(f"need 1 <= k <= N_train, got k={k}, N_train={train.shape[0]}")
     _check_labels("train_labels", train_labels, "train", train)
@@ -212,6 +209,13 @@ def knn_classify(
     if test_labels is not None:
         accuracy = float((pred == test_labels).mean())
     return pred, accuracy
+
+
+def _check_widths(train: np.ndarray, test: np.ndarray) -> None:
+    """Raise ValueError, giving both widths, unless the training and test
+    embeddings have the same number of columns."""
+    if train.shape[1] != test.shape[1]:
+        raise ValueError(f"embedding widths differ: {train.shape[1]} vs {test.shape[1]}")
 
 
 def _check_labels(name: str, labels: np.ndarray, rows_name: str, rows: np.ndarray) -> None:
@@ -268,9 +272,13 @@ def class_average_reconstruction(
     train_aligned = np.asarray(train_aligned, dtype=np.float64)
     train_data = np.asarray(train_data, dtype=np.float64)
     train_labels = np.asarray(train_labels)
+    _check_widths(train_aligned, test_aligned)
     if not 1 <= k <= train_aligned.shape[0]:
         raise ValueError(f"need 1 <= k <= N_train, got k={k}")
     _check_labels("train_labels", train_labels, "train_aligned", train_aligned)
+    if len(train_data) != len(train_aligned):
+        raise ValueError(f"train_data has {len(train_data)} rows, "
+                         f"but train_aligned has {len(train_aligned)} rows")
     idx, pred = _knn_vote(train_aligned, train_labels, test_aligned, k)
     member = train_labels[idx] == pred[:, None]
     total = np.where(member[:, :, None], train_data[idx], 0.0).sum(axis=1)

@@ -558,6 +558,21 @@ class TestMultiAlignment:
         with pytest.raises(ValueError, match="at least 2"):
             multi_alignment([sample_data(41, 30, 10)], PARAMS)
 
+    def test_non_finite_correlation_of_a_later_pair(self, monkeypatch):
+        def poisoned(lam_x, lam_y, n_bands):  # the pair (1, 2)'s
+            w = weights(lam_x, lam_y, n_bands)
+            if (len(lam_x), len(lam_y)) == (49, 59):
+                w[0, 0] = np.nan
+            return w
+
+        weights = align.bandlimiting_weights
+        monkeypatch.setattr(align, "bandlimiting_weights", poisoned)
+        data = [sample_data(s, n, 30) for s, n in ((38, 40), (39, 50), (40, 60))]
+        with pytest.raises(ValueError) as raised:
+            multi_alignment(data, PARAMS)
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == "correlation matrix contains non-finite entries"
+
 
 def hand_prepared(seed, lam, n=20, d=30):
     """A prepared dataset whose basis has the given spectrum."""
@@ -746,7 +761,8 @@ class TestMemoryPreCheck:
 
 class TestPooledPrepare:
     """The datasets of an alignment are prepared on ``core.pool_map``'s
-    workers, with the output of a serial run."""
+    workers and every pair's map is computed here, with the output of a
+    serial run."""
 
     def datasets(self, sizes):
         sampler = ManifoldSampler(Rng(0).spawn("source"), dim=20)
@@ -757,6 +773,7 @@ class TestPooledPrepare:
         return multi_alignment(datasets, params)
 
     @pytest.mark.parametrize("sizes, rank", [  # the dense and the Lanczos route
+        # two datasets and three alike fork once, for the prepares: no map forks
         ((300, 300), None), ((300, 280, 260), None), ((500, 500), 30), ((500, 480, 460), 30),
     ])
     def test_output_equal_to_a_serial_run(self, monkeypatch, forks, sizes, rank):
@@ -821,66 +838,28 @@ class TestPooledPrepare:
 
 
 class TestPooledPairs:
-    """The pairwise maps of an alignment of n >= 3 datasets are computed on
-    ``core.pool_map``'s workers, with the output of a serial run."""
+    """Three datasets above the size at which pairs once forked: the datasets
+    are prepared on ``core.pool_map``'s workers, every pair's map is computed
+    here, and the output is that of a serial run."""
 
-    def datasets(self, sizes):
-        sampler = ManifoldSampler(Rng(0).spawn("source"), dim=20)
-        return [sampler.draw(n, Rng(n).spawn("draw"))[0] for n in sizes]
-
-    def aligned(self, monkeypatch, cpus, datasets, params):
-        monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
-        return multi_alignment(datasets, params)
-
-    @pytest.mark.parametrize("sizes, rank, floor", [  # the dense and the Lanczos route
-        ((450, 440, 430), None, None), ((500, 480, 460), 30, 0),
+    @pytest.mark.parametrize("sizes, rank", [  # the dense and the Lanczos route
+        pytest.param((450, 440, 430), None, id="sizes0-None-None"),
+        pytest.param((520, 500, 480), 30, id="sizes1-30-0"),
     ])
-    def test_output_equal_to_a_serial_run(self, monkeypatch, forks, sizes, rank, floor):
-        if floor is not None:  # Lanczos pairs above the floor need thousands of points
-            monkeypatch.setattr(align, "_PAIR_POOL_MIN_BYTES", floor)
-        datasets, params = self.datasets(sizes), AlignmentParams(rank=rank)
+    def test_output_equal_to_a_serial_run(self, monkeypatch, forks, sizes, rank):
+        sampler = ManifoldSampler(Rng(0).spawn("source"), dim=20)
+        datasets = [sampler.draw(n, Rng(n).spawn("draw"))[0] for n in sizes]
+        params = AlignmentParams(rank=rank)
         assert spectral._plan(min(sizes), rank)[1] is (rank is None)
-        serial = self.aligned(monkeypatch, 1, datasets, params)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
+        serial = multi_alignment(datasets, params)
         assert forks == []
-        pooled = self.aligned(monkeypatch, 2, datasets, params)
-        assert len(forks) == 2  # one for the prepares, one for the pairs
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        pooled = multi_alignment(datasets, params)
+        assert len(forks) == 1  # the prepares; no map forks
         assert np.array_equal(pooled.phi, serial.phi)
         assert list(pooled.maps) == list(serial.maps)
+        assert set(serial.maps) == {(i, j) for i in range(3) for j in range(3) if i != j}
         for key, T in serial.maps.items():
             assert np.array_equal(pooled.maps[key], T)
         assert pooled.diagnostics == serial.diagnostics
-
-    @pytest.mark.parametrize("floor", [None, 0])
-    def test_one_pair_computed_here(self, monkeypatch, forks, floor):
-        if floor is not None:
-            monkeypatch.setattr(align, "_PAIR_POOL_MIN_BYTES", floor)
-        self.aligned(monkeypatch, 2, self.datasets((450, 440)), AlignmentParams())
-        assert len(forks) == 1  # the prepares
-
-    @pytest.mark.parametrize("n, forked", [(424, 1), (425, 2)])
-    def test_pairs_under_the_floor_computed_here(self, monkeypatch, forks, n, forked):
-        self.aligned(monkeypatch, 2, self.datasets((n, n, n)), AlignmentParams())
-        assert len(forks) == forked
-
-    @pytest.mark.parametrize("m, n", [(300, 300), (300, 200), (80, 300)])
-    def test_map_bytes_bound_what_a_pair_holds(self, m, n):
-        gen = Rng(0).generator
-        C = gen.standard_normal((m, 20)) @ gen.standard_normal((20, n))
-        peak = traced_peak(orthogonalize, C)[1] + C.nbytes
-        # the interpreter's own objects take a few kB beside the arrays
-        assert 0.85 * align._map_bytes(m, n) <= peak <= align._map_bytes(m, n) + 2**14
-
-    def test_nan_correlation_in_a_worker(self, monkeypatch, forks):
-        def poisoned(lam_x, lam_y, n_bands):  # the pair (1, 2), in the worker
-            w = weights(lam_x, lam_y, n_bands)
-            if (len(lam_x), len(lam_y)) == (439, 429):
-                w[0, 0] = np.nan
-            return w
-
-        weights = align.bandlimiting_weights
-        monkeypatch.setattr(align, "bandlimiting_weights", poisoned)
-        with pytest.raises(ValueError) as raised:
-            self.aligned(monkeypatch, 2, self.datasets((450, 440, 430)), AlignmentParams())
-        assert type(raised.value) is ValueError
-        assert str(raised.value) == "correlation matrix contains non-finite entries"
-        assert len(forks) == 2

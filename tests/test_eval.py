@@ -347,6 +347,19 @@ class TestClassAverageReconstruction:
         with pytest.raises(ValueError, match=message):
             class_average_reconstruction(train[:3], train, train, np.zeros(labels, int), 4)
 
+    @pytest.mark.parametrize("rows", [5, 20])
+    def test_data_rows_must_match_the_aligned_rows(self, rows):
+        train = np.arange(10, dtype=float)[:, None]
+        data = np.arange(rows, dtype=float)[:, None]
+        message = f"^train_data has {rows} rows, but train_aligned has 10 rows$"
+        with pytest.raises(ValueError, match=message):
+            class_average_reconstruction(train[:3], train, data, np.zeros(10, int), 4)
+
+    def test_embedding_widths_must_match(self):
+        train = np.arange(20, dtype=float).reshape(10, 2)
+        with pytest.raises(ValueError, match="^embedding widths differ: 2 vs 1$"):
+            class_average_reconstruction(train[:3, :1], train, train, np.zeros(10, int), 4)
+
     def test_aligned_reconstruction_beats_unaligned(self):
         # corrupted pair at 25% preserved columns: reconstructions from the
         # aligned embedding must correlate with ground truth far better than
