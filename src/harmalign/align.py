@@ -288,7 +288,7 @@ def prepare_dataset(X, params: AlignmentParams, fraction: float | None = None) -
         fraction = neighborhood_fraction([X.n_points], params)
     check_memory(X.n_points, params.rank)
     graph = _build_graph(X.values, params, fraction)
-    basis = fourier_basis(graph, rank=params.rank, overwrite_a=True)
+    basis = fourier_basis(graph, rank=params.rank)
     return PreparedDataset(data=X, basis=drop_trivial(basis))
 
 

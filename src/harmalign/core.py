@@ -71,12 +71,14 @@ class Rng:
         self.generator = np.random.Generator(bitgen)
 
     def spawn(self, *tags) -> "Rng":
-        """Derive an independent stream keyed by ``tags`` (ints or strings).
+        """Derive an independent stream keyed by ``tags`` (ints or strings; a
+        numpy scalar keys the stream of the equal Python one).
 
         The parent's own stream id is folded into the hash so chained spawns
         (``rng.spawn(a).spawn(b)``) stay distinct across parents.
         """
         h = np.uint64(self._stream ^ 0xCBF29CE484222325)
+        tags = tuple(t.item() if isinstance(t, np.generic) else t for t in tags)
         for byte in repr(tags).encode("utf-8"):
             h = np.uint64((int(h) ^ byte) * 0x100000001B3 & _U64)
         return Rng(self.seed, int(h))
@@ -164,8 +166,8 @@ def check_count(name: str, value, minimum: int = 1) -> None:
 class Report:
     """Key-value experiment record: parameters, per-trial rows, aggregates.
 
-    Serializes to JSON and round-trips losslessly (floats survive via the
-    shortest-repr encoding used by the ``json`` module).
+    Serializes to JSON, a numpy scalar as the equal Python one, and round-trips
+    losslessly (floats survive via the ``json`` module's shortest repr).
     """
 
     params: dict = field(default_factory=dict)
@@ -178,7 +180,7 @@ class Report:
             "trials": self.trials,
             "aggregates": self.aggregates,
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(payload, indent=2, sort_keys=True, default=np.generic.item)
 
     @classmethod
     def from_json(cls, text: str) -> "Report":

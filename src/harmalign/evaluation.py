@@ -469,9 +469,11 @@ def transfer_experiment(cfg: ExperimentConfig) -> Report:
 
     The labeled reference has ``cfg.n1`` points; test sets have
     ``cfg.n1 * ratio`` points for each ratio, corrupted at
-    ``cfg.preserved_pct`` percent preserved columns.
+    ``cfg.preserved_pct`` percent preserved columns.  A numpy ratio is stored
+    as the equal Python number.
     """
-    tests = [(ratio, ("draw-y", ratio), int(cfg.n1 * ratio)) for ratio in cfg.ratios]
+    ratios = [r.item() if isinstance(r, np.generic) else r for r in cfg.ratios]
+    tests = [(ratio, ("draw-y", ratio), int(cfg.n1 * ratio)) for ratio in ratios]
     arms = [(("transfer", trial), trial, cfg.preserved_pct, tests) for trial in range(cfg.trials)]
     return _run_arms(cfg, "transfer", arms)
 

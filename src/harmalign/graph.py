@@ -101,7 +101,9 @@ class KernelGraph:
     ``upper`` holds A's upper triangle, diagonal included; its strict lower
     part is unspecified (the builder never writes it) and nothing reads it.
     Invariants: ``degrees[i] = sum_j W[i, j]`` is strictly positive, and the
-    eigenvalues of A lie in [-1, 1].
+    eigenvalues of A lie in [-1, 1].  A dense :func:`~harmalign.spectral.fourier_basis`
+    of the graph writes its eigenvectors over ``upper``, so ``A``, ``L`` or a
+    second solve read them afterwards.
     """
 
     upper: np.ndarray

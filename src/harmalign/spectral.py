@@ -38,8 +38,8 @@ _log = logging.getLogger("harmalign")
 #: graphs larger than this keep RANK_AUTO eigenpairs when no rank is given
 FULL_DECOMPOSITION_LIMIT = 2000
 RANK_AUTO = 100
-#: N x N arrays at the dense route's peak when the solve may consume A: A,
-#: overwritten whole by the eigenvectors, and dsyevd's 2 N^2 workspace
+#: N x N arrays at the dense route's peak: A, overwritten whole by the
+#: eigenvectors, and dsyevd's 2 N^2 workspace
 _DENSE_NXN_ARRAYS = 3
 
 
@@ -130,8 +130,7 @@ def _require(need: int, what: str, detail: str, cause: Exception | None = None) 
 
 def nxn_bytes(n: int, rank: int | None = None) -> int:
     """Bytes an n-point graph's N x N arrays keep resident at ``rank``.  On the
-    dense route: the graph, written whole by the eigenvectors when
-    :func:`fourier_basis` may overwrite it (``overwrite_a``), and ``dsyevd``'s
+    dense route: the graph, written whole by the eigenvectors, and ``dsyevd``'s
     workspace of two more.  On the Lanczos route: the graph as its triangle
     leaves it, one N x N array, or in its own mapping the triangle and a page
     per row (``graph._resident_bytes``, from the rule that allocates it)."""
@@ -147,20 +146,25 @@ def check_memory(n: int, rank: int | None = None) -> None:
              "for its N x N arrays")
 
 
-def _dense_solve(upper: np.ndarray, *, overwrite_a: bool = False):
+def _dense_solve(upper: np.ndarray):
     """All eigenpairs of the symmetric matrix whose upper triangle ``upper``
-    holds, ascending, by LAPACK ``dsyevd``, beside its 2 N^2 workspace: in
-    ``upper``'s own buffer when ``overwrite_a`` (``upper.T`` is it in F order,
-    whose lower triangle ``dsyevd`` reads), else in the F-ordered copy ``eigh``
-    makes.  The other triangle is not read, so it is not checked for finite
-    values either."""
-    return scipy.linalg.eigh(upper.T, lower=True, driver="evd", overwrite_a=overwrite_a,
+    holds, ascending, by LAPACK ``dsyevd``, beside its 2 N^2 workspace, in
+    ``upper``'s own buffer (``upper.T`` is it in F order, whose lower triangle
+    ``dsyevd`` reads), so the eigenvectors overwrite ``upper``.  The other
+    triangle is not read, so it is not checked for finite values either."""
+    return scipy.linalg.eigh(upper.T, lower=True, driver="evd", overwrite_a=True,
                              check_finite=False)
 
 
-def fourier_basis(g: KernelGraph, rank: int | None = None, *,
-                  overwrite_a: bool = False) -> FourierBasis:
+def fourier_basis(g: KernelGraph, rank: int | None = None) -> FourierBasis:
     """Eigendecomposition of A = I - L, optionally truncated to the top ``rank`` pairs.
+
+    The dense decomposition, the Lanczos fallback's included, writes its
+    eigenvectors over ``g.upper`` beside the solver's 2 N^2 workspace, so a
+    basis of all N pairs is ``g.upper``'s buffer and ``g.A``, ``g.L`` or a
+    second solve of ``g`` read the eigenvectors; a caller that needs the graph
+    afterwards solves ``KernelGraph(upper=g.upper.copy(), degrees=g.degrees)``.
+    Lanczos itself only reads the triangle; no solver reads its strict lower part.
 
     Parameters
     ----------
@@ -178,15 +182,6 @@ def fourier_basis(g: KernelGraph, rank: int | None = None, *,
         is logged to the ``harmalign`` logger; when the dense route's further
         N x N arrays would exceed available memory, a MemoryError naming the
         Lanczos failure is raised instead.
-    overwrite_a : bool, keyword-only
-        Let a dense decomposition, the Lanczos fallback's included, write its
-        eigenvectors over ``g.upper``, for a caller that drops the graph.  It
-        then peaks at three N x N arrays: the graph and the solver's 2 N^2
-        workspace, and a basis of all N pairs is ``g.upper``'s buffer.  By
-        default ``eigh`` solves on the one copy of the graph it makes, peaks
-        at four and leaves ``g.upper`` unchanged.  Lanczos
-        itself only reads the triangle.  No solver reads ``g.upper``'s strict
-        lower part.
 
     Returns
     -------
@@ -209,16 +204,14 @@ def fourier_basis(g: KernelGraph, rank: int | None = None, *,
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             found = (f"Lanczos found {len(exc.eigenvalues)} of {rank} eigenpairs "
                      f"of a {n}-point graph")
-            # the dense route's arrays, less the graph's resident part when it
-            # is consumed: its other half becomes resident, a copy comes on top
-            further = _DENSE_NXN_ARRAYS * g.upper.nbytes
-            if overwrite_a:
-                further -= _resident_bytes(n)
+            # the dense route's arrays, less the graph's resident part: its
+            # other half becomes resident as the solver writes it whole
+            further = _DENSE_NXN_ARRAYS * g.upper.nbytes - _resident_bytes(n)
             _require(further, f"{found}, and the dense solver", "more", exc)
             _log.warning("%s; falling back to the dense solver", found)
             dense = True
     if dense:
-        lam, psi = _dense_solve(g.upper, overwrite_a=overwrite_a)
+        lam, psi = _dense_solve(g.upper)
     # the top rank of the ascending pairs, descending: all n ordered in the
     # solver's own buffer, fewer signed as a view and written once
     if rank in (None, n):

@@ -339,12 +339,12 @@ class TestParts:
         assert path.read_text() == "a\nb\nc\nd\n"
         assert os.listdir(tmp_path) == ["out.txt"]
 
-    def test_parts_appended_without_sendfile(self, tmp_path, monkeypatch):
-        # os.sendfile copies between regular files on Linux only
-        monkeypatch.delattr(os, "sendfile", raising=False)
+    def test_a_long_part_between_two_others(self, tmp_path):
+        # 2 * _COPY_BYTES + 2 bytes: appended in three chunks, the last ragged
+        lines = core._COPY_BYTES + 1
         path = tmp_path / "out.txt"
-        atomic_write_text(path, "a\n", ["b\n"] * 100_000, iter(["c\n"]))
-        assert path.read_text() == "a\n" + "b\n" * 100_000 + "c\n"
+        atomic_write_text(path, "a\n", ["b\n"] * lines, iter(["c\n"]))
+        assert path.read_text() == "a\n" + "b\n" * lines + "c\n"
         assert os.listdir(tmp_path) == ["out.txt"]
 
     @pytest.mark.parametrize("failing, cause", [
@@ -518,6 +518,14 @@ class TestRng:
         a = Rng(9).spawn("trial", 0).generator.standard_normal(100)
         b = Rng(9).spawn("trial", 1).generator.standard_normal(100)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("tag", [np.int64(2), np.float64(2.0), np.int32(2)],
+                             ids=["int64", "float64", "int32"])
+    def test_numpy_scalar_tag_draws_the_equal_python_tags_stream(self, tag):
+        # numpy 2's repr of np.int64(2) is "np.int64(2)", not "2"
+        a = Rng(1).spawn("draw-y", tag).generator.standard_normal(100)
+        b = Rng(1).spawn("draw-y", tag.item()).generator.standard_normal(100)
+        assert np.array_equal(a, b)
 
 
 class TestPool:

@@ -483,6 +483,20 @@ class TestExperiments:
         _, acc = knn_classify(phi[:n1], xl, phi[n1:], 5, yl)
         assert row["accuracy"] == acc
 
+    def test_numpy_ratios_give_the_python_ratios_report(self):
+        # the same test sets drawn, rows of Python numbers, and the same JSON,
+        # a numpy n1 in the parameters included
+        numpy_ratios, python_ratios = (
+            transfer_experiment(self.small_config(n1=n1, trials=1, seed=3, ratios=ratios))
+            for n1, ratios in ((np.int64(40), tuple(np.array([1, 2]))), (40, (1, 2))))
+        assert [type(row["ratio"]) for row in numpy_ratios.trials] == [int, int]
+        for report in (numpy_ratios, python_ratios):
+            for row in report.trials:
+                row.pop("seconds")
+        assert numpy_ratios.trials == python_ratios.trials
+        assert numpy_ratios.aggregates == python_ratios.aggregates
+        assert numpy_ratios.to_json() == python_ratios.to_json()
+
     def test_ratio_below_one_rejected(self):
         with pytest.raises(ValueError, match="at least the reference's size"):
             self.small_config(ratios=(1, 0))

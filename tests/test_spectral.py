@@ -42,6 +42,11 @@ def random_graph(n=30, d=4, seed=0, k=5):
     return gauss_kernel_graph(X, BandwidthSpec.adaptive(k))
 
 
+def copied(g):
+    """A graph of its own with ``g``'s values, for a solve that ``g`` must outlive."""
+    return KernelGraph(upper=g.upper.copy(), degrees=g.degrees)
+
+
 class TestFourierBasis:
     def test_two_point_spectrum(self):
         g = gauss_kernel_graph(
@@ -66,7 +71,7 @@ class TestFourierBasis:
 
     def test_eigen_residual(self):
         g = random_graph(n=60, seed=3)
-        b = fourier_basis(g)
+        b = fourier_basis(copied(g))
         # residual check only where the clamp did not move eigenvalues
         raw = np.sort(np.linalg.eigvalsh(g.A))[::-1]
         live = (raw >= 0) & (raw <= 1)
@@ -121,28 +126,28 @@ class TestFourierBasis:
 
     def test_determinism(self):
         g = random_graph(seed=6)
-        b1 = fourier_basis(g)
-        b2 = fourier_basis(g)
+        b1 = fourier_basis(copied(g))
+        b2 = fourier_basis(copied(g))
         assert np.array_equal(b1.psi, b2.psi)
         assert np.array_equal(b1.lam, b2.lam)
 
     def test_rank_n_matches_full(self):
         g = random_graph(n=25, seed=7)
-        full = fourier_basis(g)
+        full = fourier_basis(copied(g))
         ranked = fourier_basis(g, rank=25)
         assert np.abs(full.psi - ranked.psi).max() <= 1e-8
         assert np.abs(full.lam - ranked.lam).max() <= 1e-8
 
     def test_truncated_matches_top_of_full(self):
         g = random_graph(n=50, seed=8)
-        full = fourier_basis(g)
+        full = fourier_basis(copied(g))
         trunc = fourier_basis(g, rank=10)
         assert np.abs(trunc.lam - full.lam[:10]).max() <= 1e-8
         assert np.abs(trunc.psi - full.psi[:, :10]).max() <= 1e-6
 
     def test_lanczos_below_an_eighth_of_n(self, monkeypatch):
         g = random_graph(n=200, seed=13, k=10)
-        full = fourier_basis(g)
+        full = fourier_basis(copied(g))
         calls = []
         eigsh = scipy.sparse.linalg.eigsh
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
@@ -154,7 +159,7 @@ class TestFourierBasis:
 
     def test_dense_slice_from_an_eighth_of_n(self, monkeypatch):
         g = random_graph(n=200, seed=13, k=10)
-        full = fourier_basis(g)
+        full = fourier_basis(copied(g))
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", None)
         trunc = fourier_basis(g, rank=25)  # 8 * 25 == 200
         assert np.array_equal(trunc.lam, full.lam[:25])
@@ -162,7 +167,7 @@ class TestFourierBasis:
 
     def test_lanczos_non_convergence_falls_back_to_dense(self, monkeypatch, caplog):
         g = random_graph(n=200, seed=13, k=10)
-        full = fourier_basis(g)
+        full = fourier_basis(copied(g))
 
         def no_convergence(A, k, **kw):
             raise scipy.sparse.linalg.ArpackNoConvergence(
@@ -184,20 +189,20 @@ class TestFourierBasis:
     @pytest.mark.parametrize("spare", [None, 2 * 8 * 200 * 200])
     def test_lanczos_fallback_runs_when_memory_suffices_or_is_unknown(self, monkeypatch, spare):
         g = random_graph(n=200, seed=13, k=10)
-        full = fourier_basis(g)
+        full = fourier_basis(copied(g))
 
         def no_convergence(A, k, **kw):
             raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
         monkeypatch.setattr(spectral, "_available_memory", lambda: spare)
-        # consuming A, the fallback adds only dsyevd's 2 N^2 workspace
-        owned = fourier_basis(g, rank=10, overwrite_a=True)
-        assert np.array_equal(owned.psi, full.psi[:, :10])
+        # writing over A, the fallback adds only dsyevd's 2 N^2 workspace
+        b = fourier_basis(g, rank=10)
+        assert np.array_equal(b.psi, full.psi[:, :10])
 
     def test_lanczos_fallback_refuses_when_dense_route_does_not_fit(self, monkeypatch):
         g = random_graph(n=200, seed=13, k=10)
-        need = 3 * 8 * 200 * 200  # the copy of A and dsyevd's 2 N^2 workspace
+        need = 2 * 8 * 200 * 200  # dsyevd's 2 N^2 workspace; A is written over
 
         def no_convergence(A, k, **kw):
             raise scipy.sparse.linalg.ArpackNoConvergence(
@@ -216,20 +221,19 @@ class TestFourierBasis:
         )
         assert isinstance(exc.value.__cause__, scipy.sparse.linalg.ArpackNoConvergence)
 
-    @pytest.mark.parametrize("overwrite_a, arrays", [(True, 2), (False, 3)])
-    def test_lanczos_fallback_counts_the_copy_it_makes(self, monkeypatch, overwrite_a, arrays):
+    def test_lanczos_fallback_counts_the_workspace_it_adds(self, monkeypatch):
         full = fourier_basis(random_graph(n=200, seed=13, k=10))
 
         def no_convergence(A, k, **kw):
             raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-        need = arrays * 8 * 200 * 200
+        need = 2 * 8 * 200 * 200
         monkeypatch.setattr(spectral, "_available_memory", lambda: need - 1)
         with pytest.raises(MemoryError):
-            fourier_basis(random_graph(n=200, seed=13, k=10), rank=10, overwrite_a=overwrite_a)
+            fourier_basis(random_graph(n=200, seed=13, k=10), rank=10)
         monkeypatch.setattr(spectral, "_available_memory", lambda: need)
-        b = fourier_basis(random_graph(n=200, seed=13, k=10), rank=10, overwrite_a=overwrite_a)
+        b = fourier_basis(random_graph(n=200, seed=13, k=10), rank=10)
         assert np.array_equal(b.psi, full.psi[:, :10])
 
     def test_lanczos_fallback_counts_the_unwritten_half_of_a_mapped_graph(self, monkeypatch):
@@ -244,7 +248,7 @@ class TestFourierBasis:
         monkeypatch.setattr(spectral, "_dense_solve", None)  # never reached
         g = KernelGraph(upper=np.zeros((n, n)), degrees=np.ones(n))
         with pytest.raises(MemoryError, match=f"needs about {need / 2**20:.0f} MiB more"):
-            fourier_basis(g, rank=10, overwrite_a=True)
+            fourier_basis(g, rank=10)
 
     def test_parseval(self):
         g = random_graph(seed=9)
@@ -256,32 +260,25 @@ class TestFourierBasis:
 
 
 class TestGraphOwnership:
-    """A direct call keeps the caller's graph; only an owner lets the dense
-    solve write its eigenvectors over A."""
-
-    def test_dense_route_leaves_the_graph_unchanged(self):
-        g = random_graph(n=200, seed=13, k=10)
-        before = g.A.copy()
-        fourier_basis(g)
-        assert np.array_equal(g.A, before)
-
-    def test_lanczos_fallback_leaves_the_graph_unchanged(self, monkeypatch):
-        g = random_graph(n=200, seed=13, k=10)
-        before = g.A.copy()
-
-        def no_convergence(A, k, **kw):
-            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-        fourier_basis(g, rank=10)  # 8 * 10 < 200: Lanczos first
-        assert np.array_equal(g.A, before)
+    """The dense solve writes its eigenvectors over the graph it is given; a
+    caller that needs the graph afterwards solves a copy."""
 
     @pytest.mark.parametrize("rank", [None, 10])
     def test_overwriting_gives_the_same_eigenvalues(self, rank):
         g = random_graph(n=200, seed=13, k=10)
-        kept = fourier_basis(KernelGraph(upper=g.upper.copy(), degrees=g.degrees), rank)
-        owned = fourier_basis(g, rank, overwrite_a=True)
-        assert np.abs(owned.lam - kept.lam).max() <= 1e-12
+        kept = fourier_basis(copied(g), rank)
+        owned = fourier_basis(g, rank)
+        assert np.array_equal(owned.psi, kept.psi)
+        assert np.array_equal(owned.lam, kept.lam)
+        # all N pairs are the graph's own buffer, so the graph reads them
+        assert np.shares_memory(owned.psi, g.upper) is (rank is None)
+
+    def test_full_rank_solve_peaks_at_the_workspace(self):
+        # beyond the graph, dsyevd's 2 N^2 workspace and no copy of the graph
+        g = random_graph(n=1500, d=4, seed=15, k=20)
+        b, peak = traced_peak(fourier_basis, g)
+        assert b.rank == 1500
+        assert peak <= 2.1 * g.upper.nbytes
 
 
 class TestDenseSolve:
@@ -300,13 +297,13 @@ class TestDenseSolve:
 
     def test_full_rank_basis_of_1000_points(self):
         g = random_graph(n=1000, d=6, seed=16, k=20)
-        self.assert_accurate(g, fourier_basis(g))
+        self.assert_accurate(g, fourier_basis(copied(g)))
 
     def test_repeated_eigenvalue_of_two_components(self):
         X = Rng(17).generator.standard_normal((300, 4))
         X[150:, 0] += 1e3  # no kernel weight survives between the halves
         g = gauss_kernel_graph(X, BandwidthSpec.adaptive(10))
-        b = fourier_basis(g)
+        b = fourier_basis(copied(g))
         assert b.lam[1] >= 1.0 - 1e-12 > b.lam[2]  # eigenvalue 1, twice
         self.assert_accurate(g, b)
 
@@ -341,19 +338,17 @@ class TestUnwrittenTriangle:
         upper[rows, cols] = np.where(cols % 2 == 0, np.nan, np.inf)
         return KernelGraph(upper=upper, degrees=g.degrees)
 
-    @pytest.mark.parametrize("overwrite_a", [False, True])
     @pytest.mark.parametrize("rank, converges", [(None, True), (10, True), (10, False)],
                              ids=["dense", "lanczos", "fallback"])
-    def test_every_route_reads_the_upper_triangle(self, monkeypatch, rank, converges,
-                                                  overwrite_a):
+    def test_every_route_reads_the_upper_triangle(self, monkeypatch, rank, converges):
         g = random_graph(n=self.N, seed=13, k=10)
         if not converges:
             def no_convergence(A, k, **kw):
                 raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
 
             monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        b = fourier_basis(self.poisoned(g), rank)  # before g's solve writes over it
         clean = fourier_basis(g, rank)
-        b = fourier_basis(self.poisoned(g), rank, overwrite_a=overwrite_a)
         assert np.all(np.isfinite(b.psi))
         assert np.array_equal(b.psi, clean.psi)
         assert np.array_equal(b.lam, clean.lam)
@@ -377,7 +372,7 @@ class TestSolverTail:
     @pytest.fixture(scope="class")
     def graph_and_full(self):
         g = random_graph(n=self.N, seed=13, k=10)
-        full = fourier_basis(g)
+        full = fourier_basis(copied(g))
         assert np.diff(full.lam[full.lam > 0]).max() < -1e-10  # a distinct spectrum
         return g, full
 
@@ -391,7 +386,7 @@ class TestSolverTail:
     def test_dense_route_keeps_the_leading_columns(self, graph_and_full, rank):
         g, full = graph_and_full
         assert spectral._plan(self.N, rank)[1]  # the dense route
-        b = fourier_basis(g, rank)
+        b = fourier_basis(copied(g), rank)
         self.assert_descending_and_contiguous(b)
         assert np.array_equal(b.psi, full.psi[:, :rank])
         assert np.array_equal(b.lam, full.lam[:rank])
@@ -412,7 +407,7 @@ class TestSolverTail:
             raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-        b = fourier_basis(g, rank=10)
+        b = fourier_basis(copied(g), rank=10)
         self.assert_descending_and_contiguous(b)
         assert np.array_equal(b.psi, full.psi[:, :10])
         assert np.array_equal(b.lam, full.lam[:10])
@@ -426,16 +421,16 @@ class TestSolverTail:
                 raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
 
             monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-        b = fourier_basis(g, rank=10)
+        b = fourier_basis(copied(g), rank=10)
         assert b.psi.flags.c_contiguous
         assert np.array_equal(b.psi, reference_signs(b.psi))
 
     @pytest.mark.parametrize("n", [N, N + 1, 300])  # an odd N, and two tiles
     def test_full_rank_basis_is_the_solvers_buffer(self, n):
         g = random_graph(n=n, seed=13, k=10)
-        kept = fourier_basis(KernelGraph(upper=g.upper.copy(), degrees=g.degrees))
-        lam, psi = spectral._dense_solve(g.upper)
-        b = fourier_basis(g, overwrite_a=True)
+        kept = fourier_basis(copied(g))
+        lam, psi = spectral._dense_solve(g.upper.copy())
+        b = fourier_basis(g)
         assert b.psi.flags.f_contiguous and np.shares_memory(b.psi, g.upper)
         assert np.array_equal(b.psi, kept.psi)
         assert np.array_equal(b.lam, kept.lam)
@@ -446,13 +441,13 @@ class TestSolverTail:
     def test_truncated_bases_are_their_own_arrays(self, graph_and_full, monkeypatch, rank,
                                                   converges):
         g, full = graph_and_full
-        owned = KernelGraph(upper=g.upper.copy(), degrees=g.degrees)
+        owned = copied(g)
         if not converges:
             def no_convergence(A, k, **kw):
                 raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
 
             monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-        b = fourier_basis(owned, rank, overwrite_a=True)
+        b = fourier_basis(owned, rank)
         self.assert_descending_and_contiguous(b)
         assert not np.shares_memory(b.psi, owned.upper)
         assert np.array_equal(b.psi, full.psi[:, :rank])
@@ -511,7 +506,7 @@ class TestDropTrivial:
 def aligned_pair(seed, t, n=30, k=5):
     """Two graphs, their bases and their unified embedding under a random map."""
     graphs = [random_graph(n=n, seed=seed, k=k), random_graph(n=n + 5, seed=seed + 100, k=k)]
-    bases = [fourier_basis(g) for g in graphs]
+    bases = [fourier_basis(copied(g)) for g in graphs]
     T = orthogonalize(Rng(seed).generator.standard_normal((bases[0].rank, bases[1].rank)))
     return graphs, bases, unified_diffusion_map(bases, {(0, 1): T, (1, 0): T.T}, t)
 
