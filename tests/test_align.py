@@ -838,3 +838,31 @@ class TestPooledPrepare:
                                      "falling back to the dense solver") for n in (500, 480)]
         serial = self.aligned(monkeypatch, 1, datasets, params)
         assert np.array_equal(pooled.phi, serial.phi)
+
+
+class TestPooledPairs:
+    """Three datasets above the size at which pairs once forked: the datasets
+    are prepared on ``core.pool_map``'s workers, every pair's map is computed
+    here, and the output is that of a serial run."""
+
+    @pytest.mark.parametrize("sizes, rank", [  # the dense and the Lanczos route
+        pytest.param((450, 440, 430), None, id="sizes0-None-None"),
+        pytest.param((520, 500, 480), 30, id="sizes1-30-0"),
+    ])
+    def test_output_equal_to_a_serial_run(self, monkeypatch, forks, sizes, rank):
+        sampler = ManifoldSampler(Rng(0).spawn("source"), dim=20)
+        datasets = [sampler.draw(n, Rng(n).spawn("draw"))[0] for n in sizes]
+        params = AlignmentParams(rank=rank)
+        assert spectral._plan(min(sizes), rank)[1] is (rank is None)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
+        serial = multi_alignment(datasets, params)
+        assert forks == []
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        pooled = multi_alignment(datasets, params)
+        assert len(forks) == 1  # the prepares; no map forks
+        assert np.array_equal(pooled.phi, serial.phi)
+        assert list(pooled.maps) == list(serial.maps)
+        assert set(serial.maps) == {(i, j) for i in range(3) for j in range(3) if i != j}
+        for key, T in serial.maps.items():
+            assert np.array_equal(pooled.maps[key], T)
+        assert pooled.diagnostics == serial.diagnostics
