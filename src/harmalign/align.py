@@ -22,8 +22,10 @@ assembled.  Pairwise alignment is this with n = 2: :func:`harmonic_alignment`
 calls :func:`multi_alignment` on ``[X, Y]``, and every entry point returns one
 :class:`AlignmentResult`, whose ``T`` is the map from dataset 0 to dataset 1.
 A prepared dataset keeps only its data and Fourier basis; the N x N kernel
-graph is dropped once its eigendecomposition is done.  Steps 1-2 touch one
-dataset each, so the datasets of an alignment are prepared on
+graph is dropped once its eigendecomposition is done, and the alignment holds
+each basis only until ``Phi0_i = D_i^{-1/2} Psi_i`` is written into the
+embedding (a caller of :func:`align_prepared` keeps its own).  Steps 1-2
+touch one dataset each, so the datasets of an alignment are prepared on
 :func:`harmalign.core.pool_map`'s forked workers when they are large enough to
 pay for a fork; the maps of steps 4-5 are computed in the calling process.  The
 output is bit-identical to a serial run's.
@@ -211,22 +213,41 @@ def unified_diffusion_map(bases, maps, t: int) -> np.ndarray:
     ----------
     bases : sequence of FourierBasis
         One non-trivial basis per dataset, used with the signs it carries.
+        Neither the sequence nor any basis in it is changed.
     maps : dict
         ``maps[(i, j)]`` for every i != j, the harmonic map from dataset i to
-        dataset j expressed in those bases.
+        dataset j expressed in those bases, of shape ``(rank_i, rank_j)``.
+        A missing or mis-shaped map raises ValueError before anything is built.
     t : int
         Non-negative diffusion time.
     """
     _check_time(t)
+    ranks = [b.rank for b in bases]
+    for i, j in itertools.permutations(range(len(ranks)), 2):
+        shape = np.shape(maps[(i, j)]) if (i, j) in maps else None
+        if shape != (ranks[i], ranks[j]):
+            found = "missing" if shape is None else f"of shape {shape}"
+            raise ValueError(f"map {(i, j)} is {found}; expected shape "
+                             f"(rank_{i}, rank_{j}) = {(ranks[i], ranks[j])}")
+    return _assemble(list(bases), maps, t)
+
+
+def _assemble(bases: list, maps, t: int) -> np.ndarray:
+    """:func:`unified_diffusion_map` of checked maps.  Each entry of the list
+    ``bases`` is set to None as soon as its ``Phi0_i`` is in its diagonal
+    block, so a basis nothing else holds is freed before the off-diagonal
+    products; only its ``lam``, kept aside, is read after that."""
+    lams = [b.lam for b in bases]
     rows = [slice(*r) for r in _ranges(b.psi.shape[0] for b in bases)]
     cols = [slice(*c) for c in _ranges(b.rank for b in bases)]
     phi = np.empty((rows[-1].stop, cols[-1].stop))
-    for b, r, c in zip(bases, rows, cols):
-        np.multiply(b.degrees[:, None] ** -0.5, b.psi, out=phi[r, c])
-    for i, j in itertools.permutations(range(len(bases)), 2):
+    for k, (r, c) in enumerate(zip(rows, cols)):
+        np.multiply(bases[k].degrees[:, None] ** -0.5, bases[k].psi, out=phi[r, c])
+        bases[k] = None  # Psi_k is not read again
+    for i, j in itertools.permutations(range(len(lams)), 2):
         np.matmul(phi[rows[i], cols[i]], maps[(i, j)], out=phi[rows[i], cols[j]])
-    for b, c in zip(bases, cols):
-        phi[:, c] *= b.lam ** t
+    for lam, c in zip(lams, cols):
+        phi[:, c] *= lam ** t
     return phi
 
 
@@ -292,10 +313,9 @@ def prepare_dataset(X, params: AlignmentParams, fraction: float | None = None) -
     return PreparedDataset(data=X, basis=drop_trivial(basis))
 
 
-def _diagnostics(bases, t: int) -> dict:
+def _diagnostics(lams, t: int) -> dict:
     diag = {}
-    for i, basis in enumerate(bases):
-        lam = basis.lam
+    for i, lam in enumerate(lams):
         diag[f"spectrum_{i}"] = lam.tolist()
         # only ties among eigenvalues the embedding weights make the basis
         # ambiguous where it matters: ties among clamped zeros are artifacts
@@ -336,37 +356,46 @@ def _normalize_block_scale(phi: np.ndarray, ranges) -> np.ndarray:
     return phi
 
 
-def _align(preps, params: AlignmentParams) -> AlignmentResult:
+def _align(preps: list, params: AlignmentParams) -> AlignmentResult:
     """The alignment of n >= 2 prepared datasets, shared by every entry point.
 
     Basis signs are canonicalized once per dataset here, so alignment is
     invariant to any sign flips applied to eigenvector columns upstream.
     For every pair i < j the bandlimited correlation ``C`` is orthogonalized
     into ``T(i->j)`` and dropped; its transpose serves as ``T(j->i)``.
+
+    ``preps`` is emptied once the bases and the GFT features are read from
+    it, and each basis is dropped once ``Phi0_i`` is in phi's diagonal block,
+    so a basis the caller does not hold elsewhere is freed there.
     """
     bases = [replace(p.basis, psi=canonical_signs(p.basis.psi)) for p in preps]
     features = [gft_features(b.psi, p.data) for b, p in zip(bases, preps)]
+    row_ranges = _ranges(p.data.n_points for p in preps)
+    preps.clear()
+    lams = [b.lam for b in bases]
+    col_ranges = _ranges(b.rank for b in bases)
     maps = {}
-    for i, j in itertools.combinations(range(len(preps)), 2):
+    for i, j in itertools.combinations(range(len(bases)), 2):
         T = orthogonalize(bandlimited_correlation(  # the weights are dropped before the SVD
             features[i], features[j],
-            bandlimiting_weights(bases[i].lam, bases[j].lam, params.n_bands)))
+            bandlimiting_weights(lams[i], lams[j], params.n_bands)))
         maps[(i, j)], maps[(j, i)] = T, T.T
-    phi = unified_diffusion_map(bases, maps, params.t)
-    row_ranges = _ranges(p.data.n_points for p in preps)
+    phi = _assemble(bases, maps, params.t)
     return AlignmentResult(
         maps=maps,
         phi=_normalize_block_scale(phi, row_ranges),
         row_ranges=row_ranges,
-        col_ranges=_ranges(b.rank for b in bases),
-        diagnostics=_diagnostics(bases, params.t),
+        col_ranges=col_ranges,
+        diagnostics=_diagnostics(lams, params.t),
     )
 
 
 def align_prepared(
     px: PreparedDataset, py: PreparedDataset, params: AlignmentParams
 ) -> AlignmentResult:
-    """Align two prepared datasets, as :func:`multi_alignment` aligns n."""
+    """Align two prepared datasets, as :func:`multi_alignment` aligns n.
+
+    ``px`` and ``py`` are left as they are, so either may be aligned again."""
     return _align([px, py], params)
 
 
@@ -394,9 +423,11 @@ def multi_alignment(datasets, params: AlignmentParams | None = None) -> Alignmen
     and the available memory at the largest dataset's N x N arrays allow.
     Datasets smaller than a full-rank 250-point graph's arrays, where a fork
     costs more than it saves, are prepared here.  The maps of the pairs are
-    then computed here, one pair after another.  The output does not depend
-    on the worker count, and a worker's log records and errors reach the
-    caller as in a serial run.
+    then computed here, one pair after another, and each prepared basis is
+    freed as soon as its ``Phi0_i`` is in the embedding's diagonal block,
+    before the off-diagonal products.  The output does not depend on the
+    worker count, and a worker's log records and errors reach the caller as
+    in a serial run.
     """
     params = params or AlignmentParams()
     if len(datasets) < 2:

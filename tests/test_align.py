@@ -1,7 +1,9 @@
 import mmap
 import os
+import re
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -234,6 +236,39 @@ class TestUnifiedDiffusionMap:
         phi, peak = traced_peak(unified_diffusion_map, bases, maps, 1)
         assert peak <= 1.1 * phi.nbytes
 
+    def test_leaves_its_arguments_untouched(self):
+        bases, maps = random_bases(45, (30, 40, 20), (20, 39, 20))
+        given, psis = list(bases), [b.psi.copy() for b in bases]
+        unified_diffusion_map(bases, maps, 1)
+        assert all(b is g for b, g in zip(bases, given, strict=True))
+        for b, psi in zip(bases, psis):
+            assert np.array_equal(b.psi, psi)
+
+    @pytest.mark.parametrize("key, T, found", [
+        ((1, 0), None, "missing"),
+        ((0, 1), np.zeros((4, 3)), "of shape (4, 3)"),
+        ((1, 0), np.zeros((4, 5)), "of shape (4, 5)"),
+        ((0, 1), np.zeros(20), "of shape (20,)"),
+    ], ids=["missing", "narrow", "transposed", "vector"])
+    def test_incomplete_or_misshaped_maps_refused_before_phi(self, key, T, found):
+        ranks = (4, 5)
+        bases, maps = random_bases(46, (3000, 2000), ranks)
+        if T is None:
+            del maps[key]
+        else:
+            maps[key] = T
+        i, j = key
+        message = (f"map {key} is {found}; expected shape (rank_{i}, rank_{j}) = "
+                   f"{(ranks[i], ranks[j])}")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                unified_diffusion_map(bases, maps, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 5000 * 9 / 4  # phi, 5000 x 9, is never allocated
+
 
 class TestHarmonicAlignment:
     def test_self_alignment_coincides(self):
@@ -371,6 +406,36 @@ class TestOneCopyFlow:
         result, peak = traced_peak(align_prepared, px, py, p)
         assert result.phi.shape == (1500, 1498)
         assert peak <= 1.8 * result.phi.nbytes
+
+    def test_each_basis_freed_once_phi_holds_it(self, monkeypatch, forks):
+        # prepared here (under the pool floor), the bases are held only by
+        # the alignment: every one is gone before the block scale runs
+        psis, alive = [], []
+
+        def prepare(*args, **kwargs):
+            prepared = prepare_dataset(*args, **kwargs)
+            psis.append(weakref.ref(prepared.basis.psi))
+            return prepared
+
+        def scale(phi, ranges):
+            alive.extend(ref() is not None for ref in psis)
+            return normalize(phi, ranges)
+
+        normalize = align._normalize_block_scale
+        monkeypatch.setattr(align, "prepare_dataset", prepare)
+        monkeypatch.setattr(align, "_normalize_block_scale", scale)
+        multi_alignment([sample_data(63 + n, n, 10) for n in (100, 110, 120)])
+        assert forks == []
+        assert len(psis) == 3
+        assert alive == [False, False, False]
+
+    def test_align_prepared_keeps_the_callers_datasets(self):
+        px, py, pz = (prepare_dataset(sample_data(66 + i, 80, 10), PARAMS) for i in range(3))
+        psi = px.basis.psi.copy()
+        first = align_prepared(px, py, PARAMS)
+        align_prepared(px, pz, PARAMS)
+        assert np.array_equal(px.basis.psi, psi)
+        assert np.array_equal(align_prepared(px, py, PARAMS).phi, first.phi)
 
 
 class TestAlignmentParams:
